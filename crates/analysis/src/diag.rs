@@ -18,6 +18,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use commcsl_pure::term::Env;
+use commcsl_telemetry::Json;
 
 /// Stable machine-readable identifier of an obligation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -119,6 +120,19 @@ impl fmt::Display for SourceSpan {
     }
 }
 
+impl SourceSpan {
+    /// Decodes the `"line:col"` string a span encodes to.
+    pub fn from_json(doc: &Json) -> Result<SourceSpan, String> {
+        doc.as_str().ok_or("`span` must be a string")?.parse()
+    }
+}
+
+impl From<SourceSpan> for Json {
+    fn from(span: SourceSpan) -> Json {
+        Json::Str(span.to_string())
+    }
+}
+
 impl FromStr for SourceSpan {
     type Err = String;
 
@@ -216,6 +230,47 @@ impl Counterexample {
     /// `true` when the counterexample carries no bindings.
     pub fn is_empty(&self) -> bool {
         self.bindings.is_empty()
+    }
+
+    /// Decodes the binding array a counterexample encodes to.
+    pub fn from_json(doc: &Json) -> Result<Counterexample, String> {
+        let bindings = doc
+            .as_arr()
+            .ok_or("`counterexample` must be an array")?
+            .iter()
+            .map(|b| {
+                let field = |key: &str| {
+                    b.get(key)
+                        .and_then(Json::as_str)
+                        .map(str::to_owned)
+                        .ok_or(format!("counterexample binding needs `{key}`"))
+                };
+                Ok(CexBinding {
+                    var: field("var")?,
+                    exec1: field("exec1")?,
+                    exec2: field("exec2")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Counterexample { bindings })
+    }
+}
+
+impl From<&Counterexample> for Json {
+    /// `[{"var":…,"exec1":…,"exec2":…},…]`, in binding order.
+    fn from(cex: &Counterexample) -> Json {
+        Json::Arr(
+            cex.bindings
+                .iter()
+                .map(|b| {
+                    Json::obj([
+                        ("var", Json::str(&b.var)),
+                        ("exec1", Json::str(&b.exec1)),
+                        ("exec2", Json::str(&b.exec2)),
+                    ])
+                })
+                .collect(),
+        )
     }
 }
 

@@ -13,11 +13,12 @@ use std::fmt;
 use std::str::FromStr;
 
 use commcsl_pure::{Symbol, Term};
+use commcsl_telemetry::Json;
 
 use crate::diag::{DiagnosticCode, SourceSpan};
 use crate::lowness::analyze_lowness;
 use crate::prepass::goal_statically_valid;
-use crate::program::{AnnotatedProgram, StmtPath, VStmt};
+use crate::program::{path_from_json, path_to_json, AnnotatedProgram, StmtPath, VStmt};
 
 /// Stable machine-readable identifier of a lint kind.
 ///
@@ -164,6 +165,57 @@ impl fmt::Display for Lint {
             Some(span) => write!(f, "{span}: {}[{}]: {}", self.severity, self.code, self.message),
             None => write!(f, "{}[{}]: {}", self.severity, self.code, self.message),
         }
+    }
+}
+
+impl Lint {
+    /// Decodes a finding. A missing `severity` defaults to the code's and
+    /// a missing `path` to the program level.
+    pub fn from_json(doc: &Json) -> Result<Lint, String> {
+        let code = doc
+            .get("code")
+            .and_then(Json::as_str)
+            .ok_or("lint needs `code`")?
+            .parse::<LintCode>()?;
+        let severity = match doc.get("severity").and_then(Json::as_str) {
+            Some("warning") => Severity::Warning,
+            Some("note") => Severity::Note,
+            Some(other) => return Err(format!("unknown severity `{other}`")),
+            None => code.severity(),
+        };
+        Ok(Lint {
+            code,
+            severity,
+            path: doc
+                .get("path")
+                .map(path_from_json)
+                .transpose()?
+                .unwrap_or_default(),
+            span: doc.get("span").map(SourceSpan::from_json).transpose()?,
+            message: doc
+                .get("message")
+                .and_then(Json::as_str)
+                .ok_or("lint needs `message`")?
+                .to_owned(),
+        })
+    }
+}
+
+impl From<&Lint> for Json {
+    /// `{"code","severity","span"?,"path","message"}`: the one shape of a
+    /// finding in report `hints`, the daemon's `lint` op and events, and
+    /// `commcsl lint --json`.
+    fn from(lint: &Lint) -> Json {
+        let mut fields = vec![
+            ("code", Json::str(lint.code.as_str())),
+            ("severity", Json::str(lint.severity.as_str())),
+        ];
+        if let Some(span) = lint.span {
+            fields.push(("span", span.into()));
+        }
+        fields.push(("path", path_to_json(&lint.path)));
+        fields.push(("message", Json::str(&lint.message)));
+        Json::obj(fields)
     }
 }
 

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use commcsl_logic::spec::ResourceSpec;
 use commcsl_pure::{Sort, Symbol, Term};
+use commcsl_telemetry::Json;
 
 use crate::diag::SourceSpan;
 
@@ -24,6 +25,24 @@ use crate::diag::SourceSpan;
 /// * inside `For` at `p`: `body[j]` → `p ++ [j]`,
 /// * inside `Par` at `p`: `workers[w][j]` → `p ++ [w, j]`.
 pub type StmtPath = Vec<u32>;
+
+/// Encodes a statement path as a JSON array of its components.
+pub fn path_to_json(path: &[u32]) -> Json {
+    Json::Arr(path.iter().map(|&c| Json::Num(f64::from(c))).collect())
+}
+
+/// Decodes a statement path encoded by [`path_to_json`].
+pub fn path_from_json(doc: &Json) -> Result<StmtPath, String> {
+    doc.as_arr()
+        .ok_or("`path` must be an array")?
+        .iter()
+        .map(|c| {
+            c.as_u64()
+                .and_then(|c| u32::try_from(c).ok())
+                .ok_or_else(|| "path components must be small numbers".to_owned())
+        })
+        .collect()
+}
 
 /// A statement of the annotated language.
 #[derive(Debug, Clone, PartialEq, Eq)]

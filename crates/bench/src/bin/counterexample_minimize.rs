@@ -26,6 +26,7 @@ use std::io::Write;
 use std::time::Instant;
 
 use commcsl::fixtures::rejected;
+use commcsl::server::json::Json;
 use commcsl::verifier::report::{ObligationStatus, VerifierConfig};
 use commcsl::verifier::{verify, AnnotatedProgram, VerifierReport};
 
@@ -72,7 +73,7 @@ fn main() {
         min_rows.push(format!(
             "{{\"example\":{},\"plain_ms\":{plain_ms:.6},\"minimize_ms\":{min_ms:.6},\
              \"bindings_before\":{before},\"bindings_after\":{after}}}",
-            commcsl::verifier::report::json_string(name),
+            Json::str(name),
         ));
     }
     let slowdown = min_total / plain_total;
@@ -98,7 +99,7 @@ fn main() {
         );
         core_rows.push(format!(
             "{{\"example\":{},\"plain_ms\":{plain_ms:.6},\"cores_ms\":{core_ms:.6}}}",
-            commcsl::verifier::report::json_string(&program.name),
+            Json::str(&program.name),
         ));
     }
     let core_overhead = core_total / scale_plain_total - 1.0;

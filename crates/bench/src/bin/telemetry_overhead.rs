@@ -155,7 +155,7 @@ fn main() {
                 });
                 format!(
                     "{{\"example\":{},\"baseline_ms\":{},\"measured_ms\":{median:.6}}}",
-                    commcsl::verifier::report::json_string(name),
+                    Json::str(name),
                     base.map(|b| format!("{b:.6}")).unwrap_or("null".into()),
                 )
             })

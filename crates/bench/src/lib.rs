@@ -10,6 +10,7 @@
 use std::time::Duration;
 
 use commcsl::fixtures;
+use commcsl::server::json::Json;
 use commcsl::verifier::batch::{verify_batch_ref, BatchConfig};
 use serde::Serialize;
 
@@ -85,16 +86,15 @@ pub fn table1_rows_parallel(runs: u32, threads: usize) -> Vec<Table1Row> {
 /// newline) for append-style benchmark trajectories such as
 /// `BENCH_table1.json`: one run per line, each self-describing.
 pub fn table1_json(rows: &[Table1Row], runs: u32, threads: usize) -> String {
-    use commcsl::verifier::report::json_string;
     let rendered: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
                 "{{\"example\":{},\"data_structure\":{},\"abstraction\":{},\
                  \"loc\":{},\"annotations\":{},\"time_ms\":{:.6},\"verified\":{}}}",
-                json_string(r.example),
-                json_string(r.data_structure),
-                json_string(r.abstraction),
+                Json::str(r.example),
+                Json::str(r.data_structure),
+                Json::str(r.abstraction),
                 r.loc,
                 r.annotations,
                 r.time.as_secs_f64() * 1000.0,
@@ -558,7 +558,6 @@ pub fn incremental_bench(runs: u32, top: usize) -> IncrementalBench {
 /// Renders the incremental bench as one JSON snapshot line for
 /// `BENCH_table1.json`.
 pub fn incremental_json(run: &IncrementalBench, runs: u32) -> String {
-    use commcsl::verifier::report::json_string;
     let rows: Vec<String> = run
         .rows
         .iter()
@@ -566,7 +565,7 @@ pub fn incremental_json(run: &IncrementalBench, runs: u32) -> String {
             format!(
                 "{{\"example\":{},\"checks\":{},\"fresh_ms\":{:.6},\
                  \"incremental_ms\":{:.6},\"speedup\":{:.3}}}",
-                json_string(&r.example),
+                Json::str(&r.example),
                 r.checks,
                 r.fresh_ms,
                 r.incremental_ms,
@@ -698,7 +697,6 @@ pub fn reverify_bench(edits: u32) -> ReverifyBench {
 /// Renders the edit-loop bench as one JSON snapshot line for
 /// `BENCH_table1.json`.
 pub fn reverify_json(run: &ReverifyBench, edits: u32) -> String {
-    use commcsl::verifier::report::json_string;
     let rows: Vec<String> = run
         .rows
         .iter()
@@ -706,7 +704,7 @@ pub fn reverify_json(run: &ReverifyBench, edits: u32) -> String {
             format!(
                 "{{\"example\":{},\"obligations\":{},\"cold_ms\":{:.6},\
                  \"edit_ms\":{:.6},\"reused\":{},\"checked\":{},\"speedup\":{:.3}}}",
-                json_string(&r.example),
+                Json::str(&r.example),
                 r.obligations,
                 r.cold_ms,
                 r.edit_ms,
@@ -825,7 +823,6 @@ pub fn static_prepass_bench(runs: u32) -> StaticPrepassBench {
 /// Renders the static-pre-pass bench as one JSON snapshot line for
 /// `BENCH_table1.json`.
 pub fn static_prepass_json(run: &StaticPrepassBench, runs: u32) -> String {
-    use commcsl::verifier::report::json_string;
     let rows: Vec<String> = run
         .rows
         .iter()
@@ -834,7 +831,7 @@ pub fn static_prepass_json(run: &StaticPrepassBench, runs: u32) -> String {
                 "{{\"example\":{},\"obligations\":{},\"statically_proven\":{},\
                  \"discharge_fraction\":{:.4},\"solver_ms\":{:.6},\
                  \"prepass_ms\":{:.6},\"delta_ms\":{:.6}}}",
-                json_string(&r.example),
+                Json::str(&r.example),
                 r.obligations,
                 r.statically_proven,
                 r.discharge_fraction(),

@@ -70,7 +70,7 @@ use commcsl_cluster::{RemoteCacheClient, ShardPool};
 use commcsl_server::client::{connect_or_start, Client};
 use commcsl_server::daemon::{Server, ServerConfig};
 use commcsl_server::json::Json as WireJson;
-use commcsl_server::protocol::{histogram_to_json, StatusInfo, VerifyItem};
+use commcsl_server::protocol::{StatusInfo, VerifyItem};
 use commcsl_telemetry::{Histogram, MetricsSnapshot};
 use commcsl_smt::{BackendKind, SessionStats};
 use commcsl_telemetry::export::{
@@ -81,7 +81,7 @@ use commcsl_verifier::api::Verifier;
 use commcsl_verifier::cache::CacheConfig;
 use commcsl_verifier::obligation::DischargeStats;
 use commcsl_verifier::program::AnnotatedProgram;
-use commcsl_verifier::report::{json_string, VerifierConfig, VerifierReport};
+use commcsl_verifier::report::{VerifierConfig, VerifierReport};
 
 use crate::compile;
 
@@ -752,8 +752,8 @@ fn render_verify(
             .map(|(file, e)| {
                 format!(
                     "{{\"file\":{},\"error\":{}}}",
-                    json_string(&file.display().to_string()),
-                    json_string(e)
+                    WireJson::str(file.display().to_string()),
+                    WireJson::str(e)
                 )
             })
             .collect();
@@ -794,7 +794,7 @@ fn render_verify(
                 .unwrap_or_default();
             format!(
                 "{{\"file\":{},\"time_ms\":{:.3},{cached}{skipped}{stats}{times}{session}\"report\":{}}}",
-                json_string(&r.file.display().to_string()),
+                WireJson::str(r.file.display().to_string()),
                 r.time_ms,
                 r.report.to_json()
             )
@@ -809,11 +809,11 @@ fn render_verify(
             results.len() + file_errors.len(),
             matching,
             file_errors.len(),
-            json_string(match flags.expect {
+            WireJson::str(match flags.expect {
                 Expect::Verified => "verified",
                 Expect::Rejected => "rejected",
             }),
-            json_string(engine.as_str()),
+            WireJson::str(engine.as_str()),
             session_json(&session_totals(results)),
             code == EXIT_OK,
             code
@@ -1138,7 +1138,7 @@ fn render_profile_json(
         .map(|l| {
             format!(
                 "{{\"label\":{},\"count\":{},\"total_ms\":{:.3},\"self_ms\":{:.3}}}",
-                json_string(l.label),
+                WireJson::str(l.label),
                 l.count,
                 l.total_ns as f64 / 1e6,
                 l.self_ns as f64 / 1e6,
@@ -1150,8 +1150,8 @@ fn render_profile_json(
         .map(|(file, e)| {
             format!(
                 "{{\"file\":{},\"error\":{}}}",
-                json_string(&file.display().to_string()),
-                json_string(e)
+                WireJson::str(file.display().to_string()),
+                WireJson::str(e)
             )
         })
         .collect();
@@ -1393,8 +1393,8 @@ impl Watcher {
             let _ = writeln!(
                 out,
                 "{{\"event\":\"error\",\"file\":{},\"error\":{}}}",
-                json_string(&file.display().to_string()),
-                json_string(error)
+                WireJson::str(file.display().to_string()),
+                WireJson::str(error)
             );
         } else {
             let _ = writeln!(out, "{}: {error}", file.display());
@@ -1415,7 +1415,7 @@ impl Watcher {
                  \"verified\":{},\"cached\":{},\"obligations\":{},\"reused\":{},\
                  \"statically_proven\":{},\"checked\":{},\"time_ms\":{time_ms:.3},\
                  \"report\":{}}}",
-                json_string(&file.display().to_string()),
+                WireJson::str(file.display().to_string()),
                 outcome.revision,
                 outcome.report.verified(),
                 outcome.report_cached,
@@ -2033,23 +2033,9 @@ fn run_daemon_top(
                 ("unit", WireJson::str("ns")),
                 (
                     "histograms",
-                    WireJson::Obj(
-                        hists
-                            .iter()
-                            .map(|(op, h)| (op.clone(), histogram_to_json(h)))
-                            .collect(),
-                    ),
+                    WireJson::Obj(hists.iter().map(|(op, h)| (op.clone(), h.into())).collect()),
                 ),
-                (
-                    "counters",
-                    WireJson::Obj(
-                        metrics
-                            .counters
-                            .iter()
-                            .map(|(n, v)| (n.clone(), WireJson::Num(*v as f64)))
-                            .collect(),
-                    ),
-                ),
+                ("counters", (&metrics).into()),
             ]);
             let _ = writeln!(out, "{doc}");
         } else {
@@ -2209,9 +2195,9 @@ fn run_fixture(args: &[String], out: &mut String) -> i32 {
         let _ = writeln!(
             out,
             "{{\"fixture\":{},\"data_structure\":{},\"abstraction\":{},\"report\":{}}}",
-            json_string(fixture.name),
-            json_string(fixture.data_structure),
-            json_string(fixture.abstraction),
+            WireJson::str(fixture.name),
+            WireJson::str(fixture.data_structure),
+            WireJson::str(fixture.abstraction),
             report.to_json()
         );
     } else {
@@ -2305,16 +2291,19 @@ fn run_lint(args: &[String], out: &mut String) -> i32 {
             .map(|(file, e)| {
                 format!(
                     "{{\"file\":{},\"error\":{}}}",
-                    json_string(&file.display().to_string()),
-                    json_string(e)
+                    WireJson::str(file.display().to_string()),
+                    WireJson::str(e)
                 )
             })
             .collect();
         entries.extend(file_lints.iter().map(|(file, lints)| {
-            let rendered: Vec<String> = lints.iter().map(lint_json).collect();
+            let rendered: Vec<String> = lints
+                .iter()
+                .map(|l| WireJson::from(l).to_string())
+                .collect();
             format!(
                 "{{\"file\":{},\"lints\":[{}]}}",
-                json_string(&file.display().to_string()),
+                WireJson::str(file.display().to_string()),
                 rendered.join(",")
             )
         }));
@@ -2359,27 +2348,6 @@ fn run_lint(args: &[String], out: &mut String) -> i32 {
         );
     }
     code
-}
-
-/// One lint finding, same field shapes as the v2 protocol's `lint` events
-/// (minus the `event`/`name` envelope).
-fn lint_json(lint: &Lint) -> String {
-    let span = lint
-        .span
-        .as_ref()
-        .map(|s| format!("\"span\":{},", json_string(&s.to_string())))
-        .unwrap_or_default();
-    format!(
-        "{{\"code\":{},\"severity\":{},{span}\"path\":[{}],\"message\":{}}}",
-        json_string(lint.code.as_str()),
-        json_string(lint.severity.as_str()),
-        lint.path
-            .iter()
-            .map(|i| i.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        json_string(&lint.message)
-    )
 }
 
 // --------------------------------------------------------------------- fmt
@@ -3192,8 +3160,7 @@ mod tests {
             .and_then(Json::as_arr)
             .expect("timing vector present on the in-process route");
         let report_json = entry.get("report").expect("embedded report");
-        let report = commcsl_server::protocol::report_from_json(report_json)
-            .expect("embedded report parses back");
+        let report = VerifierReport::from_json(report_json).expect("embedded report parses back");
         assert_eq!(
             times.len(),
             report.obligations.len(),
@@ -3470,7 +3437,7 @@ mod tests {
     }
 
     #[test]
-    fn lint_json_document_parses_back() {
+    fn lint_document_with_json_flag_parses_back() {
         use commcsl_server::json::Json;
 
         let dir = temp_lint_corpus("json");

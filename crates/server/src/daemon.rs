@@ -779,11 +779,13 @@ impl Server {
         line: &str,
         emit: &mut dyn FnMut(&Json) -> io::Result<()>,
     ) -> io::Result<bool> {
+        // Per-op latency covers decode→response, so decode cost shows up
+        // in the histograms and the event log.
+        let started = Instant::now();
         match Request::decode_with_request_id(line.trim()) {
             Ok((request, client_id)) => {
                 let request_id = client_id.unwrap_or_else(|| self.assign_request_id());
                 let op = request.op_name();
-                let started = Instant::now();
                 // Events carry no `"ok"` key; the final response does,
                 // so the last `"ok"` seen is the request's outcome.
                 let mut outcome_ok = true;
@@ -848,10 +850,10 @@ impl Server {
     /// wire path, the response is stamped with the request id and the
     /// request lands in the histogram and event log.
     pub fn handle_line(&self, line: &str) -> (Json, bool) {
+        let started = Instant::now();
         match Request::decode_with_request_id(line.trim()) {
             Ok((request, client_id)) => {
                 let request_id = client_id.unwrap_or_else(|| self.assign_request_id());
-                let started = Instant::now();
                 let (response, stop) = self.handle_request(&request);
                 let dur_ns = u64::try_from(started.elapsed().as_nanos())
                     .unwrap_or(u64::MAX);
@@ -1236,7 +1238,6 @@ mod unix_transport {
 mod tests {
     use commcsl_pure::{Sort, Term};
     use commcsl_verifier::program::VStmt;
-    use commcsl_verifier::report::json_string;
 
     use super::*;
 
@@ -1638,10 +1639,7 @@ mod tests {
         let b = outcomes[1].as_ref().unwrap();
         assert_eq!(a.key, b.key);
         assert!(!a.cached && b.cached, "second identical job hits in-batch");
-        assert_eq!(
-            json_string(&a.report.program),
-            json_string(&b.report.program)
-        );
+        assert_eq!(a.report.program, b.report.program);
     }
 
     #[test]
@@ -1693,8 +1691,11 @@ mod tests {
     #[test]
     fn garbage_lines_bump_the_decode_error_counter_and_event_log() {
         let server = server();
+        // The third line nests 100 000 arrays: it must be rejected like
+        // any other garbage, not overflow the connection thread's stack.
         let input = format!(
-            "this is not json\n{{\"op\":\"no-such-op\"}}\n{}\n{}\n",
+            "this is not json\n{{\"op\":\"no-such-op\"}}\n{}\n{}\n{}\n",
+            "[".repeat(100_000),
             Request::Metrics.encode(),
             Request::Logs { since: None }.encode(),
         );
@@ -1702,22 +1703,23 @@ mod tests {
         server.serve_stream(input.as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
-        assert_eq!(lines.len(), 4, "{text}");
-        assert!(lines[0].get("error").and_then(Json::as_str).is_some());
-        assert!(lines[1].get("error").and_then(Json::as_str).is_some());
+        assert_eq!(lines.len(), 5, "{text}");
+        for line in &lines[..3] {
+            assert!(line.get("error").and_then(Json::as_str).is_some(), "{line}");
+        }
 
         // The counter is visible through the wire `metrics` op.
-        let metrics = crate::protocol::metrics_from_json(&lines[2]).unwrap();
-        assert_eq!(metrics.get("daemon.request.decode_error"), Some(2));
+        let metrics = crate::protocol::metrics_from_json(&lines[3]).unwrap();
+        assert_eq!(metrics.get("daemon.request.decode_error"), Some(3));
 
-        // Both failures landed in the event log as `decode` events.
-        let page = crate::protocol::logs_from_json(&lines[3]).unwrap();
+        // Every failure landed in the event log as a `decode` event.
+        let page = crate::protocol::logs_from_json(&lines[4]).unwrap();
         let decodes: Vec<_> = page
             .events
             .iter()
             .filter(|e| e.op == "decode" && e.outcome == "decode_error")
             .collect();
-        assert_eq!(decodes.len(), 2, "{text}");
+        assert_eq!(decodes.len(), 3, "{text}");
         assert!(decodes.iter().all(|e| !e.request_id.is_empty()));
     }
 

@@ -10,15 +10,16 @@
 //!
 //! The pieces:
 //!
-//! * [`json`] — a dependency-free JSON parser/writer (the vendored
-//!   `serde` is a stub),
+//! * [`json`] — the workspace's dependency-free JSON parser/writer
+//!   (re-exported from `commcsl-telemetry`; the vendored `serde` is a
+//!   stub),
 //! * [`protocol`] — the newline-delimited JSON request/response schema:
 //!   protocol v1 (`verify`, `verify_batch`, `status`, `shutdown`) plus
 //!   the v2 workspace-session ops (`hello` version negotiation,
 //!   `open`/`update`/`close`, `subscribe` for the streaming
-//!   `started`/`obligation_done`/`report` event channel), and the codec
-//!   that round-trips [`commcsl_verifier::report::VerifierReport`]
-//!   byte-identically,
+//!   `started`/`obligation_done`/`report` event channel), embedding each
+//!   [`commcsl_verifier::report::VerifierReport`] through its own JSON
+//!   codec,
 //! * [`daemon`] — the [`Server`](daemon::Server): per-connection
 //!   [`Session`](daemon::Session)s (each owning a
 //!   [`Workspace`](commcsl_verifier::workspace::Workspace) for
@@ -62,7 +63,7 @@
 
 pub mod client;
 pub mod daemon;
-pub mod json;
+pub use commcsl_telemetry::json;
 pub mod protocol;
 
 pub use client::{connect_with_retry, Client, ClientError};

@@ -96,14 +96,11 @@
 
 use std::time::Duration;
 
-use commcsl_analysis::lint::{Lint, LintCode, Severity};
+use commcsl_analysis::lint::{Lint, Severity};
 use commcsl_telemetry::{EventRecord, Histogram, MetricsSnapshot};
-use commcsl_verifier::diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
 use commcsl_verifier::hash::ProgramHash;
 use commcsl_verifier::obligation::ObligationVerdict;
-use commcsl_verifier::report::{
-    CoreFact, ObligationResult, ObligationStatus, VerifierReport, REPORT_SCHEMA_VERSION,
-};
+use commcsl_verifier::report::{ObligationResult, VerifierReport};
 
 use crate::json::Json;
 
@@ -508,248 +505,6 @@ impl Request {
     }
 }
 
-// ----------------------------------------------------------- report codec
-
-/// Renders a report in exactly the shape of [`VerifierReport::to_json`]
-/// (field order included — the cache and the daemon pin byte-identity).
-pub fn report_to_json(report: &VerifierReport) -> Json {
-    let obligations = report
-        .obligations
-        .iter()
-        .map(|o| {
-            let mut fields = vec![
-                ("description".to_owned(), Json::str(&o.description)),
-                ("code".to_owned(), Json::str(o.code.as_str())),
-            ];
-            if let Some(span) = &o.span {
-                fields.push(("span".to_owned(), Json::str(span.to_string())));
-            }
-            fields.push((
-                "proved".to_owned(),
-                Json::Bool(o.status == ObligationStatus::Proved),
-            ));
-            if let ObligationStatus::Failed(failure) = &o.status {
-                fields.push(("reason".to_owned(), Json::str(&failure.reason)));
-                if let Some(cex) = &failure.counterexample {
-                    let bindings = cex
-                        .bindings
-                        .iter()
-                        .map(|b| {
-                            Json::Obj(vec![
-                                ("var".to_owned(), Json::str(&b.var)),
-                                ("exec1".to_owned(), Json::str(&b.exec1)),
-                                ("exec2".to_owned(), Json::str(&b.exec2)),
-                            ])
-                        })
-                        .collect();
-                    fields.push(("counterexample".to_owned(), Json::Arr(bindings)));
-                }
-            }
-            if let Some(core) = &o.core {
-                let facts = core
-                    .iter()
-                    .map(|f| {
-                        let mut cf = vec![(
-                            "path".to_owned(),
-                            Json::Arr(
-                                f.path.iter().map(|c| Json::Num(f64::from(*c))).collect(),
-                            ),
-                        )];
-                        if let Some(span) = &f.span {
-                            cf.push(("span".to_owned(), Json::str(span.to_string())));
-                        }
-                        Json::Obj(cf)
-                    })
-                    .collect();
-                fields.push(("core".to_owned(), Json::Arr(facts)));
-            }
-            Json::Obj(fields)
-        })
-        .collect();
-    let mut fields = vec![
-        (
-            "schema_version".to_owned(),
-            Json::Num(f64::from(REPORT_SCHEMA_VERSION)),
-        ),
-        ("program".to_owned(), Json::str(&report.program)),
-        ("verified".to_owned(), Json::Bool(report.verified())),
-        ("proved".to_owned(), Json::Num(report.proved_count() as f64)),
-        ("obligations".to_owned(), Json::Arr(obligations)),
-        (
-            "errors".to_owned(),
-            Json::Arr(report.errors.iter().map(Json::str).collect()),
-        ),
-    ];
-    if !report.hints.is_empty() {
-        fields.push((
-            "hints".to_owned(),
-            Json::Arr(
-                report
-                    .hints
-                    .iter()
-                    .map(|h| Json::Obj(lint_fields(h)))
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Obj(fields)
-}
-
-/// Parses a report back from its JSON shape. The derived fields
-/// (`verified`, `proved`) are recomputed, so
-/// `report_from_json(&Json::parse(&r.to_json())?)` reproduces `r`
-/// byte-identically under `to_json`.
-pub fn report_from_json(doc: &Json) -> Result<VerifierReport, String> {
-    if let Some(schema) = doc.get("schema_version") {
-        let schema = schema
-            .as_u64()
-            .ok_or("`schema_version` must be a number")?;
-        if schema != u64::from(REPORT_SCHEMA_VERSION) {
-            return Err(format!(
-                "unsupported report schema v{schema} (this build reads v{REPORT_SCHEMA_VERSION})"
-            ));
-        }
-    }
-    let program = doc
-        .get("program")
-        .and_then(Json::as_str)
-        .ok_or("report needs `program`")?
-        .to_owned();
-    let obligations = doc
-        .get("obligations")
-        .and_then(Json::as_arr)
-        .ok_or("report needs `obligations`")?
-        .iter()
-        .map(|o| {
-            let description = o
-                .get("description")
-                .and_then(Json::as_str)
-                .ok_or("obligation needs `description`")?
-                .to_owned();
-            let code = o
-                .get("code")
-                .and_then(Json::as_str)
-                .ok_or("obligation needs `code`")?
-                .parse::<DiagnosticCode>()?;
-            let span = o
-                .get("span")
-                .map(|s| {
-                    s.as_str()
-                        .ok_or("`span` must be a string")?
-                        .parse::<SourceSpan>()
-                })
-                .transpose()?;
-            let proved = o
-                .get("proved")
-                .and_then(Json::as_bool)
-                .ok_or("obligation needs `proved`")?;
-            let status = if proved {
-                ObligationStatus::Proved
-            } else {
-                let mut failure = Failure::new(
-                    o.get("reason")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_owned(),
-                );
-                if let Some(cex) = o.get("counterexample") {
-                    let bindings = cex
-                        .as_arr()
-                        .ok_or("`counterexample` must be an array")?
-                        .iter()
-                        .map(|b| {
-                            let field = |key: &str| {
-                                b.get(key)
-                                    .and_then(Json::as_str)
-                                    .map(str::to_owned)
-                                    .ok_or(format!("counterexample binding needs `{key}`"))
-                            };
-                            Ok(CexBinding {
-                                var: field("var")?,
-                                exec1: field("exec1")?,
-                                exec2: field("exec2")?,
-                            })
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
-                    failure = failure.with_counterexample(Counterexample { bindings });
-                }
-                ObligationStatus::Failed(failure)
-            };
-            let core = o
-                .get("core")
-                .map(|core| {
-                    core.as_arr()
-                        .ok_or("`core` must be an array")?
-                        .iter()
-                        .map(core_fact_from_json)
-                        .collect::<Result<Vec<_>, String>>()
-                })
-                .transpose()?;
-            Ok(ObligationResult {
-                description,
-                code,
-                span,
-                status,
-                core,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let errors = doc
-        .get("errors")
-        .and_then(Json::as_arr)
-        .ok_or("report needs `errors`")?
-        .iter()
-        .map(|e| {
-            e.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| "errors must be strings".to_owned())
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let hints = match doc.get("hints") {
-        None => Vec::new(),
-        Some(hints) => hints
-            .as_arr()
-            .ok_or("`hints` must be an array")?
-            .iter()
-            .map(lint_from_json)
-            .collect::<Result<Vec<_>, String>>()?,
-    };
-    Ok(VerifierReport {
-        program,
-        obligations,
-        errors,
-        hints,
-    })
-}
-
-/// Parses one statement path (an array of numeric components).
-fn path_from_json(doc: &Json) -> Result<Vec<u32>, String> {
-    doc.as_arr()
-        .ok_or("`path` must be an array")?
-        .iter()
-        .map(|c| {
-            c.as_u64()
-                .and_then(|c| u32::try_from(c).ok())
-                .ok_or_else(|| "path components must be small numbers".to_owned())
-        })
-        .collect()
-}
-
-/// Parses one proof-core fact (`{path, span?}`).
-fn core_fact_from_json(doc: &Json) -> Result<CoreFact, String> {
-    let path = path_from_json(doc.get("path").ok_or("core fact needs `path`")?)?;
-    let span = doc
-        .get("span")
-        .map(|s| {
-            s.as_str()
-                .ok_or("`span` must be a string")?
-                .parse::<SourceSpan>()
-        })
-        .transpose()?;
-    Ok(CoreFact { path, span })
-}
-
-
 // -------------------------------------------------------------- responses
 
 /// A successful `verify` outcome.
@@ -785,7 +540,7 @@ pub fn verify_response_json(outcome: &VerifyOutcome) -> Json {
             if ok.skipped {
                 fields.push(("skipped".to_owned(), Json::Bool(true)));
             }
-            fields.push(("report".to_owned(), report_to_json(&ok.report)));
+            fields.push(("report".to_owned(), Json::from(&ok.report)));
             Json::Obj(fields)
         }
         Err(error) => error_json(error),
@@ -813,7 +568,7 @@ pub fn verify_outcome_from_json(doc: &Json) -> Result<VerifyOutcome, String> {
                 .get("skipped")
                 .and_then(Json::as_bool)
                 .unwrap_or(false),
-            report: report_from_json(
+            report: VerifierReport::from_json(
                 doc.get("report").ok_or("verify response needs `report`")?,
             )?,
         })),
@@ -1246,19 +1001,7 @@ impl StatusInfo {
 /// Renders the `metrics` response: the daemon's cumulative counters as
 /// one flat object, sorted by name (the snapshot is already sorted).
 pub fn metrics_response_json(snapshot: &MetricsSnapshot) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        (
-            "counters",
-            Json::Obj(
-                snapshot
-                    .counters
-                    .iter()
-                    .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
-                    .collect(),
-            ),
-        ),
-    ])
+    Json::obj([("ok", Json::Bool(true)), ("counters", snapshot.into())])
 }
 
 /// Parses a `metrics` response back into a snapshot.
@@ -1270,86 +1013,13 @@ pub fn metrics_from_json(doc: &Json) -> Result<MetricsSnapshot, String> {
             .unwrap_or("metrics request failed")
             .to_owned());
     }
-    let Some(Json::Obj(fields)) = doc.get("counters") else {
-        return Err("metrics response needs a `counters` object".into());
-    };
-    let pairs = fields
-        .iter()
-        .map(|(name, value)| {
-            value
-                .as_u64()
-                .map(|v| (name.clone(), v))
-                .ok_or_else(|| format!("counter `{name}` must be a non-negative integer"))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(MetricsSnapshot::from_pairs(pairs))
+    MetricsSnapshot::from_json(
+        doc.get("counters")
+            .ok_or("metrics response needs a `counters` object")?,
+    )
 }
 
 // ---------------------------------------------- histograms / logs (v2)
-
-/// Renders one histogram as a JSON document in exactly the canonical
-/// shape of [`Histogram::to_json`] (field order included — rendering
-/// this value reproduces that string byte-for-byte, pinned by tests).
-/// Samples are nanoseconds; all values fit JSON numbers exactly below
-/// 2⁵³ ns (~104 days).
-pub fn histogram_to_json(hist: &Histogram) -> Json {
-    Json::obj([
-        (
-            "buckets",
-            Json::Arr(
-                hist.nonzero_buckets()
-                    .map(|(index, count)| {
-                        Json::Arr(vec![
-                            Json::Num(index as f64),
-                            Json::Num(count as f64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("count", Json::Num(hist.count() as f64)),
-        ("max", Json::Num(hist.max() as f64)),
-        ("min", Json::Num(hist.min() as f64)),
-        ("p50", Json::Num(hist.quantile(0.50) as f64)),
-        ("p90", Json::Num(hist.quantile(0.90) as f64)),
-        ("p99", Json::Num(hist.quantile(0.99) as f64)),
-        ("sum", Json::Num(hist.sum() as f64)),
-    ])
-}
-
-/// Parses one histogram document back (inverse of
-/// [`histogram_to_json`]; the derived `p50`/`p90`/`p99` fields are
-/// recomputed from the buckets, not trusted).
-pub fn histogram_from_json(doc: &Json) -> Result<Histogram, String> {
-    let num = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("histogram needs numeric `{key}`"))
-    };
-    let buckets = doc
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or("histogram needs a `buckets` array")?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or(
-                "histogram buckets must be [index, count] pairs",
-            )?;
-            let index = pair[0]
-                .as_u64()
-                .ok_or("bucket index must be a non-negative integer")?;
-            let count = pair[1]
-                .as_u64()
-                .ok_or("bucket count must be a non-negative integer")?;
-            Ok((index as usize, count))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let hist = Histogram::from_parts(num("sum")?, num("min")?, num("max")?, &buckets)?;
-    if hist.count() != num("count")? {
-        return Err("histogram `count` does not match its buckets".into());
-    }
-    Ok(hist)
-}
 
 /// Renders the `histograms` response: one canonical histogram per op,
 /// sorted by op name, sample unit nanoseconds.
@@ -1362,7 +1032,7 @@ pub fn histograms_response_json(hists: &[(String, Histogram)]) -> Json {
             Json::Obj(
                 hists
                     .iter()
-                    .map(|(op, hist)| (op.clone(), histogram_to_json(hist)))
+                    .map(|(op, hist)| (op.clone(), hist.into()))
                     .collect(),
             ),
         ),
@@ -1383,7 +1053,7 @@ pub fn histograms_from_json(doc: &Json) -> Result<Vec<(String, Histogram)>, Stri
     };
     fields
         .iter()
-        .map(|(op, hist)| Ok((op.clone(), histogram_from_json(hist)?)))
+        .map(|(op, hist)| Ok((op.clone(), Histogram::from_json(hist)?)))
         .collect()
 }
 
@@ -1534,7 +1204,7 @@ pub fn doc_response_json(outcome: &DocOutcomeWire, event: bool) -> Json {
                     "statically_proven".to_owned(),
                     Json::Num(ok.statically_proven as f64),
                 ),
-                ("report".to_owned(), report_to_json(&ok.report)),
+                ("report".to_owned(), Json::from(&ok.report)),
             ]);
             Json::Obj(fields)
         }
@@ -1579,7 +1249,7 @@ pub fn doc_outcome_from_json(doc: &Json) -> Result<DocOutcomeWire, String> {
                     .get("statically_proven")
                     .and_then(Json::as_u64)
                     .unwrap_or_default(),
-                report: report_from_json(
+                report: VerifierReport::from_json(
                     doc.get("report").ok_or("doc response needs `report`")?,
                 )?,
             }))
@@ -1622,33 +1292,14 @@ pub fn obligation_event_json(
         ),
         ("code".to_owned(), Json::str(result.code.as_str())),
     ];
-    if let Some(span) = &result.span {
-        fields.push(("span".to_owned(), Json::str(span.to_string())));
+    if let Some(span) = result.span {
+        fields.push(("span".to_owned(), span.into()));
     }
-    fields.push((
-        "proved".to_owned(),
-        Json::Bool(result.status == ObligationStatus::Proved),
-    ));
-    // Failure details mirror the final report's obligation objects, so a
-    // streaming consumer needs no second lookup to show the reason or the
-    // per-execution witness (they were previously report-only and the
-    // events carried a bare `proved:false`).
-    if let ObligationStatus::Failed(failure) = &result.status {
-        fields.push(("reason".to_owned(), Json::str(&failure.reason)));
-        if let Some(cex) = &failure.counterexample {
-            let bindings = cex
-                .bindings
-                .iter()
-                .map(|b| {
-                    Json::Obj(vec![
-                        ("var".to_owned(), Json::str(&b.var)),
-                        ("exec1".to_owned(), Json::str(&b.exec1)),
-                        ("exec2".to_owned(), Json::str(&b.exec2)),
-                    ])
-                })
-                .collect();
-            fields.push(("counterexample".to_owned(), Json::Arr(bindings)));
-        }
+    // The status fields (`proved`, and on failure `reason` plus the
+    // per-execution `counterexample`) mirror the final report's
+    // obligation objects, so a streaming consumer needs no second lookup.
+    if let Json::Obj(status) = Json::from(&result.status) {
+        fields.extend(status);
     }
     fields.extend([
         (
@@ -1678,31 +1329,15 @@ pub struct LintOk {
 /// One `lint` response: findings, or a compile (parse/lower) error.
 pub type LintOutcome = Result<LintOk, String>;
 
-/// Renders one lint finding (shared by the stream event and the final
-/// response's `lints` array; the event adds its framing fields itself).
-fn lint_fields(lint: &Lint) -> Vec<(String, Json)> {
-    let mut fields = vec![
-        ("code".to_owned(), Json::str(lint.code.as_str())),
-        ("severity".to_owned(), Json::str(lint.severity.as_str())),
-    ];
-    if let Some(span) = &lint.span {
-        fields.push(("span".to_owned(), Json::str(span.to_string())));
-    }
-    fields.push((
-        "path".to_owned(),
-        Json::Arr(lint.path.iter().map(|i| Json::Num(f64::from(*i))).collect()),
-    ));
-    fields.push(("message".to_owned(), Json::str(&lint.message)));
-    fields
-}
-
 /// The `lint` stream event (one per finding, subscribed sessions only).
 pub fn lint_event_json(name: &str, lint: &Lint) -> Json {
     let mut fields = vec![
         ("event".to_owned(), Json::str("lint")),
         ("name".to_owned(), Json::str(name)),
     ];
-    fields.extend(lint_fields(lint));
+    if let Json::Obj(finding) = Json::from(lint) {
+        fields.extend(finding);
+    }
     Json::Obj(fields)
 }
 
@@ -1722,64 +1357,12 @@ pub fn lint_response_json(outcome: &LintOutcome) -> Json {
                 ("warnings", Json::Num(warnings as f64)),
                 (
                     "lints",
-                    Json::Arr(
-                        ok.lints
-                            .iter()
-                            .map(|l| Json::Obj(lint_fields(l)))
-                            .collect(),
-                    ),
+                    Json::Arr(ok.lints.iter().map(Json::from).collect()),
                 ),
             ])
         }
         Err(error) => error_json(error),
     }
-}
-
-/// Parses one finding out of a `lint` response or stream event.
-pub fn lint_from_json(doc: &Json) -> Result<Lint, String> {
-    let code = doc
-        .get("code")
-        .and_then(Json::as_str)
-        .ok_or("lint needs `code`")?
-        .parse::<LintCode>()?;
-    let severity = match doc.get("severity").and_then(Json::as_str) {
-        Some("warning") => Severity::Warning,
-        Some("note") => Severity::Note,
-        Some(other) => return Err(format!("unknown severity `{other}`")),
-        None => code.severity(),
-    };
-    let span = doc
-        .get("span")
-        .map(|s| {
-            s.as_str()
-                .ok_or("`span` must be a string")?
-                .parse::<SourceSpan>()
-        })
-        .transpose()?;
-    let path = match doc.get("path") {
-        None => Vec::new(),
-        Some(p) => p
-            .as_arr()
-            .ok_or("`path` must be an array")?
-            .iter()
-            .map(|i| {
-                i.as_u64()
-                    .and_then(|i| u32::try_from(i).ok())
-                    .ok_or_else(|| "`path` elements must be small numbers".to_owned())
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    };
-    Ok(Lint {
-        code,
-        severity,
-        path,
-        span,
-        message: doc
-            .get("message")
-            .and_then(Json::as_str)
-            .ok_or("lint needs `message`")?
-            .to_owned(),
-    })
 }
 
 /// Parses the final `lint` response line.
@@ -1796,7 +1379,7 @@ pub fn lint_outcome_from_json(doc: &Json) -> Result<LintOutcome, String> {
                 .and_then(Json::as_arr)
                 .ok_or("lint response needs `lints`")?
                 .iter()
-                .map(lint_from_json)
+                .map(Lint::from_json)
                 .collect::<Result<Vec<_>, String>>()?,
         })),
         Some(false) => Ok(Err(doc
@@ -1810,7 +1393,9 @@ pub fn lint_outcome_from_json(doc: &Json) -> Result<LintOutcome, String> {
 
 #[cfg(test)]
 mod tests {
-    use commcsl_verifier::report::{ObligationResult, ObligationStatus};
+    use commcsl_analysis::lint::LintCode;
+    use commcsl_verifier::diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
+    use commcsl_verifier::report::{CoreFact, ObligationStatus};
 
     use super::*;
 
@@ -1844,7 +1429,7 @@ mod tests {
             Request::CachePut {
                 tier: CacheTier::Verdict,
                 key: "f00dfeedf00dfeedf00dfeedf00dfeed".into(),
-                entry: "commcsl-verdict 4\nkey f00d\n".into(),
+                entry: "{\"format\":\"commcsl-verdict\",\"version\":6,\"key\":\"f00d\"}".into(),
             },
         ];
         for r in requests {
@@ -1895,26 +1480,6 @@ mod tests {
         assert!(line.starts_with("{\"event\":\"started\""), "{line}");
         assert!(line.contains("\"request_id\":\"r3\""), "{line}");
         assert!(!line.contains("\"ok\""), "{line}");
-    }
-
-    #[test]
-    fn histogram_wire_json_is_byte_identical_to_canonical_form() {
-        let mut hist = Histogram::new();
-        for v in [0u64, 1, 1, 40, 1_000, 1_000_000, 123_456_789] {
-            hist.record(v);
-        }
-        // The protocol rendering reproduces the telemetry-side canonical
-        // string byte-for-byte (the loadgen determinism pin relies on
-        // this).
-        assert_eq!(histogram_to_json(&hist).to_string(), hist.to_json());
-        let back = histogram_from_json(&Json::parse(&hist.to_json()).unwrap()).unwrap();
-        assert_eq!(back, hist);
-
-        // Tampered documents are rejected.
-        assert!(histogram_from_json(&Json::parse("{\"buckets\":[]}").unwrap()).is_err());
-        let wrong_count = "{\"buckets\":[[1,1]],\"count\":2,\"max\":1,\"min\":1,\
-                           \"p50\":1,\"p90\":1,\"p99\":1,\"sum\":1}";
-        assert!(histogram_from_json(&Json::parse(wrong_count).unwrap()).is_err());
     }
 
     #[test]
@@ -2149,7 +1714,7 @@ mod tests {
         let event = lint_event_json("a.csl", &lints[0]).to_string();
         assert!(event.starts_with("{\"event\":\"lint\""), "{event}");
         assert!(!event.contains("\"ok\""), "{event}");
-        let parsed = lint_from_json(&Json::parse(&event).unwrap()).unwrap();
+        let parsed = Lint::from_json(&Json::parse(&event).unwrap()).unwrap();
         assert_eq!(parsed, lints[0]);
 
         let err: LintOutcome = Err("1:1: parse error".into());
@@ -2244,57 +1809,6 @@ mod tests {
                 message: "no proved obligation needed \"this\" unshare".into(),
             }],
         }
-    }
-
-    #[test]
-    fn report_json_codec_is_byte_identical_to_to_json() {
-        let report = nasty_report();
-        // Our writer renders the identical bytes...
-        assert_eq!(report_to_json(&report).to_string(), report.to_json());
-        // ...and parsing `to_json` output back reproduces the report.
-        let parsed = Json::parse(&report.to_json()).unwrap();
-        let recovered = report_from_json(&parsed).unwrap();
-        assert_eq!(recovered.to_json(), report.to_json());
-        assert_eq!(recovered.program, report.program);
-        assert_eq!(recovered.errors, report.errors);
-    }
-
-    #[test]
-    fn report_parse_back_roundtrips_exhaustive_control_chars() {
-        // Every C0 control character, plus quote/backslash runs, in every
-        // string position of a report: `to_json` must parse back to an
-        // identical report (the cache's byte-identical guarantee depends
-        // on this codec being lossless).
-        let mut nasty = String::from("q\" b\\ run\\\\ ");
-        nasty.extend((0u32..0x20).map(|c| char::from_u32(c).unwrap()));
-        let report = VerifierReport {
-            program: nasty.clone(),
-            obligations: vec![ObligationResult {
-                description: nasty.clone(),
-                code: DiagnosticCode::LowAssert,
-                span: Some(SourceSpan::new(1, 999)),
-                status: ObligationStatus::Failed(
-                    Failure::new(nasty.clone()).with_counterexample(Counterexample {
-                        bindings: vec![CexBinding {
-                            var: nasty.clone(),
-                            exec1: nasty.clone(),
-                            exec2: nasty.clone(),
-                        }],
-                    }),
-                ),
-                core: None,
-            }],
-            errors: vec![nasty.clone()],
-            hints: vec![],
-        };
-        let parsed = Json::parse(&report.to_json()).unwrap();
-        let recovered = report_from_json(&parsed).unwrap();
-        assert_eq!(recovered.program, report.program);
-        assert_eq!(recovered.errors, report.errors);
-        assert_eq!(recovered.obligations.len(), 1);
-        assert_eq!(recovered.obligations[0].description, nasty);
-        assert_eq!(recovered.obligations, report.obligations);
-        assert_eq!(recovered.to_json(), report.to_json());
     }
 
     #[test]
@@ -2443,19 +1957,12 @@ mod tests {
     fn cache_ops_roundtrip_and_validate() {
         let key = "000102030405060708090a0b0c0d0e0f";
         // Hit: the raw entry text rides along.
-        let hit = cache_get_response_json(
-            CacheTier::Obligation,
-            key,
-            4,
-            Some("commcsl-obligation 4\nkey abc\n"),
-        );
+        let entry = "{\"format\":\"commcsl-obligation\",\"version\":6,\"key\":\"abc\"}";
+        let hit = cache_get_response_json(CacheTier::Obligation, key, 6, Some(entry));
         let back = Json::parse(&hit.to_string()).unwrap();
-        assert_eq!(
-            cache_get_from_json(&back).unwrap().as_deref(),
-            Some("commcsl-obligation 4\nkey abc\n")
-        );
+        assert_eq!(cache_get_from_json(&back).unwrap().as_deref(), Some(entry));
         // Miss: `hit:false`, no entry.
-        let miss = cache_get_response_json(CacheTier::Verdict, key, 4, None);
+        let miss = cache_get_response_json(CacheTier::Verdict, key, 6, None);
         let line = miss.to_string();
         assert!(!line.contains("entry"), "{line}");
         assert_eq!(
@@ -2474,6 +1981,42 @@ mod tests {
             assert_eq!(cache_put_from_json(&back).unwrap(), stored);
         }
         assert!(cache_put_from_json(&error_json("nope")).is_err());
+
+        // A daemon admits only entries that validate: a JSON entry
+        // exported by another cache is stored and served back verbatim,
+        // an entry in the old line format is refused with `stored:false`.
+        use commcsl_verifier::cache::{CacheConfig, VerdictCache};
+        use commcsl_verifier::obligation::ObligationKey;
+
+        let mut exporter = VerdictCache::new(CacheConfig::memory_only(4));
+        exporter.put_obligation(ObligationKey(0x0102), &ObligationStatus::Proved);
+        let entry = exporter.export_obligation(ObligationKey(0x0102)).unwrap();
+        let key = ObligationKey(0x0102).to_string();
+        let server = crate::daemon::Server::new(
+            crate::daemon::ServerConfig::default(),
+            Box::new(|_| Err("no compiler".to_owned())),
+        );
+        let put = |entry: &str| {
+            let request = Request::CachePut {
+                tier: CacheTier::Obligation,
+                key: key.clone(),
+                entry: entry.to_owned(),
+            };
+            cache_put_from_json(&server.handle_line(&request.encode()).0).unwrap()
+        };
+        let line_format = format!(
+            "commcsl-obligation {}\nkey {key}\nproved\n",
+            commcsl_verifier::hash::HASH_FORMAT_VERSION
+        );
+        assert!(!put(&line_format), "line-format entry must be refused");
+        let get = Request::CacheGet {
+            tier: CacheTier::Obligation,
+            key: key.clone(),
+        };
+        let served = || cache_get_from_json(&server.handle_line(&get.encode()).0).unwrap();
+        assert_eq!(served(), None);
+        assert!(put(&entry));
+        assert_eq!(served().as_deref(), Some(entry.as_str()));
 
         // Tier names parse back; unknown tiers carry a pinned error.
         assert_eq!("obligation".parse::<CacheTier>(), Ok(CacheTier::Obligation));

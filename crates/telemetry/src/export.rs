@@ -3,35 +3,14 @@
 
 use std::collections::BTreeMap;
 
-use crate::{Capture, SpanRecord};
-
-/// Escapes `s` as a JSON string literal (quotes included). Mirrors the
-/// writer used by the report/protocol codecs elsewhere in the workspace
-/// so exported traces parse back through the same parser.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use crate::{Capture, Json, SpanRecord};
 
 /// Renders a capture as Chrome trace-event JSON: one array of metadata
 /// (`"ph":"M"` process/thread names) and complete (`"ph":"X"`) events,
 /// timestamps and durations in fractional microseconds relative to the
 /// capture start, one `tid` track per recording thread. Loadable by
 /// `chrome://tracing` and Perfetto; parseable by any JSON parser
-/// (including `commcsl_server::json::Json` — pinned by tests).
+/// (including [`Json::parse`] — pinned by tests).
 pub fn chrome_trace(capture: &Capture) -> String {
     let mut events = Vec::with_capacity(capture.spans.len() + capture.threads() + 1);
     events.push(
@@ -54,7 +33,7 @@ pub fn chrome_trace(capture: &Capture) -> String {
         let mut args: Vec<String> = span
             .fields
             .iter()
-            .map(|(key, value)| format!("{}:{}", json_string(key), json_string(value)))
+            .map(|(key, value)| format!("{}:{}", Json::str(*key), Json::str(value)))
             .collect();
         args.push(format!(
             "\"self_us\":{:.3}",
@@ -63,7 +42,7 @@ pub fn chrome_trace(capture: &Capture) -> String {
         events.push(format!(
             "{{\"name\":{},\"cat\":\"commcsl\",\"ph\":\"X\",\"ts\":{:.3},\
              \"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{{}}}}}",
-            json_string(span.label()),
+            Json::str(span.label()),
             span.start_ns as f64 / 1000.0,
             span.dur_ns as f64 / 1000.0,
             span.thread,
@@ -221,10 +200,5 @@ mod tests {
         assert_eq!(stats[1].label, "root");
         assert_eq!(stats[1].total_ns, 10_000);
         assert_eq!(attributed_ns(&capture()), 13_000);
-    }
-
-    #[test]
-    fn json_string_escapes_control_characters() {
-        assert_eq!(json_string("a\"b\\c\n\t\u{1}"), "\"a\\\"b\\\\c\\n\\t\\u0001\"");
     }
 }

@@ -34,6 +34,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::json::Json;
+
 /// A log-linear bucketed histogram of `u64` samples.
 ///
 /// ```
@@ -283,22 +285,71 @@ impl Histogram {
     /// histograms over the same values (in any order, via any
     /// record/merge tree) render byte-identically.
     pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .nonzero_buckets()
-            .map(|(i, c)| format!("[{i},{c}]"))
-            .collect();
-        format!(
-            "{{\"buckets\":[{}],\"count\":{},\"max\":{},\"min\":{},\
-             \"p50\":{},\"p90\":{},\"p99\":{},\"sum\":{}}}",
-            buckets.join(","),
-            self.count,
-            self.max(),
-            self.min(),
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            self.sum,
-        )
+        Json::from(self).to_string()
+    }
+
+    /// Parses the canonical shape back; the derived `p50`/`p90`/`p99`
+    /// fields are recomputed from the buckets, not trusted.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Self::from_parts`] rejects, plus missing or
+    /// non-integer fields and a `count` that disagrees with the buckets.
+    pub fn from_json(doc: &Json) -> Result<Histogram, String> {
+        let num = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("histogram needs numeric `{key}`"))
+        };
+        let buckets = doc
+            .get("buckets")
+            .and_then(Json::as_arr)
+            .ok_or("histogram needs a `buckets` array")?
+            .iter()
+            .map(|pair| match pair.as_arr() {
+                Some([index, count]) => Ok((
+                    index
+                        .as_u64()
+                        .and_then(|i| usize::try_from(i).ok())
+                        .ok_or("bucket index must be a non-negative integer")?,
+                    count
+                        .as_u64()
+                        .ok_or("bucket count must be a non-negative integer")?,
+                )),
+                _ => Err("histogram buckets must be [index, count] pairs".to_owned()),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let hist = Histogram::from_parts(num("sum")?, num("min")?, num("max")?, &buckets)?;
+        if hist.count() != num("count")? {
+            return Err("histogram `count` does not match its buckets".into());
+        }
+        Ok(hist)
+    }
+}
+
+impl From<&Histogram> for Json {
+    /// The canonical shape of [`Histogram::to_json`]. Samples are
+    /// nanoseconds; all values fit JSON numbers exactly below 2⁵³ ns
+    /// (~104 days).
+    fn from(hist: &Histogram) -> Json {
+        let num = |n: u64| Json::Num(n as f64);
+        Json::obj([
+            (
+                "buckets",
+                Json::Arr(
+                    hist.nonzero_buckets()
+                        .map(|(index, count)| Json::Arr(vec![num(index as u64), num(count)]))
+                        .collect(),
+                ),
+            ),
+            ("count", num(hist.count)),
+            ("max", num(hist.max())),
+            ("min", num(hist.min())),
+            ("p50", num(hist.quantile(0.50))),
+            ("p90", num(hist.quantile(0.90))),
+            ("p99", num(hist.quantile(0.99))),
+            ("sum", num(hist.sum)),
+        ])
     }
 }
 
@@ -473,6 +524,31 @@ mod tests {
             empty.to_json(),
             "{\"buckets\":[],\"count\":0,\"max\":0,\"min\":0,\"p50\":0,\"p90\":0,\"p99\":0,\"sum\":0}"
         );
+    }
+
+    #[test]
+    fn json_roundtrips_and_rejects_inconsistent_documents() {
+        let mut h = Histogram::new();
+        for v in [3u64, 40, 41, 1_000_000] {
+            h.record(v);
+        }
+        let text = h.to_json();
+        assert_eq!(
+            text,
+            "{\"buckets\":[[3,1],[40,1],[41,1],[509,1]],\"count\":4,\"max\":1000000,\
+             \"min\":3,\"p50\":40,\"p90\":1000000,\"p99\":1000000,\"sum\":1000084}"
+        );
+        assert_eq!(Histogram::from_json(&Json::parse(&text).unwrap()), Ok(h));
+        for bad in [
+            "{\"buckets\":[]}",
+            "{\"buckets\":[[5,1,0]],\"count\":1,\"max\":5,\"min\":5,\"sum\":5}",
+            "{\"buckets\":[[5,1]],\"count\":2,\"max\":5,\"min\":5,\"sum\":5}",
+        ] {
+            assert!(
+                Histogram::from_json(&Json::parse(bad).unwrap()).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

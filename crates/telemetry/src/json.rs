@@ -1,16 +1,23 @@
 //! A minimal, dependency-free JSON value type with a parser and writer.
 //!
-//! The workspace's vendored `serde` is a marker-impl stub, so the daemon
-//! protocol (and the tests that round-trip `VerifierReport::to_json`)
-//! need a real JSON implementation. This one covers exactly what the
-//! protocol uses: the full JSON grammar on input (including `\uXXXX`
-//! escapes and surrogate pairs), and a canonical single-line rendering on
-//! output whose string escaping matches
-//! [`commcsl_verifier::report::json_string`].
+//! The workspace's vendored `serde` is a marker-impl stub, so this is the
+//! one JSON codec every layer shares: reports, the daemon protocol, the
+//! verdict-cache entries, histograms and metrics all encode to a [`Json`]
+//! tree beside their type and render through its [`Display`], the only
+//! place that escapes strings. Input is the full JSON grammar (including
+//! `\uXXXX` escapes and surrogate pairs), parsed in time linear in its
+//! length and nested at most [`MAX_DEPTH`] deep; output is a canonical
+//! single-line rendering.
+//!
+//! [`Display`]: fmt::Display
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use commcsl_verifier::report::json_string;
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so without a bound one line of
+/// `[` could overflow a thread stack; the workspace's own documents nest
+/// about six levels deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +106,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing input at byte {}", p.pos));
@@ -123,14 +130,14 @@ impl fmt::Display for Json {
                     f.write_str("null") // JSON has no NaN/inf
                 }
             }
-            Json::Str(s) => f.write_str(&json_string(s)),
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    fmt::Display::fmt(item, f)?;
                 }
                 f.write_str("]")
             }
@@ -140,12 +147,43 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{}:{v}", json_string(k))?;
+                    write_escaped(f, k)?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("}")
             }
         }
     }
+}
+
+/// Writes `s` as a JSON string literal (quotes included): `"`, `\` and
+/// C0 control characters are escaped (the named short forms where JSON
+/// has them), everything else — non-ASCII included — passes through raw.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            b if b < 0x20 => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` is a char boundary.
+        f.write_str(&s[run..i])?;
+        if short.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(short)?;
+        }
+        run = i + 1;
+    }
+    f.write_str(&s[run..])?;
+    f.write_char('"')
 }
 
 struct Parser<'a> {
@@ -187,14 +225,19 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value nested `depth` containers deep.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -204,7 +247,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -214,7 +257,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -227,7 +270,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -241,7 +284,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -288,66 +331,56 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one step: both
+            // are ASCII, so the run ends on a char boundary.
             let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".into());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX for the
-                                // low half.
-                                if self.peek() != Some(b'\\') {
-                                    return Err("lone high surrogate".into());
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err("lone high surrogate".into());
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("bad low surrogate".into());
-                                }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code).ok_or("bad surrogate pair")?
-                            } else {
-                                char::from_u32(hi).ok_or("bad \\u escape")?
-                            };
-                            out.push(c);
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(
+                std::str::from_utf8(&rest[..run])
+                    .map_err(|_| "non-utf8 string content".to_owned())?,
+            );
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: require \uXXXX for the low half.
+                        if self.peek() != Some(b'\\') {
+                            return Err("lone high surrogate".into());
                         }
-                        other => {
-                            return Err(format!("bad escape `\\{}`", other as char))
+                        self.pos += 1;
+                        if self.peek() != Some(b'u') {
+                            return Err("lone high surrogate".into());
                         }
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let tail = std::str::from_utf8(rest)
-                        .map_err(|_| "non-utf8 string content".to_owned())?;
-                    let c = tail.chars().next().ok_or("unterminated string")?;
+                        self.pos += 1;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err("bad low surrogate".into());
+                        }
+                        let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(code).ok_or("bad surrogate pair")?
+                    } else {
+                        char::from_u32(hi).ok_or("bad \\u escape")?
+                    };
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
+                other => return Err(format!("bad escape `\\{}`", other as char)),
             }
         }
     }
@@ -405,6 +438,64 @@ mod tests {
             Json::parse("\"\\u0041\\u00e9\\ud83e\\udd80\"").unwrap(),
             Json::str("Aé🦀")
         );
+    }
+
+    #[test]
+    fn string_escaping_covers_every_control_character() {
+        let render = |s: &str| Json::str(s).to_string();
+        assert_eq!(render("plain"), "\"plain\"");
+        assert_eq!(render("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        // Every C0 control character comes out escaped; the named short
+        // forms win where JSON defines them.
+        for c in (0u32..0x20).map(|c| char::from_u32(c).unwrap()) {
+            let expected = match c {
+                '\n' => "\"\\n\"".to_owned(),
+                '\r' => "\"\\r\"".to_owned(),
+                '\t' => "\"\\t\"".to_owned(),
+                _ => format!("\"\\u{:04x}\"", c as u32),
+            };
+            assert_eq!(
+                render(&c.to_string()),
+                expected,
+                "control char {:#x}",
+                c as u32
+            );
+        }
+        // Backslash runs and quote/backslash adjacency do not collapse.
+        assert_eq!(render("\\\\"), "\"\\\\\\\\\"");
+        assert_eq!(render("\\\""), "\"\\\\\\\"\"");
+        // Non-ASCII and DEL (0x7f, not a C0 control) pass through raw.
+        assert_eq!(render("αβ 中 🦀 \u{7f}"), "\"αβ 中 🦀 \u{7f}\"");
+        // Keys escape exactly like values.
+        let doc = Json::Obj(vec![("k\"\n".to_owned(), Json::Null)]);
+        assert_eq!(doc.to_string(), "{\"k\\\"\\n\":null}");
+    }
+
+    #[test]
+    fn long_strings_with_escapes_and_multibyte_text_roundtrip() {
+        // ≥256 KiB mixing raw multi-byte characters, escaped controls,
+        // quotes and backslashes: parsing stays linear and lossless.
+        let chunk = "ü λ 中 🦀 \"quoted\" back\\slash\ttab\nline\u{1} ";
+        let text = chunk.repeat(256 * 1024 / chunk.len() + 1);
+        assert!(text.len() >= 256 * 1024);
+        let doc = Json::Arr(vec![
+            Json::str(text.as_str()),
+            Json::obj([("k", Json::str(text.as_str()))]),
+        ]);
+        let rendered = doc.to_string();
+        assert_eq!(Json::parse(&rendered).unwrap(), doc);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // A line of 100 000 `[` is an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

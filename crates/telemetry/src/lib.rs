@@ -44,6 +44,14 @@
 //! request; the protocol's `histograms` and `logs` ops read them back
 //! (see `docs/observability.md`).
 //!
+//! # JSON
+//!
+//! [`json::Json`] is the workspace's one JSON value type, parser and
+//! writer. It lives here, in the crate every layer links, so histograms,
+//! metric snapshots, lints and verification reports can each keep their
+//! one encoder (a `From<&T> for Json` impl) and one decoder
+//! (`T::from_json`) beside the type.
+//!
 //! # Exporters
 //!
 //! * [`export::chrome_trace`] — Chrome trace-event JSON (an array of
@@ -78,11 +86,13 @@
 pub mod eventlog;
 pub mod export;
 pub mod hist;
+pub mod json;
 
 pub use eventlog::{EventLog, EventRecord};
 pub use hist::{
     histogram_record, histogram_record_duration, histogram_reset, histogram_snapshot, Histogram,
 };
+pub use json::Json;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -409,15 +419,41 @@ impl MetricsSnapshot {
             .map(|(_, v)| *v)
     }
 
+    /// Parses the `{"name":value,...}` shape back (counters must be
+    /// non-negative integers; names are sorted and duplicates summed).
+    pub fn from_json(doc: &Json) -> Result<MetricsSnapshot, String> {
+        let Json::Obj(fields) = doc else {
+            return Err("metrics must be an object of counters".into());
+        };
+        let pairs = fields
+            .iter()
+            .map(|(name, value)| {
+                value
+                    .as_u64()
+                    .map(|v| (name.clone(), v))
+                    .ok_or_else(|| format!("counter `{name}` must be a non-negative integer"))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(MetricsSnapshot::from_pairs(pairs))
+    }
+
     /// Renders `{"name":value,...}` (sorted, one line, no trailing
     /// newline).
     pub fn to_json(&self) -> String {
-        let fields: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(name, value)| format!("{}:{value}", export::json_string(name)))
-            .collect();
-        format!("{{{}}}", fields.join(","))
+        Json::from(self).to_string()
+    }
+}
+
+impl From<&MetricsSnapshot> for Json {
+    /// One flat object, a field per counter in snapshot (name) order.
+    fn from(snapshot: &MetricsSnapshot) -> Json {
+        Json::Obj(
+            snapshot
+                .counters
+                .iter()
+                .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
+                .collect(),
+        )
     }
 }
 
@@ -513,6 +549,14 @@ mod tests {
         let snapshot = capture.snapshot();
         assert_eq!(snapshot.get("test.b"), Some(5));
         assert_eq!(snapshot.to_json(), "{\"test.a\":1,\"test.b\":5}");
+        let back = MetricsSnapshot::from_json(&Json::parse(&snapshot.to_json()).unwrap());
+        assert_eq!(back, Ok(snapshot));
+        for bad in ["[]", "{\"a\":-1}", "{\"a\":1.5}", "{\"a\":\"1\"}"] {
+            assert!(
+                MetricsSnapshot::from_json(&Json::parse(bad).unwrap()).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   (temp file + rename) so a crash mid-write never leaves a readable
 //!   half-verdict.
 //!
-//! Invalidation is structural, never temporal: a verdict file is only
-//! served when its header version matches, its embedded key matches the
-//! requested hash, and its body parses completely. Any mismatch —
+//! Invalidation is structural, never temporal: a verdict file is one JSON
+//! entry, served only when its format version and embedded key match the
+//! requested hash and its report decodes completely. Any mismatch —
 //! including a [`HASH_FORMAT_VERSION`](crate::hash::HASH_FORMAT_VERSION)
 //! bump, which changes every key and the tier directory name — is a
 //! cache **miss**, never a stale verdict.
@@ -40,456 +40,66 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use commcsl_telemetry::Json;
+
 use crate::batch::{verify_batch_stored, BatchConfig};
-use crate::diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
 use crate::hash::{program_hash, ProgramHash, HASH_FORMAT_VERSION};
 use crate::obligation::{ObligationKey, ObligationStore};
-use crate::program::{AnnotatedProgram, StmtPath};
-use crate::report::{
-    CoreFact, Lint, LintCode, ObligationResult, ObligationStatus, Severity, VerifierConfig,
-    VerifierReport,
-};
+use crate::program::AnnotatedProgram;
+use crate::report::{ObligationStatus, VerifierConfig, VerifierReport};
 
-// ---------------------------------------------------------------- verdict
-// file format: a line-based, escaped, self-validating encoding.
+// ----------------------------------------------------------------- entries
+//
+// Disk files and remote-cache payloads are one self-validating JSON
+// entry: `{"format":…,"version":HASH_FORMAT_VERSION,"key":…,"report"|"status":…}`
+// around the report's (or status's) own JSON codec.
 
-const VERDICT_MAGIC: &str = "commcsl-verdict";
+const VERDICT_FORMAT: &str = "commcsl-verdict";
+const OBLIGATION_FORMAT: &str = "commcsl-obligation";
 
-/// Escapes one field for the verdict file (tabs, newlines, backslashes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
+/// Wraps `body` in an entry naming its format, [`HASH_FORMAT_VERSION`]
+/// and its own key, so a file renamed or copied to the wrong address, or
+/// written by another format version, is rejected on load.
+fn entry(format: &'static str, key: impl ToString, field: &'static str, body: Json) -> String {
+    Json::obj([
+        ("format", Json::str(format)),
+        ("version", Json::Num(f64::from(HASH_FORMAT_VERSION))),
+        ("key", Json::str(key.to_string())),
+        (field, body),
+    ])
+    .to_string()
 }
 
-/// Inverse of [`escape`]; `None` on malformed escapes (treated as a
-/// corrupt file ⇒ cache miss).
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            _ => return None,
-        }
-    }
-    Some(out)
+/// Parses an entry written by [`entry`]; `None` unless it is JSON whose
+/// format, version and key all match (the never-stale rule: reject,
+/// never reinterpret).
+fn open_entry(format: &str, key: impl ToString, text: &str) -> Option<Json> {
+    let doc = Json::parse(text).ok()?;
+    let valid = doc.get("format")?.as_str()? == format
+        && doc.get("version")?.as_u64()? == u64::from(HASH_FORMAT_VERSION)
+        && doc.get("key")?.as_str()? == key.to_string();
+    valid.then_some(doc)
 }
 
-/// Renders an obligation's code and optional span as the two leading
-/// tab-separated fields shared by `proved`/`failed` lines (`-` = no span).
-fn encode_code_span(o: &ObligationResult) -> String {
-    let span = o
-        .span
-        .map(|s| s.to_string())
-        .unwrap_or_else(|| "-".to_owned());
-    format!("{}\t{}", o.code.as_str(), span)
+fn verdict_entry(key: ProgramHash, report: &VerifierReport) -> String {
+    entry(VERDICT_FORMAT, key, "report", report.into())
 }
 
-fn decode_code_span(code: &str, span: &str) -> Option<(DiagnosticCode, Option<SourceSpan>)> {
-    let code = code.parse::<DiagnosticCode>().ok()?;
-    let span = match span {
-        "-" => None,
-        s => Some(s.parse::<SourceSpan>().ok()?),
-    };
-    Some((code, span))
+fn read_verdict_entry(key: ProgramHash, text: &str) -> Option<VerifierReport> {
+    let doc = open_entry(VERDICT_FORMAT, key, text)?;
+    VerifierReport::from_json(doc.get("report")?).ok()
 }
 
-/// Serializes a verdict to the on-disk format. The embedded `key` makes
-/// the file self-validating: a file renamed or copied to the wrong
-/// address is rejected on load.
-///
-/// Obligation lines:
-///
-/// ```text
-/// proved <code>\t<span|->\t<description>
-/// core <n>\t<path>@<span|->...       (after a proved line, when tracked)
-/// failed <code>\t<span|->\t<description>\t<reason>
-/// failedc <n>\t<code>\t<span|->\t<description>\t<reason>
-/// cex <var>\t<exec1>\t<exec2>        (exactly n, after a failedc line)
-/// hint <code>\t<severity>\t<span|->\t<path|->\t<message>
-/// ```
-fn encode_verdict(key: ProgramHash, report: &VerifierReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{VERDICT_MAGIC} {HASH_FORMAT_VERSION}\n"));
-    out.push_str(&format!("key {key}\n"));
-    out.push_str(&format!("program {}\n", escape(&report.program)));
-    for e in &report.errors {
-        out.push_str(&format!("error {}\n", escape(e)));
-    }
-    for o in &report.obligations {
-        match &o.status {
-            ObligationStatus::Proved => {
-                out.push_str(&format!(
-                    "proved {}\t{}\n",
-                    encode_code_span(o),
-                    escape(&o.description)
-                ));
-                if let Some(core) = &o.core {
-                    out.push_str(&encode_core_line(core));
-                }
-            }
-            ObligationStatus::Failed(failure) => match &failure.counterexample {
-                None => {
-                    out.push_str(&format!(
-                        "failed {}\t{}\t{}\n",
-                        encode_code_span(o),
-                        escape(&o.description),
-                        escape(&failure.reason)
-                    ));
-                }
-                Some(cex) => {
-                    out.push_str(&format!(
-                        "failedc {}\t{}\t{}\t{}\n",
-                        cex.bindings.len(),
-                        encode_code_span(o),
-                        escape(&o.description),
-                        escape(&failure.reason)
-                    ));
-                    for b in &cex.bindings {
-                        out.push_str(&format!(
-                            "cex {}\t{}\t{}\n",
-                            escape(&b.var),
-                            escape(&b.exec1),
-                            escape(&b.exec2)
-                        ));
-                    }
-                }
-            },
-        }
-    }
-    for h in &report.hints {
-        out.push_str(&format!(
-            "hint {}\t{}\t{}\t{}\t{}\n",
-            h.code.as_str(),
-            h.severity.as_str(),
-            encode_opt_span(h.span),
-            encode_path(&h.path),
-            escape(&h.message)
-        ));
-    }
-    out
-}
-
-/// Renders a statement path as dot-separated components (`-` = the empty
-/// program-level path). Components are numeric, so no escaping is needed.
-fn encode_path(path: &StmtPath) -> String {
-    if path.is_empty() {
-        "-".to_owned()
-    } else {
-        path.iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(".")
-    }
-}
-
-fn decode_path(s: &str) -> Option<StmtPath> {
-    if s == "-" {
-        return Some(Vec::new());
-    }
-    s.split('.').map(|c| c.parse::<u32>().ok()).collect()
-}
-
-fn encode_opt_span(span: Option<SourceSpan>) -> String {
-    span.map(|s| s.to_string()).unwrap_or_else(|| "-".to_owned())
-}
-
-fn decode_opt_span(s: &str) -> Option<Option<SourceSpan>> {
-    match s {
-        "-" => Some(None),
-        s => Some(Some(s.parse::<SourceSpan>().ok()?)),
-    }
-}
-
-/// Renders a proved obligation's tracked core as one tab-separated line:
-/// the fact count, then `<path>@<span|->` per core fact.
-fn encode_core_line(core: &[CoreFact]) -> String {
-    let mut line = format!("core {}", core.len());
-    for f in core {
-        line.push_str(&format!("\t{}@{}", encode_path(&f.path), encode_opt_span(f.span)));
-    }
-    line.push('\n');
-    line
-}
-
-const OBLIGATION_MAGIC: &str = "commcsl-obligation";
-
-/// Serializes one obligation status for the on-disk obligation tier.
 /// Statuses carry no description/code/span — those are recomputed by the
-/// incremental run that replays the status, so the file stays valid
+/// incremental run that replays the status, so the entry stays valid
 /// however the surrounding program is edited.
-fn encode_obligation(key: ObligationKey, status: &ObligationStatus) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{OBLIGATION_MAGIC} {HASH_FORMAT_VERSION}\n"));
-    out.push_str(&format!("key {key}\n"));
-    match status {
-        ObligationStatus::Proved => out.push_str("proved\n"),
-        ObligationStatus::Failed(failure) => match &failure.counterexample {
-            None => out.push_str(&format!("failed {}\n", escape(&failure.reason))),
-            Some(cex) => {
-                out.push_str(&format!(
-                    "failedc {}\t{}\n",
-                    cex.bindings.len(),
-                    escape(&failure.reason)
-                ));
-                for b in &cex.bindings {
-                    out.push_str(&format!(
-                        "cex {}\t{}\t{}\n",
-                        escape(&b.var),
-                        escape(&b.exec1),
-                        escape(&b.exec2)
-                    ));
-                }
-            }
-        },
-    }
-    out
+fn obligation_entry(key: ObligationKey, status: &ObligationStatus) -> String {
+    entry(OBLIGATION_FORMAT, key, "status", status.into())
 }
 
-/// Encodes one obligation status as a self-validating entry (the on-disk
-/// file format, reused verbatim as the remote-cache wire payload): a
-/// `commcsl-obligation <HASH_FORMAT_VERSION>` header, the embedded key,
-/// and the status body. Because the entry carries both the format version
-/// and its own address, any consumer can validate it with
-/// [`decode_obligation_entry`] — a mismatch is a miss, never a stale
-/// status.
-pub fn encode_obligation_entry(key: ObligationKey, status: &ObligationStatus) -> String {
-    encode_obligation(key, status)
-}
-
-/// Parses a self-validating obligation entry produced by
-/// [`encode_obligation_entry`]; `None` on any version/key/format mismatch
-/// (the never-stale rule: reject, never reinterpret).
-pub fn decode_obligation_entry(key: ObligationKey, text: &str) -> Option<ObligationStatus> {
-    decode_obligation(key, text)
-}
-
-/// Encodes one verdict as a self-validating entry (the on-disk file
-/// format, reused as the `cache_get`/`cache_put` wire payload for the
-/// verdict tier).
-pub fn encode_verdict_entry(key: ProgramHash, report: &VerifierReport) -> String {
-    encode_verdict(key, report)
-}
-
-/// Parses a self-validating verdict entry; `None` on any
-/// version/key/format mismatch.
-pub fn decode_verdict_entry(key: ProgramHash, text: &str) -> Option<VerifierReport> {
-    decode_verdict(key, text)
-}
-
-/// Parses an obligation file; `None` on any version/key/format mismatch.
-fn decode_obligation(key: ObligationKey, text: &str) -> Option<ObligationStatus> {
-    let mut lines = text.lines();
-    if lines.next()? != format!("{OBLIGATION_MAGIC} {HASH_FORMAT_VERSION}") {
-        return None;
-    }
-    if lines.next()?.strip_prefix("key ")?.parse::<ObligationKey>().ok()? != key {
-        return None;
-    }
-    let status_line = lines.next()?;
-    let status = if status_line == "proved" {
-        ObligationStatus::Proved
-    } else if let Some(reason) = status_line.strip_prefix("failed ") {
-        ObligationStatus::Failed(Failure::new(unescape(reason)?))
-    } else if let Some(rest) = status_line.strip_prefix("failedc ") {
-        let (count, reason) = rest.split_once('\t')?;
-        let count: usize = count.parse().ok()?;
-        let mut bindings = Vec::with_capacity(count);
-        for _ in 0..count {
-            let rest = lines.next()?.strip_prefix("cex ")?;
-            let mut fields = rest.split('\t');
-            bindings.push(CexBinding {
-                var: unescape(fields.next()?)?,
-                exec1: unescape(fields.next()?)?,
-                exec2: unescape(fields.next()?)?,
-            });
-            if fields.next().is_some() {
-                return None;
-            }
-        }
-        ObligationStatus::Failed(
-            Failure::new(unescape(reason)?)
-                .with_counterexample(Counterexample { bindings }),
-        )
-    } else {
-        return None;
-    };
-    if lines.next().is_some() {
-        return None;
-    }
-    Some(status)
-}
-
-/// Parses a verdict file; `None` on any version/key/format mismatch.
-fn decode_verdict(key: ProgramHash, text: &str) -> Option<VerifierReport> {
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    if header != format!("{VERDICT_MAGIC} {HASH_FORMAT_VERSION}") {
-        return None;
-    }
-    let stored_key = lines.next()?.strip_prefix("key ")?;
-    if stored_key.parse::<ProgramHash>().ok()? != key {
-        return None;
-    }
-    let program = unescape(lines.next()?.strip_prefix("program ")?)?;
-    let mut errors = Vec::new();
-    let mut obligations: Vec<ObligationResult> = Vec::new();
-    let mut hints: Vec<Lint> = Vec::new();
-    let mut pending_cex: usize = 0;
-    for line in lines {
-        if let Some(rest) = line.strip_prefix("cex ") {
-            if pending_cex == 0 {
-                return None;
-            }
-            pending_cex -= 1;
-            let mut fields = rest.split('\t');
-            let binding = CexBinding {
-                var: unescape(fields.next()?)?,
-                exec1: unescape(fields.next()?)?,
-                exec2: unescape(fields.next()?)?,
-            };
-            if fields.next().is_some() {
-                return None;
-            }
-            match &mut obligations.last_mut()?.status {
-                ObligationStatus::Failed(failure) => failure
-                    .counterexample
-                    .as_mut()?
-                    .bindings
-                    .push(binding),
-                ObligationStatus::Proved => return None,
-            }
-            continue;
-        }
-        if pending_cex != 0 {
-            // Fewer `cex` lines than announced ⇒ corrupt.
-            return None;
-        }
-        if let Some(rest) = line.strip_prefix("error ") {
-            // Errors precede obligations in the encoding; an error line
-            // after an obligation line means the file was hand-edited.
-            if !obligations.is_empty() {
-                return None;
-            }
-            errors.push(unescape(rest)?);
-        } else if let Some(rest) = line.strip_prefix("proved ") {
-            let mut fields = rest.split('\t');
-            let (code, span) = decode_code_span(fields.next()?, fields.next()?)?;
-            let description = unescape(fields.next()?)?;
-            if fields.next().is_some() {
-                return None;
-            }
-            obligations.push(ObligationResult {
-                description,
-                code,
-                span,
-                status: ObligationStatus::Proved,
-                core: None,
-            });
-        } else if let Some(rest) = line.strip_prefix("core ") {
-            let mut fields = rest.split('\t');
-            let count: usize = fields.next()?.parse().ok()?;
-            let mut core = Vec::with_capacity(count);
-            for _ in 0..count {
-                let (path, span) = fields.next()?.split_once('@')?;
-                core.push(CoreFact {
-                    path: decode_path(path)?,
-                    span: decode_opt_span(span)?,
-                });
-            }
-            if fields.next().is_some() {
-                return None;
-            }
-            // A core line annotates the proved obligation just decoded.
-            let last = obligations.last_mut()?;
-            if last.core.is_some() || !matches!(last.status, ObligationStatus::Proved) {
-                return None;
-            }
-            last.core = Some(core);
-        } else if let Some(rest) = line.strip_prefix("hint ") {
-            let mut fields = rest.split('\t');
-            let code: LintCode = fields.next()?.parse().ok()?;
-            let severity = match fields.next()? {
-                "note" => Severity::Note,
-                "warning" => Severity::Warning,
-                _ => return None,
-            };
-            let span = decode_opt_span(fields.next()?)?;
-            let path = decode_path(fields.next()?)?;
-            let message = unescape(fields.next()?)?;
-            if fields.next().is_some() {
-                return None;
-            }
-            hints.push(Lint {
-                code,
-                severity,
-                path,
-                span,
-                message,
-            });
-        } else if let Some(rest) = line.strip_prefix("failed ") {
-            let mut fields = rest.split('\t');
-            let (code, span) = decode_code_span(fields.next()?, fields.next()?)?;
-            let description = unescape(fields.next()?)?;
-            let reason = unescape(fields.next()?)?;
-            if fields.next().is_some() {
-                return None;
-            }
-            obligations.push(ObligationResult {
-                description,
-                code,
-                span,
-                status: ObligationStatus::Failed(Failure::new(reason)),
-                core: None,
-            });
-        } else if let Some(rest) = line.strip_prefix("failedc ") {
-            let mut fields = rest.split('\t');
-            let count: usize = fields.next()?.parse().ok()?;
-            let (code, span) = decode_code_span(fields.next()?, fields.next()?)?;
-            let description = unescape(fields.next()?)?;
-            let reason = unescape(fields.next()?)?;
-            if fields.next().is_some() {
-                return None;
-            }
-            obligations.push(ObligationResult {
-                description,
-                code,
-                span,
-                status: ObligationStatus::Failed(
-                    Failure::new(reason).with_counterexample(Counterexample::default()),
-                ),
-                core: None,
-            });
-            pending_cex = count;
-        } else {
-            return None;
-        }
-    }
-    if pending_cex != 0 {
-        return None;
-    }
-    Some(VerifierReport {
-        program,
-        obligations,
-        errors,
-        hints,
-    })
+fn read_obligation_entry(key: ObligationKey, text: &str) -> Option<ObligationStatus> {
+    let doc = open_entry(OBLIGATION_FORMAT, key, text)?;
+    ObligationStatus::from_json(doc.get("status")?).ok()
 }
 
 // ------------------------------------------------------------------ cache
@@ -595,12 +205,12 @@ impl CacheStats {
 /// lookup chain (memory → disk → remote), shared by many daemons and CI
 /// runners in the sccache / Bazel-remote-cache style.
 ///
-/// Implementations exchange the **self-validating entry text** of
-/// [`encode_obligation_entry`] — the cache validates every fetched entry
-/// against the requested key and [`HASH_FORMAT_VERSION`] before serving
-/// it, so a confused or stale remote can only cause misses, never wrong
-/// statuses. Both methods are fail-open: a broken transport should
-/// degrade to `None` / no-op rather than error.
+/// Implementations exchange the **self-validating entry text** the disk
+/// tier stores (one JSON entry per status) — the cache validates every
+/// fetched entry against the requested key and [`HASH_FORMAT_VERSION`]
+/// before serving it, so a confused or stale remote can only cause
+/// misses, never wrong statuses. Both methods are fail-open: a broken
+/// transport should degrade to `None` / no-op rather than error.
 pub trait RemoteObligationTier: Send {
     /// Fetches the raw encoded entry for `key`; `None` on a remote miss
     /// or an unreachable backend.
@@ -747,7 +357,7 @@ impl VerdictCache {
         text: Option<&str>,
     ) -> Option<VerifierReport> {
         if let Some(text) = text {
-            match decode_verdict(key, text) {
+            match read_verdict_entry(key, text) {
                 Some(report) => {
                     self.stats.disk_hits += 1;
                     self.insert_memory(key, report.clone());
@@ -835,7 +445,7 @@ impl VerdictCache {
         }
         if let Some(path) = self.obligation_path(key) {
             if let Ok(text) = fs::read_to_string(&path) {
-                match decode_obligation(key, &text) {
+                match read_obligation_entry(key, &text) {
                     Some(status) => {
                         self.stats.obligation_hits += 1;
                         self.insert_obligation_memory(key, status.clone());
@@ -851,7 +461,7 @@ impl VerdictCache {
             let fetched = remote.fetch(key);
             if let Some(status) = fetched
                 .as_deref()
-                .and_then(|text| decode_obligation(key, text))
+                .and_then(|text| read_obligation_entry(key, text))
             {
                 self.stats.remote_hits += 1;
                 self.stats.obligation_hits += 1;
@@ -873,7 +483,7 @@ impl VerdictCache {
     /// write-through to the remote tier when one is chained.
     pub fn put_obligation(&mut self, key: ObligationKey, status: &ObligationStatus) {
         let _span = commcsl_telemetry::span!("cache.obligation_put");
-        let entry = encode_obligation(key, status);
+        let entry = obligation_entry(key, status);
         if let Some(path) = self.obligation_path(key) {
             let _ = write_atomically(&path, &entry);
         }
@@ -899,29 +509,29 @@ impl VerdictCache {
     /// entry.
     pub fn export_obligation(&mut self, key: ObligationKey) -> Option<String> {
         if let Some((_, status)) = self.obligations.get(&key) {
-            return Some(encode_obligation(key, status));
+            return Some(obligation_entry(key, status));
         }
         let path = self.obligation_path(key)?;
         let text = fs::read_to_string(path).ok()?;
-        decode_obligation(key, &text).map(|_| text)
+        read_obligation_entry(key, &text).map(|_| text)
     }
 
     /// Exports the raw self-validating entry for a verdict held in the
     /// local tiers. `None` when neither local tier has a valid entry.
     pub fn export_verdict(&mut self, key: ProgramHash) -> Option<String> {
         if let Some((_, report)) = self.entries.get(&key) {
-            return Some(encode_verdict(key, report));
+            return Some(verdict_entry(key, report));
         }
         let path = self.verdict_path(key)?;
         let text = fs::read_to_string(path).ok()?;
-        decode_verdict(key, &text).map(|_| text)
+        read_verdict_entry(key, &text).map(|_| text)
     }
 
     /// Validates and admits a remote-published obligation entry into the
     /// local tiers; `false` (and no state change) on any version/key/
     /// format mismatch.
     pub fn import_obligation(&mut self, key: ObligationKey, text: &str) -> bool {
-        match decode_obligation(key, text) {
+        match read_obligation_entry(key, text) {
             Some(status) => {
                 self.put_obligation(key, &status);
                 true
@@ -933,7 +543,7 @@ impl VerdictCache {
     /// Validates and admits a remote-published verdict entry into the
     /// local tiers; `false` on any mismatch.
     pub fn import_verdict(&mut self, key: ProgramHash, text: &str) -> bool {
-        match decode_verdict(key, text) {
+        match read_verdict_entry(key, text) {
             Some(report) => {
                 self.put(key, &report);
                 true
@@ -1006,7 +616,7 @@ pub fn write_verdict_file(
     key: ProgramHash,
     report: &VerifierReport,
 ) -> std::io::Result<()> {
-    write_atomically(path, &encode_verdict(key, report))
+    write_atomically(path, &verdict_entry(key, report))
 }
 
 /// Writes `content` to `path` atomically: the data lands under a unique
@@ -1323,7 +933,9 @@ mod tests {
     use commcsl_pure::{Sort, Term};
 
     use super::*;
+    use crate::diag::{CexBinding, Counterexample, DiagnosticCode, Failure};
     use crate::program::VStmt;
+    use crate::report::ObligationResult;
     use crate::symexec::verify;
 
     fn ok_program(name: &str) -> AnnotatedProgram {
@@ -1351,68 +963,9 @@ mod tests {
 
     #[test]
     fn verdict_encoding_roundtrips_nasty_strings() {
-        let report = VerifierReport {
-            program: "tab\there \"and\" newline\nand \\backslash\\".into(),
-            obligations: vec![
-                ObligationResult {
-                    description: "pre of Put\tat worker 1".into(),
-                    code: DiagnosticCode::ActionPre,
-                    span: Some(SourceSpan::new(4, 11)),
-                    status: ObligationStatus::Proved,
-                    core: Some(vec![
-                        CoreFact {
-                            path: vec![],
-                            span: None,
-                        },
-                        CoreFact {
-                            path: vec![3, 0, 1],
-                            span: Some(SourceSpan::new(9, 2)),
-                        },
-                    ]),
-                },
-                ObligationResult {
-                    description: "Low(out)".into(),
-                    code: DiagnosticCode::LowOutput,
-                    span: None,
-                    status: ObligationStatus::Failed(
-                        Failure::new("ctr\r\nmodel").with_counterexample(Counterexample {
-                            bindings: vec![
-                                CexBinding {
-                                    var: "h\twith tab".into(),
-                                    exec1: "Int(0)".into(),
-                                    exec2: "Int(\n1)".into(),
-                                },
-                                CexBinding {
-                                    var: "k".into(),
-                                    exec1: "Seq([])".into(),
-                                    exec2: "Seq([])".into(),
-                                },
-                            ],
-                        }),
-                    ),
-                    core: None,
-                },
-                ObligationResult {
-                    description: "empty cex stays Some".into(),
-                    code: DiagnosticCode::LowAssert,
-                    span: None,
-                    status: ObligationStatus::Failed(
-                        Failure::new("no witness").with_counterexample(Counterexample::default()),
-                    ),
-                    core: None,
-                },
-            ],
-            errors: vec!["guard \\ misuse".into()],
-            hints: vec![Lint {
-                code: LintCode::UnneededAnnotation,
-                severity: Severity::Note,
-                path: vec![4],
-                span: Some(SourceSpan::new(12, 1)),
-                message: "tab\there and \\slash".into(),
-            }],
-        };
+        let report = crate::report::tests::nasty_report();
         let key = ProgramHash(42);
-        let decoded = decode_verdict(key, &encode_verdict(key, &report)).unwrap();
+        let decoded = read_verdict_entry(key, &verdict_entry(key, &report)).unwrap();
         assert_eq!(decoded.program, report.program);
         assert_eq!(decoded.errors, report.errors);
         assert_eq!(decoded.obligations, report.obligations);
@@ -1425,46 +978,17 @@ mod tests {
     fn verdict_decoding_rejects_mismatches() {
         let report = VerifierReport {
             program: "p".into(),
-            obligations: vec![],
-            errors: vec![],
-            hints: vec![],
-        };
-        let good = encode_verdict(ProgramHash(7), &report);
-        // Wrong key.
-        assert!(decode_verdict(ProgramHash(8), &good).is_none());
-        // Wrong version.
-        let bumped = good.replace(
-            &format!("{VERDICT_MAGIC} {HASH_FORMAT_VERSION}"),
-            &format!("{VERDICT_MAGIC} {}", HASH_FORMAT_VERSION + 1),
-        );
-        assert!(decode_verdict(ProgramHash(7), &bumped).is_none());
-        // Truncation and garbage.
-        assert!(decode_verdict(ProgramHash(7), "").is_none());
-        assert!(decode_verdict(ProgramHash(7), &good[..good.len() / 2]).is_none());
-        assert!(decode_verdict(ProgramHash(7), &format!("{good}garbage\n")).is_none());
-
-        // A counterexample announcing more bindings than present, and
-        // stray `cex` lines, are corrupt.
-        let with_cex = VerifierReport {
-            program: "p".into(),
             obligations: vec![ObligationResult {
                 description: "d".into(),
                 code: DiagnosticCode::LowOutput,
                 span: None,
                 status: ObligationStatus::Failed(
                     Failure::new("r").with_counterexample(Counterexample {
-                        bindings: vec![
-                            CexBinding {
-                                var: "a".into(),
-                                exec1: "1".into(),
-                                exec2: "2".into(),
-                            },
-                            CexBinding {
-                                var: "b".into(),
-                                exec1: "1".into(),
-                                exec2: "1".into(),
-                            },
-                        ],
+                        bindings: vec![CexBinding {
+                            var: "a".into(),
+                            exec1: "1".into(),
+                            exec2: "2".into(),
+                        }],
                     }),
                 ),
                 core: None,
@@ -1472,16 +996,25 @@ mod tests {
             errors: vec![],
             hints: vec![],
         };
-        let encoded = encode_verdict(ProgramHash(7), &with_cex);
-        assert!(decode_verdict(ProgramHash(7), &encoded).is_some());
-        let truncated: String = encoded
-            .lines()
-            .take(encoded.lines().count() - 1)
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(decode_verdict(ProgramHash(7), &truncated).is_none());
-        let stray = format!("{encoded}cex z\t0\t0\n");
-        assert!(decode_verdict(ProgramHash(7), &stray).is_none());
+        let key = ProgramHash(7);
+        let good = verdict_entry(key, &report);
+        assert!(read_verdict_entry(key, &good).is_some());
+        // Wrong key, version or format.
+        assert!(read_verdict_entry(ProgramHash(8), &good).is_none());
+        let version = format!("\"version\":{HASH_FORMAT_VERSION}");
+        let bumped = good.replace(
+            &version,
+            &format!("\"version\":{}", HASH_FORMAT_VERSION + 1),
+        );
+        assert!(read_verdict_entry(key, &bumped).is_none());
+        let foreign = good.replace(VERDICT_FORMAT, OBLIGATION_FORMAT);
+        assert!(read_verdict_entry(key, &foreign).is_none());
+        // Truncation, trailing garbage, and a body that does not decode.
+        assert!(read_verdict_entry(key, "").is_none());
+        assert!(read_verdict_entry(key, &good[..good.len() / 2]).is_none());
+        assert!(read_verdict_entry(key, &format!("{good}garbage")).is_none());
+        assert!(read_verdict_entry(key, &good.replace("\"exec2\"", "\"exec3\"")).is_none());
+        assert!(read_verdict_entry(key, &good.replace("\"report\"", "\"status\"")).is_none());
     }
 
     #[test]
@@ -1616,6 +1149,48 @@ mod tests {
         );
         assert_ne!(incremental_key, nocex_key);
         assert!(cache.get(nocex_key).is_none());
+
+        // An entry in the old line format where a JSON entry is expected
+        // is never served: it is a miss, and the file is deleted.
+        let path = cache.verdict_path(incremental_key).unwrap();
+        for header in [
+            "commcsl-verdict 5",
+            &format!("commcsl-verdict {HASH_FORMAT_VERSION}"),
+        ] {
+            let line_format =
+                format!("{header}\nkey {incremental_key}\nprogram backend-miss\nproved low-output\t-\tLow(x)\n");
+            fs::write(&path, line_format).unwrap();
+            let mut restarted = VerdictCache::new(CacheConfig::persistent(&dir));
+            assert!(
+                restarted.get(incremental_key).is_none(),
+                "must miss, never stale"
+            );
+            assert!(!path.exists(), "line-format file deleted");
+        }
+        let obligation = cache.obligation_path(ObligationKey(3)).unwrap();
+        fs::create_dir_all(obligation.parent().unwrap()).unwrap();
+        fs::write(
+            &obligation,
+            format!(
+                "commcsl-obligation {HASH_FORMAT_VERSION}\nkey {}\nproved\n",
+                ObligationKey(3)
+            ),
+        )
+        .unwrap();
+        let mut restarted = VerdictCache::new(CacheConfig::persistent(&dir));
+        assert_eq!(restarted.get_obligation(ObligationKey(3)), None);
+        assert!(!obligation.exists(), "line-format obligation file deleted");
+        // Files of the previous format version live in their own
+        // directory, which this version never reads.
+        let orphan = dir.join("v5").join(format!("{incremental_key}.verdict"));
+        fs::create_dir_all(orphan.parent().unwrap()).unwrap();
+        fs::write(
+            &orphan,
+            verdict_entry(incremental_key, &verify(&program, &incremental_config)),
+        )
+        .unwrap();
+        assert!(restarted.get(incremental_key).is_none());
+        assert!(orphan.exists());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1645,19 +1220,32 @@ mod tests {
             ),
         ];
         let key = ObligationKey(99);
+        let version = format!("\"version\":{HASH_FORMAT_VERSION}");
         for status in &statuses {
-            let encoded = encode_obligation(key, status);
-            assert_eq!(decode_obligation(key, &encoded).as_ref(), Some(status));
-            // Wrong key, wrong version, truncation, trailing garbage: miss.
-            assert!(decode_obligation(ObligationKey(98), &encoded).is_none());
+            let encoded = obligation_entry(key, status);
+            assert_eq!(read_obligation_entry(key, &encoded).as_ref(), Some(status));
+            // Wrong key, version or format, truncation, trailing garbage:
+            // miss.
+            assert!(read_obligation_entry(ObligationKey(98), &encoded).is_none());
             let bumped = encoded.replace(
-                &format!("{OBLIGATION_MAGIC} {HASH_FORMAT_VERSION}"),
-                &format!("{OBLIGATION_MAGIC} {}", HASH_FORMAT_VERSION + 1),
+                &version,
+                &format!("\"version\":{}", HASH_FORMAT_VERSION + 1),
             );
-            assert!(decode_obligation(key, &bumped).is_none());
-            assert!(decode_obligation(key, &encoded[..encoded.len() / 2]).is_none());
-            assert!(decode_obligation(key, &format!("{encoded}junk\n")).is_none());
+            assert!(read_obligation_entry(key, &bumped).is_none());
+            let foreign = encoded.replace(OBLIGATION_FORMAT, VERDICT_FORMAT);
+            assert!(read_obligation_entry(key, &foreign).is_none());
+            assert!(read_obligation_entry(key, &encoded[..encoded.len() / 2]).is_none());
+            assert!(read_obligation_entry(key, &format!("{encoded}junk\n")).is_none());
         }
+        // A verdict entry at an obligation's address is a miss too.
+        let report = VerifierReport {
+            program: "p".into(),
+            obligations: vec![],
+            errors: vec![],
+            hints: vec![],
+        };
+        let misplaced = verdict_entry(ProgramHash(key.0), &report);
+        assert!(read_obligation_entry(key, &misplaced).is_none());
     }
 
     #[test]
@@ -1734,7 +1322,7 @@ mod tests {
         backing.lock().unwrap().insert(ObligationKey(6), "garbage".into());
         assert_eq!(b.get_obligation(ObligationKey(6)), None);
         assert_eq!(b.stats().remote_misses, 1);
-        let wrong = encode_obligation(ObligationKey(7), &ObligationStatus::Proved);
+        let wrong = obligation_entry(ObligationKey(7), &ObligationStatus::Proved);
         backing.lock().unwrap().insert(ObligationKey(8), wrong);
         assert_eq!(b.get_obligation(ObligationKey(8)), None);
         assert_eq!(b.stats().remote_misses, 2);

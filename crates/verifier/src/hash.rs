@@ -64,7 +64,13 @@ use crate::report::VerifierConfig;
 /// the hashed configuration. With both knobs off the report bytes are
 /// unchanged from v4, but a v4 verdict must not answer for a
 /// configuration that can carry the new fields.
-pub const HASH_FORMAT_VERSION: u32 = 5;
+///
+/// v6: disk files and remote-cache payloads became one JSON entry
+/// (`{"format","version","key","report"|"status"}`) over the report's own
+/// JSON codec, replacing the tab-separated line format. The bump changes
+/// every key and the tier directory, so v5 line-format files are orphaned
+/// rather than read.
+pub const HASH_FORMAT_VERSION: u32 = 6;
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;

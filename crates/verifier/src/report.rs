@@ -7,18 +7,21 @@
 //! reason and an optional falsifying [`Counterexample`]. The JSON shape
 //! produced by [`VerifierReport::to_json`] is the single wire format:
 //! the CLI `--json` mode embeds it verbatim, the daemon protocol streams
-//! it byte-identically, and the verdict cache round-trips it losslessly.
+//! it byte-identically, and the verdict cache stores it losslessly. Each
+//! type here has one [`Json`] encoder (a `From` impl) and one decoder
+//! (`from_json`).
 
 use std::fmt;
 
 use commcsl_logic::validity::ValidityConfig;
 use commcsl_smt::falsify::FalsifyConfig;
 use commcsl_smt::{BackendKind, SolverConfig};
+use commcsl_telemetry::Json;
 
 pub use crate::diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
 pub use commcsl_analysis::lint::{Lint, LintCode, Severity};
 
-use crate::program::StmtPath;
+use crate::program::{path_from_json, path_to_json, StmtPath};
 
 /// Version of the report JSON shape emitted by
 /// [`VerifierReport::to_json`] (and therefore by the CLI's `--json`
@@ -111,6 +114,48 @@ impl ObligationStatus {
     pub fn failed(reason: impl Into<String>) -> ObligationStatus {
         ObligationStatus::Failed(Failure::new(reason))
     }
+
+    /// Decodes a status from the `proved`, `reason` and `counterexample`
+    /// fields of `doc` (other fields are ignored, so this also reads the
+    /// status out of an encoded [`ObligationResult`]).
+    pub fn from_json(doc: &Json) -> Result<ObligationStatus, String> {
+        let proved = doc
+            .get("proved")
+            .and_then(Json::as_bool)
+            .ok_or("obligation needs `proved`")?;
+        if proved {
+            return Ok(ObligationStatus::Proved);
+        }
+        let reason = doc
+            .get("reason")
+            .and_then(Json::as_str)
+            .ok_or("failed obligation needs `reason`")?;
+        let mut failure = Failure::new(reason);
+        if let Some(cex) = doc.get("counterexample") {
+            failure = failure.with_counterexample(Counterexample::from_json(cex)?);
+        }
+        Ok(ObligationStatus::Failed(failure))
+    }
+}
+
+impl From<&ObligationStatus> for Json {
+    /// `{"proved":true}`, or `{"proved":false,"reason":…}` plus the
+    /// `counterexample` when one was found.
+    fn from(status: &ObligationStatus) -> Json {
+        match status {
+            ObligationStatus::Proved => Json::obj([("proved", Json::Bool(true))]),
+            ObligationStatus::Failed(failure) => {
+                let mut fields = vec![
+                    ("proved", Json::Bool(false)),
+                    ("reason", Json::str(&failure.reason)),
+                ];
+                if let Some(cex) = &failure.counterexample {
+                    fields.push(("counterexample", cex.into()));
+                }
+                Json::obj(fields)
+            }
+        }
+    }
 }
 
 /// One fact site contributing to an obligation's proof core: the
@@ -122,6 +167,26 @@ pub struct CoreFact {
     pub path: StmtPath,
     /// Source position of the asserting site, when known.
     pub span: Option<SourceSpan>,
+}
+
+impl CoreFact {
+    /// Decodes a `{"path":[…],"span"?:…}` fact.
+    pub(crate) fn from_json(doc: &Json) -> Result<CoreFact, String> {
+        Ok(CoreFact {
+            path: path_from_json(doc.get("path").ok_or("core fact needs `path`")?)?,
+            span: doc.get("span").map(SourceSpan::from_json).transpose()?,
+        })
+    }
+}
+
+impl From<&CoreFact> for Json {
+    fn from(fact: &CoreFact) -> Json {
+        let mut fields = vec![("path", path_to_json(&fact.path))];
+        if let Some(span) = fact.span {
+            fields.push(("span", span.into()));
+        }
+        Json::obj(fields)
+    }
 }
 
 /// One discharged (or failed) obligation.
@@ -150,6 +215,58 @@ impl ObligationResult {
             ObligationStatus::Proved => None,
             ObligationStatus::Failed(failure) => Some(failure),
         }
+    }
+
+    /// Decodes an obligation encoded by its `From` impl.
+    pub(crate) fn from_json(doc: &Json) -> Result<ObligationResult, String> {
+        Ok(ObligationResult {
+            description: doc
+                .get("description")
+                .and_then(Json::as_str)
+                .ok_or("obligation needs `description`")?
+                .to_owned(),
+            code: doc
+                .get("code")
+                .and_then(Json::as_str)
+                .ok_or("obligation needs `code`")?
+                .parse::<DiagnosticCode>()?,
+            span: doc.get("span").map(SourceSpan::from_json).transpose()?,
+            status: ObligationStatus::from_json(doc)?,
+            core: doc
+                .get("core")
+                .map(|core| {
+                    core.as_arr()
+                        .ok_or("`core` must be an array")?
+                        .iter()
+                        .map(CoreFact::from_json)
+                        .collect::<Result<Vec<_>, String>>()
+                })
+                .transpose()?,
+        })
+    }
+}
+
+impl From<&ObligationResult> for Json {
+    /// `description`, `code` and the optional `span`, the status fields,
+    /// then the optional proof `core`.
+    fn from(o: &ObligationResult) -> Json {
+        let mut fields = vec![
+            ("description".to_owned(), Json::str(&o.description)),
+            ("code".to_owned(), Json::str(o.code.as_str())),
+        ];
+        if let Some(span) = o.span {
+            fields.push(("span".to_owned(), span.into()));
+        }
+        if let Json::Obj(status) = Json::from(&o.status) {
+            fields.extend(status);
+        }
+        if let Some(core) = &o.core {
+            fields.push((
+                "core".to_owned(),
+                Json::Arr(core.iter().map(Json::from).collect()),
+            ));
+        }
+        Json::Obj(fields)
     }
 }
 
@@ -197,128 +314,97 @@ impl VerifierReport {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document (quotes included).
-///
-/// The workspace's vendored `serde` stub derives marker impls only, so the
-/// machine-readable outputs (the `commcsl` CLI's `--json` mode, the
-/// `table1` bench snapshots) are rendered by hand through this helper.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl VerifierReport {
     /// Renders the report as one JSON object (no trailing newline).
     ///
     /// Field order and spelling are part of the tool's machine interface:
-    /// the daemon protocol (`commcsl_server::protocol::report_to_json`)
-    /// and the verdict cache reproduce these bytes exactly.
+    /// the CLI's `--json` output, the daemon protocol and the verdict
+    /// cache all carry these bytes.
     pub fn to_json(&self) -> String {
-        let obligations: Vec<String> = self
-            .obligations
-            .iter()
-            .map(|o| {
-                let mut fields = vec![
-                    format!("\"description\":{}", json_string(&o.description)),
-                    format!("\"code\":{}", json_string(o.code.as_str())),
-                ];
-                if let Some(span) = &o.span {
-                    fields.push(format!("\"span\":{}", json_string(&span.to_string())));
-                }
-                fields.push(format!(
-                    "\"proved\":{}",
-                    o.status == ObligationStatus::Proved
+        Json::from(self).to_string()
+    }
+
+    /// Decodes a report. The derived fields (`verified`, `proved`) are
+    /// recomputed, so `VerifierReport::from_json(&Json::parse(&r.to_json())?)`
+    /// reproduces `r` byte-identically under `to_json`. A
+    /// `schema_version` other than [`REPORT_SCHEMA_VERSION`] is rejected.
+    pub fn from_json(doc: &Json) -> Result<VerifierReport, String> {
+        if let Some(schema) = doc.get("schema_version") {
+            let schema = schema.as_u64().ok_or("`schema_version` must be a number")?;
+            if schema != u64::from(REPORT_SCHEMA_VERSION) {
+                return Err(format!(
+                    "unsupported report schema v{schema} (this build reads v{REPORT_SCHEMA_VERSION})"
                 ));
-                if let ObligationStatus::Failed(failure) = &o.status {
-                    fields.push(format!("\"reason\":{}", json_string(&failure.reason)));
-                    if let Some(cex) = &failure.counterexample {
-                        let bindings: Vec<String> = cex
-                            .bindings
-                            .iter()
-                            .map(|b| {
-                                format!(
-                                    "{{\"var\":{},\"exec1\":{},\"exec2\":{}}}",
-                                    json_string(&b.var),
-                                    json_string(&b.exec1),
-                                    json_string(&b.exec2)
-                                )
-                            })
-                            .collect();
-                        fields.push(format!(
-                            "\"counterexample\":[{}]",
-                            bindings.join(",")
-                        ));
-                    }
-                }
-                if let Some(core) = &o.core {
-                    let facts: Vec<String> =
-                        core.iter().map(core_fact_json).collect();
-                    fields.push(format!("\"core\":[{}]", facts.join(",")));
-                }
-                format!("{{{}}}", fields.join(","))
-            })
-            .collect();
-        let errors: Vec<String> =
-            self.errors.iter().map(|e| json_string(e)).collect();
-        let hints = if self.hints.is_empty() {
-            String::new()
-        } else {
-            let rendered: Vec<String> = self.hints.iter().map(hint_json).collect();
-            format!(",\"hints\":[{}]", rendered.join(","))
+            }
+        }
+        let list = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_arr)
+                .ok_or(format!("report needs `{key}`"))
         };
-        format!(
-            "{{\"schema_version\":{REPORT_SCHEMA_VERSION},\"program\":{},\"verified\":{},\
-             \"proved\":{},\"obligations\":[{}],\"errors\":[{}]{hints}}}",
-            json_string(&self.program),
-            self.verified(),
-            self.proved_count(),
-            obligations.join(","),
-            errors.join(","),
-        )
+        Ok(VerifierReport {
+            program: doc
+                .get("program")
+                .and_then(Json::as_str)
+                .ok_or("report needs `program`")?
+                .to_owned(),
+            obligations: list("obligations")?
+                .iter()
+                .map(ObligationResult::from_json)
+                .collect::<Result<_, String>>()?,
+            errors: list("errors")?
+                .iter()
+                .map(|e| {
+                    e.as_str()
+                        .map(str::to_owned)
+                        .ok_or_else(|| "errors must be strings".to_owned())
+                })
+                .collect::<Result<_, String>>()?,
+            hints: doc
+                .get("hints")
+                .map(|hints| {
+                    hints
+                        .as_arr()
+                        .ok_or("`hints` must be an array")?
+                        .iter()
+                        .map(Lint::from_json)
+                        .collect::<Result<Vec<_>, String>>()
+                })
+                .transpose()?
+                .unwrap_or_default(),
+        })
     }
 }
 
-/// Renders one [`CoreFact`] for the report JSON (`span` omitted when
-/// absent, matching the obligation's own span field).
-fn core_fact_json(fact: &CoreFact) -> String {
-    let path: Vec<String> = fact.path.iter().map(u32::to_string).collect();
-    match &fact.span {
-        Some(span) => format!(
-            "{{\"path\":[{}],\"span\":{}}}",
-            path.join(","),
-            json_string(&span.to_string())
-        ),
-        None => format!("{{\"path\":[{}]}}", path.join(",")),
+impl From<&VerifierReport> for Json {
+    /// `hints` is present only when non-empty, so reports of runs without
+    /// proof cores render byte-identically to builds without the field.
+    fn from(report: &VerifierReport) -> Json {
+        let mut fields = vec![
+            (
+                "schema_version",
+                Json::Num(f64::from(REPORT_SCHEMA_VERSION)),
+            ),
+            ("program", Json::str(&report.program)),
+            ("verified", Json::Bool(report.verified())),
+            ("proved", Json::Num(report.proved_count() as f64)),
+            (
+                "obligations",
+                Json::Arr(report.obligations.iter().map(Json::from).collect()),
+            ),
+            (
+                "errors",
+                Json::Arr(report.errors.iter().map(Json::str).collect()),
+            ),
+        ];
+        if !report.hints.is_empty() {
+            fields.push((
+                "hints",
+                Json::Arr(report.hints.iter().map(Json::from).collect()),
+            ));
+        }
+        Json::obj(fields)
     }
-}
-
-/// Renders one aggregated hint for the report JSON, in the same field
-/// shape the daemon protocol uses for lint findings.
-fn hint_json(hint: &Lint) -> String {
-    let mut fields = vec![
-        format!("\"code\":{}", json_string(hint.code.as_str())),
-        format!("\"severity\":{}", json_string(hint.severity.as_str())),
-    ];
-    if let Some(span) = &hint.span {
-        fields.push(format!("\"span\":{}", json_string(&span.to_string())));
-    }
-    let path: Vec<String> = hint.path.iter().map(u32::to_string).collect();
-    fields.push(format!("\"path\":[{}]", path.join(",")));
-    fields.push(format!("\"message\":{}", json_string(&hint.message)));
-    format!("{{{}}}", fields.join(","))
 }
 
 impl fmt::Display for VerifierReport {
@@ -368,7 +454,7 @@ impl fmt::Display for VerifierReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn proved(description: &str) -> ObligationResult {
@@ -409,35 +495,154 @@ mod tests {
         assert!(shown.contains("at 3:1"));
     }
 
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    /// A report exercising every optional field and string position.
+    pub(crate) fn nasty_report() -> VerifierReport {
+        VerifierReport {
+            program: "p \"q\" \\ \n\t\u{1}".into(),
+            obligations: vec![
+                ObligationResult {
+                    description: "pre of Put\tat worker 1".into(),
+                    code: DiagnosticCode::ActionPre,
+                    span: Some(SourceSpan::new(12, 7)),
+                    status: ObligationStatus::Proved,
+                    core: Some(vec![
+                        CoreFact {
+                            path: vec![],
+                            span: None,
+                        },
+                        CoreFact {
+                            path: vec![3, 1, 0],
+                            span: Some(SourceSpan::new(8, 4)),
+                        },
+                    ]),
+                },
+                ObligationResult {
+                    description: "Low(output \"x\")".into(),
+                    code: DiagnosticCode::LowOutput,
+                    span: None,
+                    status: ObligationStatus::Failed(
+                        Failure::new("countermodel: h\u{2}=1").with_counterexample(
+                            Counterexample {
+                                bindings: vec![
+                                    CexBinding {
+                                        var: "h \"quoted\"\t".into(),
+                                        exec1: "0".into(),
+                                        exec2: "1\n".into(),
+                                    },
+                                    CexBinding {
+                                        var: "k".into(),
+                                        exec1: "Seq([])".into(),
+                                        exec2: "Seq([])".into(),
+                                    },
+                                ],
+                            },
+                        ),
+                    ),
+                    core: None,
+                },
+                ObligationResult {
+                    description: "empty cex stays Some".into(),
+                    code: DiagnosticCode::LowAssert,
+                    span: None,
+                    status: ObligationStatus::Failed(
+                        Failure::new("no witness").with_counterexample(Counterexample::default()),
+                    ),
+                    core: None,
+                },
+                ObligationResult {
+                    description: "reason only".into(),
+                    code: DiagnosticCode::LowAssert,
+                    span: None,
+                    status: ObligationStatus::failed("ctr\r\nmodel"),
+                    core: None,
+                },
+            ],
+            errors: vec!["guard \\ misuse\nsecond line".into()],
+            hints: vec![Lint {
+                code: LintCode::UnneededAnnotation,
+                severity: Severity::Note,
+                path: vec![4],
+                span: Some(SourceSpan::new(14, 1)),
+                message: "no proved obligation needed \"this\" unshare".into(),
+            }],
+        }
+    }
+
+    fn roundtrip(report: &VerifierReport) -> VerifierReport {
+        let parsed = Json::parse(&report.to_json()).unwrap();
+        VerifierReport::from_json(&parsed).unwrap()
     }
 
     #[test]
-    fn json_escaping_edge_cases() {
-        // Every C0 control character must come out escaped; the named
-        // short forms win where JSON defines them.
-        for c in (0u32..0x20).map(|c| char::from_u32(c).unwrap()) {
-            let rendered = json_string(&c.to_string());
-            let expected = match c {
-                '\n' => "\"\\n\"".to_owned(),
-                '\r' => "\"\\r\"".to_owned(),
-                '\t' => "\"\\t\"".to_owned(),
-                _ => format!("\"\\u{:04x}\"", c as u32),
-            };
-            assert_eq!(rendered, expected, "control char {:#x}", c as u32);
+    fn report_json_roundtrips_every_field_shape() {
+        let report = nasty_report();
+        let recovered = roundtrip(&report);
+        assert_eq!(recovered.program, report.program);
+        assert_eq!(recovered.obligations, report.obligations);
+        assert_eq!(recovered.errors, report.errors);
+        assert_eq!(recovered.hints, report.hints);
+        assert_eq!(recovered.to_json(), report.to_json());
+        // Each status also round-trips on its own.
+        for o in &report.obligations {
+            let status = Json::parse(&Json::from(&o.status).to_string()).unwrap();
+            assert_eq!(ObligationStatus::from_json(&status).as_ref(), Ok(&o.status));
         }
-        // Backslash runs and quote/backslash adjacency do not collapse.
-        assert_eq!(json_string("\\\\"), "\"\\\\\\\\\"");
-        assert_eq!(json_string("\\\""), "\"\\\\\\\"\"");
-        // Non-ASCII passes through raw (JSON strings are UTF-8).
-        assert_eq!(json_string("αβ 中 🦀"), "\"αβ 中 🦀\"");
-        // DEL (0x7f) is not a C0 control and needs no escape.
-        assert_eq!(json_string("\u{7f}"), "\"\u{7f}\"");
+    }
+
+    #[test]
+    fn report_parse_back_roundtrips_exhaustive_control_chars() {
+        // Every C0 control character, plus quote/backslash runs, in every
+        // string position of a report: `to_json` must parse back to an
+        // identical report (the cache's byte-identical guarantee depends
+        // on this codec being lossless).
+        let mut nasty = String::from("q\" b\\ run\\\\ ");
+        nasty.extend((0u32..0x20).map(|c| char::from_u32(c).unwrap()));
+        let report = VerifierReport {
+            program: nasty.clone(),
+            obligations: vec![ObligationResult {
+                description: nasty.clone(),
+                code: DiagnosticCode::LowAssert,
+                span: Some(SourceSpan::new(1, 999)),
+                status: ObligationStatus::Failed(Failure::new(nasty.clone()).with_counterexample(
+                    Counterexample {
+                        bindings: vec![CexBinding {
+                            var: nasty.clone(),
+                            exec1: nasty.clone(),
+                            exec2: nasty.clone(),
+                        }],
+                    },
+                )),
+                core: None,
+            }],
+            errors: vec![nasty.clone()],
+            hints: vec![],
+        };
+        let recovered = roundtrip(&report);
+        assert_eq!(recovered.program, report.program);
+        assert_eq!(recovered.errors, report.errors);
+        assert_eq!(recovered.obligations, report.obligations);
+        assert_eq!(recovered.to_json(), report.to_json());
+    }
+
+    #[test]
+    fn report_decoding_rejects_malformed_documents() {
+        let good = nasty_report().to_json();
+        for (from, to) in [
+            ("\"schema_version\":1", "\"schema_version\":2"),
+            ("\"program\":", "\"name\":"),
+            ("\"code\":\"action-pre\"", "\"code\":\"no-such-code\""),
+            ("\"span\":\"12:7\"", "\"span\":\"12\""),
+            ("\"proved\":true", "\"proved\":1"),
+            ("\"reason\":\"no witness\"", "\"why\":\"no witness\""),
+            ("\"exec2\":\"Seq([])\"", "\"exec3\":\"Seq([])\""),
+            ("\"path\":[3,1,0]", "\"path\":[3,-1,0]"),
+            ("\"severity\":\"note\"", "\"severity\":\"fatal\""),
+            ("\"errors\":[\"", "\"errors\":[1,\""),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let bad = Json::parse(&good.replacen(from, to, 1)).unwrap();
+            assert!(VerifierReport::from_json(&bad).is_err(), "{from} -> {to}");
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Structured diagnostics, end to end: failed `Low` obligations carry a
 //! falsifying per-execution assignment and a stable code (plus a source
 //! span when compiled from `.csl`), and every serialization surface —
-//! `VerifierReport::to_json`, the daemon's report codec, the on-disk
-//! verdict cache, and the CLI renderings — round-trips them losslessly.
+//! the report's JSON codec (which the daemon protocol embeds), the
+//! on-disk verdict cache, and the CLI renderings — round-trips them
+//! losslessly.
 
 use commcsl::front::{cli, compile};
 use commcsl::server::json::Json;
-use commcsl::server::protocol::{report_from_json, report_to_json};
 use commcsl::verifier::cache::{CacheConfig, VerdictCache};
 use commcsl::verifier::hash::program_hash;
-use commcsl::verifier::report::VerifierConfig;
+use commcsl::verifier::report::{VerifierConfig, VerifierReport};
 use commcsl::verifier::{verify, DiagnosticCode, SourceSpan};
 
 const LEAKY: &str = "program leaky;\n\
@@ -52,11 +52,10 @@ fn counterexamples_round_trip_through_every_codec() {
     let report = verify(&program, &config);
     let json = report.to_json();
 
-    // Daemon protocol codec: writer matches `to_json` byte for byte, and
-    // parsing back reproduces the full structure (codes, spans,
-    // counterexample bindings included).
-    assert_eq!(report_to_json(&report).to_string(), json);
-    let recovered = report_from_json(&Json::parse(&json).expect("parses")).expect("decodes");
+    // The report codec: parsing back reproduces the full structure
+    // (codes, spans, counterexample bindings included).
+    let recovered =
+        VerifierReport::from_json(&Json::parse(&json).expect("parses")).expect("decodes");
     assert_eq!(recovered.obligations, report.obligations);
     assert_eq!(recovered.to_json(), json);
 

@@ -579,23 +579,22 @@ impl ShardPool {
                         .fetch_add(rendered.len() as u64 + 1, Ordering::Relaxed);
                     Ok(())
                 };
-                let stop = match std::str::from_utf8(line) {
+                let stop = match line {
                     Ok(text) if text.trim().is_empty() => false,
                     Ok(text) => {
                         self.handle_pool_line(&mut session, text, &mut emit)?
                     }
-                    Err(_) => {
+                    Err(message) => {
                         let request_id = self.assign_request_id();
-                        let message = "bad request: line is not UTF-8";
                         self.decode_errors.fetch_add(1, Ordering::Relaxed);
                         self.events.push(
                             "decode",
                             &request_id,
                             0,
                             "decode_error",
-                            message,
+                            &message,
                         );
-                        emit(&with_request_id(&error_json(message), &request_id))?;
+                        emit(&with_request_id(&error_json(&message), &request_id))?;
                         false
                     }
                 };

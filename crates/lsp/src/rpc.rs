@@ -18,9 +18,10 @@
 //! server-initiated notifications. The JSON value type is the
 //! workspace's own [`Json`] — no external dependency.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use commcsl_server::json::Json;
+use commcsl_server::protocol::MAX_MESSAGE_BYTES;
 
 /// JSON-RPC error code: invalid JSON was received.
 pub const PARSE_ERROR: i64 = -32700;
@@ -32,6 +33,10 @@ pub const METHOD_NOT_FOUND: i64 = -32601;
 pub const INVALID_PARAMS: i64 = -32602;
 /// LSP error code: a request arrived before `initialize`.
 pub const SERVER_NOT_INITIALIZED: i64 = -32002;
+
+/// The longest header line accepted, newline included. Real headers are
+/// a few dozen bytes.
+const MAX_HEADER_LINE: u64 = 4096;
 
 /// One incoming JSON-RPC message, classified.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,13 +122,15 @@ pub fn notification(method: &str, params: Json) -> Json {
 }
 
 /// Reads one framed message body. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary; a truncated frame is an error.
+/// frame boundary; a truncated frame is an error, and so is a header line
+/// longer than 4 KiB or a `Content-Length` above [`MAX_MESSAGE_BYTES`]
+/// (rejected before anything is allocated for the body).
 pub fn read_frame(reader: &mut dyn BufRead) -> Result<Option<String>, String> {
     let mut content_length: Option<usize> = None;
     let mut line = String::new();
     loop {
         line.clear();
-        let n = reader
+        let n = Read::take(&mut *reader, MAX_HEADER_LINE)
             .read_line(&mut line)
             .map_err(|e| format!("transport read error: {e}"))?;
         if n == 0 {
@@ -132,6 +139,9 @@ pub fn read_frame(reader: &mut dyn BufRead) -> Result<Option<String>, String> {
             } else {
                 Err("EOF inside a frame header".into())
             };
+        }
+        if n as u64 == MAX_HEADER_LINE && !line.ends_with('\n') {
+            return Err(format!("header line longer than {MAX_HEADER_LINE} bytes"));
         }
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
@@ -151,6 +161,9 @@ pub fn read_frame(reader: &mut dyn BufRead) -> Result<Option<String>, String> {
         // Other headers (Content-Type) are tolerated and ignored.
     }
     let len = content_length.ok_or("frame without Content-Length")?;
+    if len > MAX_MESSAGE_BYTES {
+        return Err(format!("frame of {len} bytes exceeds the {MAX_MESSAGE_BYTES}-byte limit"));
+    }
     let mut body = vec![0u8; len];
     reader
         .read_exact(&mut body)
@@ -203,6 +216,15 @@ mod tests {
         assert!(read_frame(&mut r).unwrap_err().contains("truncated"));
         let mut r = Cursor::new(b"Content-Type: x\r\n\r\n{}".to_vec());
         assert!(read_frame(&mut r).unwrap_err().contains("Content-Length"));
+        // Oversized input is refused before the body is allocated.
+        let mut r = Cursor::new(b"Content-Length: 100000000000000\r\n\r\n".to_vec());
+        assert!(read_frame(&mut r).unwrap_err().contains("limit"));
+        let at_cap = format!("Content-Length: {MAX_MESSAGE_BYTES}\r\n\r\n{{}}");
+        let mut r = Cursor::new(at_cap.into_bytes());
+        assert!(read_frame(&mut r).unwrap_err().contains("truncated"));
+        let long_header = format!("X-Pad: {}\r\nContent-Length: 2\r\n\r\n{{}}", "x".repeat(5000));
+        let mut r = Cursor::new(long_header.into_bytes());
+        assert!(read_frame(&mut r).unwrap_err().contains("header line longer"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! (their reads poll a shared flag), and the socket file is removed.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -46,7 +46,7 @@ use crate::protocol::{
     logs_response_json, metrics_response_json, obligation_event_json,
     started_event_json, verify_response_json, with_request_id, CacheTier,
     DocOk, DocOutcomeWire, LintOk, LintOutcome, LogsPage, Request, StatusInfo,
-    VerifyItem, VerifyOk, VerifyOutcome, PROTOCOL_VERSION,
+    VerifyItem, VerifyOk, VerifyOutcome, MAX_MESSAGE_BYTES, PROTOCOL_VERSION,
 };
 
 /// Compiles surface source text to a lowered program. Errors are
@@ -899,16 +899,15 @@ impl Server {
                         .fetch_add(rendered.len() as u64 + 1, Ordering::Relaxed);
                     Ok(())
                 };
-                let stop = match std::str::from_utf8(line) {
+                let stop = match line {
                     Ok(text) if text.trim().is_empty() => false,
                     Ok(text) => {
                         self.handle_session_line(&mut session, text, &mut emit)?
                     }
-                    Err(_) => {
+                    Err(message) => {
                         let request_id = self.assign_request_id();
-                        let message = "bad request: line is not UTF-8";
-                        self.observe_decode_error(&request_id, message);
-                        emit(&with_request_id(&error_json(message), &request_id))?;
+                        self.observe_decode_error(&request_id, &message);
+                        emit(&with_request_id(&error_json(&message), &request_id))?;
                         false
                     }
                 };
@@ -921,37 +920,63 @@ impl Server {
 }
 
 /// Reads NDJSON lines from `reader` and feeds each (newline included) to
-/// `on_line` until EOF, shutdown, or `on_line` returns `Ok(true)`.
+/// `on_line` until EOF, shutdown, or `on_line` returns `Ok(true)`. A
+/// line that is not UTF-8, or longer than [`MAX_MESSAGE_BYTES`], reaches
+/// `on_line` as the `Err` message to answer it with.
 ///
 /// The framing is length-robust: lines accumulate as raw bytes via
 /// `read_until`, so input split at arbitrary byte boundaries — 1-byte
 /// TCP segments, reads timing out mid-UTF-8-sequence — reassembles
 /// correctly. (`read_line` would roll back and lose bytes that end
-/// mid-sequence on a timed-out call.) EOF in the middle of a line
-/// discards the fragment: nothing more is coming. Timeout-flavored read
-/// errors (`WouldBlock`/`TimedOut`/`Interrupted`) poll `shutdown` and
-/// continue, so sessions with a read timeout drain promptly; other I/O
-/// errors propagate.
+/// mid-sequence on a timed-out call.) An oversized line is buffered at
+/// most up to the cap, chunk by chunk, and dropped up to its newline;
+/// after a long line the buffer is shrunk again, so an idle connection
+/// does not keep a cap-sized allocation. EOF in the middle of a line
+/// discards the fragment: nothing more is coming.
+/// Timeout-flavored read errors (`WouldBlock`/`TimedOut`/`Interrupted`)
+/// poll `shutdown` and continue, so sessions with a read timeout drain
+/// promptly; other I/O errors propagate.
 pub fn for_each_ndjson_line(
     reader: impl io::Read,
     shutdown: &dyn Fn() -> bool,
-    mut on_line: impl FnMut(&[u8]) -> io::Result<bool>,
+    mut on_line: impl FnMut(Result<&str, String>) -> io::Result<bool>,
 ) -> io::Result<()> {
+    // Room for the longest accepted line plus its newline.
+    let limit = MAX_MESSAGE_BYTES + 1;
+    // What the line buffer keeps between lines; a longer line's memory
+    // is released once it has been answered or dropped.
+    const KEPT_CAPACITY: usize = 64 << 10;
     let mut reader = BufReader::new(reader);
     let mut line: Vec<u8> = Vec::new();
+    let mut oversized = false;
     loop {
-        match reader.read_until(b'\n', &mut line) {
+        let room = (limit - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => return Ok(()), // client hung up
-            Ok(_) if !line.ends_with(b"\n") => {
-                // EOF in the middle of a line: nothing more is coming.
-                return Ok(());
-            }
-            Ok(_) => {
-                let stop = on_line(&line)?;
+            Ok(_) if line.ends_with(b"\n") => {
+                let text = if oversized {
+                    Err(format!("bad request: line longer than {MAX_MESSAGE_BYTES} bytes"))
+                } else {
+                    std::str::from_utf8(&line)
+                        .map_err(|_| "bad request: line is not UTF-8".to_owned())
+                };
+                let stop = on_line(text)?;
                 line.clear();
+                line.shrink_to(KEPT_CAPACITY);
+                oversized = false;
                 if stop || shutdown() {
                     return Ok(());
                 }
+            }
+            Ok(_) if line.len() == limit => {
+                // Over the cap: drop what was read, skip to the newline.
+                oversized = true;
+                line.clear();
+                line.shrink_to(KEPT_CAPACITY);
+            }
+            Ok(_) => {
+                // EOF in the middle of a line: nothing more is coming.
+                return Ok(());
             }
             Err(e)
                 if matches!(
@@ -1693,9 +1718,12 @@ mod tests {
         let server = server();
         // The third line nests 100 000 arrays: it must be rejected like
         // any other garbage, not overflow the connection thread's stack.
+        // The fourth is one byte over the line cap: it is answered and
+        // dropped, and the connection keeps serving.
         let input = format!(
-            "this is not json\n{{\"op\":\"no-such-op\"}}\n{}\n{}\n{}\n",
+            "this is not json\n{{\"op\":\"no-such-op\"}}\n{}\n{}\n{}\n{}\n",
             "[".repeat(100_000),
+            "x".repeat(MAX_MESSAGE_BYTES + 1),
             Request::Metrics.encode(),
             Request::Logs { since: None }.encode(),
         );
@@ -1703,24 +1731,47 @@ mod tests {
         server.serve_stream(input.as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
-        assert_eq!(lines.len(), 5, "{text}");
-        for line in &lines[..3] {
+        assert_eq!(lines.len(), 6, "{text}");
+        for line in &lines[..4] {
+            assert_eq!(line.get("ok"), Some(&Json::Bool(false)), "{line}");
             assert!(line.get("error").and_then(Json::as_str).is_some(), "{line}");
+            assert!(line.get("request_id").and_then(Json::as_str).is_some(), "{line}");
         }
+        let oversized = lines[3].get("error").and_then(Json::as_str).unwrap();
+        assert!(oversized.contains("longer than"), "{oversized}");
 
         // The counter is visible through the wire `metrics` op.
-        let metrics = crate::protocol::metrics_from_json(&lines[3]).unwrap();
-        assert_eq!(metrics.get("daemon.request.decode_error"), Some(3));
+        let metrics = crate::protocol::metrics_from_json(&lines[4]).unwrap();
+        assert_eq!(metrics.get("daemon.request.decode_error"), Some(4));
 
         // Every failure landed in the event log as a `decode` event.
-        let page = crate::protocol::logs_from_json(&lines[4]).unwrap();
+        let page = crate::protocol::logs_from_json(&lines[5]).unwrap();
         let decodes: Vec<_> = page
             .events
             .iter()
             .filter(|e| e.op == "decode" && e.outcome == "decode_error")
             .collect();
-        assert_eq!(decodes.len(), 3, "{text}");
+        assert_eq!(decodes.len(), 4, "{text}");
         assert!(decodes.iter().all(|e| !e.request_id.is_empty()));
+    }
+
+    #[test]
+    fn ndjson_lines_at_the_cap_pass_and_longer_ones_are_dropped_whole() {
+        let input = format!(
+            "{}\n{}\n{{}}\n",
+            "a".repeat(MAX_MESSAGE_BYTES),
+            "b".repeat(MAX_MESSAGE_BYTES + 1),
+        );
+        let mut seen = Vec::new();
+        for_each_ndjson_line(input.as_bytes(), &|| false, |line| {
+            seen.push(line.map(str::len));
+            Ok(false)
+        })
+        .unwrap();
+        assert_eq!(seen.len(), 3, "{seen:?}");
+        assert_eq!(seen[0], Ok(MAX_MESSAGE_BYTES + 1), "newline included");
+        assert!(seen[1].as_ref().unwrap_err().contains("longer than"));
+        assert_eq!(seen[2], Ok(3), "the line after an oversized one is intact");
     }
 
     #[test]

@@ -108,6 +108,12 @@ use crate::json::Json;
 /// down (never up) via the `hello` request.
 pub const PROTOCOL_VERSION: u32 = 2;
 
+/// The largest message, in bytes, that a daemon request line (newline
+/// excluded) or an LSP frame body may hold. Real messages are far
+/// smaller: the largest report is ~50 KB. The bound keeps a bogus length
+/// or an endless line from exhausting memory.
+pub const MAX_MESSAGE_BYTES: usize = 16 << 20;
+
 /// One verification job: a display name (usually the file path) and the
 /// `.csl` source text. The *server* compiles — the cache key is the
 /// lowered program (including its statement span table: reports embed

@@ -200,8 +200,9 @@ impl Verifier {
 
     /// Verifies a batch, in input order. Cache hits (when a cache is
     /// configured) are answered immediately; misses run through the
-    /// work-stealing pool. Verdicts are byte-identical whichever route
-    /// served them.
+    /// work-stealing pool, which verifies on the calling thread when it
+    /// has one worker (always the case for a single program). Verdicts
+    /// are byte-identical whichever route served them.
     pub fn verify_batch(&self, programs: &[&AnnotatedProgram]) -> Vec<Outcome> {
         match self.cache.as_ref() {
             None => verify_batch_ref(programs, &self.batch)

@@ -7,7 +7,10 @@
 //! exploits that: [`verify_batch`] fans a batch of programs out over a
 //! configurable pool of OS threads (work-stealing via a shared atomic
 //! cursor, so long-running programs do not stall the queue) and returns
-//! per-program reports with wall-clock timings, **in input order**.
+//! per-program reports with wall-clock timings, **in input order**. A
+//! one-worker pool, which is what every one-program batch gets, runs on
+//! the calling thread: no thread is spawned and the CPU count is not
+//! probed, so a single cold verify costs only its proof.
 //!
 //! Determinism: the verifier is a pure function of `(program, config)`,
 //! so batch results are identical to sequential [`verify`] results
@@ -49,12 +52,13 @@ impl BatchConfig {
     }
 
     /// The effective pool size for a batch of `jobs` programs: never
-    /// zero, never more threads than jobs.
+    /// zero, never more threads than jobs. A batch of at most one program
+    /// gets one worker without probing the CPU count.
     pub fn effective_threads(&self, jobs: usize) -> usize {
-        let requested = if self.threads == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
+        let requested = match self.threads {
+            _ if jobs <= 1 => 1,
+            0 => thread::available_parallelism().map_or(1, |n| n.get()),
+            threads => threads,
         };
         requested.min(jobs).max(1)
     }
@@ -101,6 +105,10 @@ pub(crate) fn skipped_report(name: &str) -> VerifierReport {
 
 /// Verifies every program of `programs` across a thread pool and returns
 /// one [`BatchResult`] per program, in input order.
+///
+/// The pool has [`BatchConfig::effective_threads`] workers. With one
+/// worker (`threads: 1`, or any batch of one program) the programs are
+/// verified on the calling thread, in input order.
 ///
 /// Results are bit-identical to calling [`verify`] sequentially with
 /// `config.verifier` (only the `time` field varies run to run).
@@ -166,76 +174,64 @@ pub fn verify_batch_stored(
 /// The shared work-stealing pool behind [`verify_batch_ref`] and
 /// [`verify_batch_stored`]: `job` verifies one program and returns the
 /// report plus its diagnostic payloads.
+///
+/// Every worker runs one loop: claim the next unclaimed index from a
+/// shared cursor until the batch is drained, keeping its own results. A
+/// one-worker pool runs that loop on the calling thread; larger pools run
+/// it on scoped threads. Sorting by index makes output order input order
+/// whatever the interleaving was.
 fn run_pool(
     programs: &[&AnnotatedProgram],
     config: &BatchConfig,
     job: impl Fn(&AnnotatedProgram) -> (VerifierReport, DischargeStats, Vec<Duration>, SessionStats)
         + Sync,
 ) -> Vec<BatchResult> {
-    let jobs = programs.len();
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let threads = config.effective_threads(jobs);
-
-    // Work-stealing over a shared cursor: each worker claims the next
-    // unclaimed index until the batch is drained. Slots are filled by
-    // input index, so output order is input order whatever the
-    // interleaving was.
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<BatchResult>>> =
-        (0..jobs).map(|_| Mutex::new(None)).collect();
-
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= jobs {
-                    break;
-                }
-                let program = programs[index];
-                if config.fail_fast && stop.load(Ordering::Relaxed) {
-                    *slots[index].lock().expect("batch slot poisoned") = Some(BatchResult {
-                        index,
-                        program: program.name.clone(),
-                        report: skipped_report(&program.name),
-                        time: Duration::ZERO,
-                        stats: DischargeStats::default(),
-                        obligation_times: Vec::new(),
-                        session: SessionStats::default(),
-                        skipped: true,
-                    });
-                    continue;
-                }
-                let start = Instant::now();
-                let (report, stats, obligation_times, session) = job(program);
-                let time = start.elapsed();
-                if config.fail_fast && !report.verified() {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                *slots[index].lock().expect("batch slot poisoned") = Some(BatchResult {
-                    index,
-                    program: program.name.clone(),
-                    report,
-                    time,
-                    stats,
-                    obligation_times,
-                    session,
-                    skipped: false,
-                });
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&program) = programs.get(index) else {
+                return done;
+            };
+            let skipped = config.fail_fast && stop.load(Ordering::Relaxed);
+            let start = Instant::now();
+            let (report, stats, obligation_times, session) = if skipped {
+                let report = skipped_report(&program.name);
+                (report, DischargeStats::default(), Vec::new(), SessionStats::default())
+            } else {
+                job(program)
+            };
+            let time = if skipped { Duration::ZERO } else { start.elapsed() };
+            if config.fail_fast && !report.verified() {
+                stop.store(true, Ordering::Relaxed);
+            }
+            done.push(BatchResult {
+                index,
+                program: program.name.clone(),
+                report,
+                time,
+                stats,
+                obligation_times,
+                session,
+                skipped,
             });
         }
-    });
+    };
 
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("batch slot poisoned")
-                .expect("every claimed index is filled before scope exit")
-        })
-        .collect()
+    let mut results = match config.effective_threads(programs.len()) {
+        1 => worker(),
+        threads => thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        }),
+    };
+    results.sort_unstable_by_key(|r| r.index);
+    results
 }
 
 #[cfg(test)]
@@ -323,6 +319,37 @@ mod tests {
         assert_eq!(BatchConfig::with_threads(2).effective_threads(3), 2);
         assert!(BatchConfig::with_threads(0).effective_threads(100) >= 1);
         assert_eq!(BatchConfig::with_threads(4).effective_threads(0), 1);
+        assert_eq!(BatchConfig::with_threads(0).effective_threads(1), 1);
+    }
+
+    #[test]
+    fn one_worker_pools_run_every_job_on_the_calling_thread_in_input_order() {
+        let programs = sample_programs(); // [ok, leaky, trivial]
+        let refs: Vec<&AnnotatedProgram> = programs.iter().collect();
+        let caller = thread::current().id();
+        // A one-worker pool over several programs, and a one-program batch
+        // whose pool size would otherwise come from the CPU count.
+        for (batch, threads) in [(&refs[..], 1), (&refs[..1], 0)] {
+            for fail_fast in [false, true] {
+                let mut config = BatchConfig::with_threads(threads);
+                config.fail_fast = fail_fast;
+                let ran = Mutex::new(Vec::new());
+                let results = run_pool(batch, &config, |program| {
+                    ran.lock().unwrap().push((thread::current().id(), program.name.clone()));
+                    verify_with_stats(program, &config.verifier)
+                });
+                // Fail-fast cuts right after the first failure (`leaky`).
+                let dispatched = if fail_fast { batch.len().min(2) } else { batch.len() };
+                let expected: Vec<_> =
+                    batch[..dispatched].iter().map(|p| (caller, p.name.clone())).collect();
+                assert_eq!(ran.into_inner().unwrap(), expected, "threads={threads}");
+                assert_eq!(results.len(), batch.len());
+                for (index, (result, program)) in results.iter().zip(batch).enumerate() {
+                    assert_eq!((result.index, &result.program), (index, &program.name));
+                    assert_eq!(result.skipped, index >= dispatched, "{}", result.program);
+                }
+            }
+        }
     }
 
     #[test]

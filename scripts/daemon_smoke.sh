@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Daemon smoke test: start `commcsl serve`, push the full corpus through
 # the client twice (accepted and rejected sets), assert the second pass
-# is served >=90% from cache via `daemon status`, and shut down cleanly.
+# is served >=90% from cache via `daemon status`, send one request line
+# over the daemon's line cap and assert it is answered with an error
+# while the connection keeps serving, and shut down cleanly.
 #
 # Usage: scripts/daemon_smoke.sh [path-to-commcsl-binary]
 set -euo pipefail
@@ -51,6 +53,25 @@ corpus = 23  # 18 accepted + 5 rejected programs per pass
 assert misses == corpus, f"first pass should miss all {corpus}: {s}"
 assert hits >= 0.9 * corpus, f"second pass must be >=90% cached: {s}"
 assert s["programs"] == 2 * corpus, s
+EOF
+
+# One line over the cap (`MAX_MESSAGE_BYTES`, 16 MiB) gets an error
+# response; the same connection then answers `status`.
+python3 - "$SOCK" <<'EOF'
+import json, socket, sys
+CAP = 16 << 20
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+conn.settimeout(60)
+replies = conn.makefile("rb")
+conn.sendall(b"x" * (CAP + 1) + b"\n")
+oversized = json.loads(replies.readline())
+assert oversized["ok"] is False and oversized.get("request_id"), oversized
+assert "longer than" in oversized["error"], oversized
+conn.sendall(b'{"op":"status"}\n')
+status = json.loads(replies.readline())
+assert status["ok"] is True, status
+print(f"daemon smoke: oversized line answered: {oversized['error']}")
 EOF
 
 "$BIN" daemon stop --socket "$SOCK"

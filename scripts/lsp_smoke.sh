@@ -4,12 +4,25 @@
 # carries the pinned DiagnosticCode at the right range plus a minimized
 # counterexample in hover, then edits the document into a valid program
 # and asserts the diagnostics clear. Ends with shutdown/exit and asserts
-# the server's exit status is 0 (the clean-shutdown contract).
+# the server's exit status is 0 (the clean-shutdown contract). A frame
+# whose Content-Length is absurd must end the server with a transport
+# error (exit 2), never an allocation abort.
 #
 # Usage: scripts/lsp_smoke.sh [path-to-commcsl-binary]
 set -euo pipefail
 
 BIN=${1:-./target/release/commcsl}
+
+set +e
+OVERSIZED=$(printf 'Content-Length: 100000000000000\r\n\r\n' | "$BIN" lsp 2>&1)
+CODE=$?
+set -e
+[ "$CODE" -eq 2 ] \
+    || { echo "lsp smoke: oversized frame exited $CODE, expected 2: $OVERSIZED" >&2; exit 1; }
+case "$OVERSIZED" in
+    *"transport error"*) ;;
+    *) echo "lsp smoke: oversized frame gave no transport error: $OVERSIZED" >&2; exit 1 ;;
+esac
 
 python3 - "$BIN" <<'EOF'
 import json, subprocess, sys

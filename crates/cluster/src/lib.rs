@@ -33,4 +33,4 @@ pub mod router;
 
 pub use remote::RemoteCacheClient;
 pub use ring::HashRing;
-pub use router::{PoolSession, ShardPool};
+pub use router::ShardPool;

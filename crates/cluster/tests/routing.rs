@@ -1,7 +1,8 @@
 //! Consistent-hash routing tests: warm-shard affinity, shard-death
 //! failover with unchanged verdicts, pool-vs-single byte-identity over
-//! TCP, the remote obligation-cache tier end-to-end, and a proptest
-//! pinning the ring's balance.
+//! TCP and line for line over one in-memory session, the remote
+//! obligation-cache tier end-to-end, and a proptest pinning the ring's
+//! balance.
 
 use std::sync::Arc;
 use std::thread;
@@ -9,11 +10,12 @@ use std::time::Duration;
 
 use commcsl_cluster::remote::RemoteCacheClient;
 use commcsl_cluster::ring::HashRing;
-use commcsl_cluster::router::{PoolSession, ShardPool};
+use commcsl_cluster::router::ShardPool;
 use commcsl_server::client::Client;
 use commcsl_server::daemon::{Server, ServerConfig};
 use commcsl_server::json::Json;
-use commcsl_server::protocol::{Request, VerifyItem};
+use commcsl_server::protocol::{Request, VerifyItem, MAX_MESSAGE_BYTES};
+use commcsl_server::wire::{self, Connection, Endpoint};
 use commcsl_verifier::cache::CacheConfig;
 use commcsl_verifier::report::VerifierConfig;
 
@@ -58,14 +60,16 @@ fn corpus_items() -> Vec<VerifyItem> {
         .collect()
 }
 
-/// Serves one request in-process and returns the final response.
-fn request(pool: &ShardPool, session: &mut PoolSession, req: &Request) -> Json {
+/// Serves one request line in-process on `connection` and returns the
+/// final response.
+fn request<E: Endpoint>(connection: &mut Connection<'_, E>, req: &Request) -> Json {
     let mut last: Option<Json> = None;
-    pool.handle_pool_request(session, req, &mut |json| {
-        last = Some(json.clone());
-        Ok(())
-    })
-    .expect("in-memory emit cannot fail");
+    connection
+        .serve_line(Ok(&req.encode()), &mut |json| {
+            last = Some(json);
+            Ok(())
+        })
+        .expect("in-memory emit cannot fail");
     last.expect("request produced a response")
 }
 
@@ -82,12 +86,12 @@ impl Drop for StopOnDrop<'_> {
 #[test]
 fn same_program_always_lands_on_the_same_warm_shard() {
     let pool = pool(3);
-    let mut session = pool.new_session();
+    let mut session = Connection::open(&pool);
     let item = corpus_items().remove(0);
     let req = Request::Verify(item);
 
     for round in 0..4 {
-        let response = request(&pool, &mut session, &req);
+        let response = request(&mut session, &req);
         assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
         let cached = response.get("cached").and_then(Json::as_bool);
         assert_eq!(cached, Some(round > 0), "first round cold, rest warm");
@@ -116,14 +120,14 @@ fn same_program_always_lands_on_the_same_warm_shard() {
 #[test]
 fn shard_death_reroutes_without_verdict_changes() {
     let pool = pool(3);
-    let mut session = pool.new_session();
+    let mut session = Connection::open(&pool);
     let items: Vec<VerifyItem> = corpus_items().into_iter().take(6).collect();
 
     // Cold pass: record each report and its owning shard.
     let mut cold: Vec<(String, String)> = Vec::new();
     for item in &items {
         let response =
-            request(&pool, &mut session, &Request::Verify(item.clone()));
+            request(&mut session, &Request::Verify(item.clone()));
         assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
         cold.push((
             response.get("key").and_then(Json::as_str).unwrap().to_owned(),
@@ -142,10 +146,10 @@ fn shard_death_reroutes_without_verdict_changes() {
 
     // Every program re-verifies (or re-warms) with byte-identical key
     // and report JSON; the dead shard receives nothing new.
-    let mut session = pool.new_session();
+    let mut session = Connection::open(&pool);
     for (item, (key, report)) in items.iter().zip(&cold) {
         let response =
-            request(&pool, &mut session, &Request::Verify(item.clone()));
+            request(&mut session, &Request::Verify(item.clone()));
         assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(response.get("key").and_then(Json::as_str), Some(key.as_str()));
         assert_eq!(&response.get("report").unwrap().to_string(), report);
@@ -205,6 +209,115 @@ fn pool_over_tcp_is_byte_identical_to_a_single_daemon() {
     });
 }
 
+/// Runs `script` through one in-memory session of `endpoint` and returns
+/// the response lines with every `time_ms` value masked.
+fn transcript<E: Endpoint>(endpoint: &E, script: &str) -> Vec<String> {
+    fn mask(json: &mut Json) {
+        match json {
+            Json::Obj(fields) => {
+                for (name, value) in fields {
+                    if name == "time_ms" {
+                        *value = Json::Num(0.0);
+                    } else {
+                        mask(value);
+                    }
+                }
+            }
+            Json::Arr(items) => items.iter_mut().for_each(mask),
+            _ => {}
+        }
+    }
+    let mut output = Vec::new();
+    wire::serve_stream(endpoint, script.as_bytes(), &mut output).expect("in-memory session");
+    String::from_utf8(output)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(|line| {
+            let mut json = Json::parse(line).expect("responses are JSON");
+            mask(&mut json);
+            json.to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn pool_and_single_daemon_answer_a_session_line_for_line() {
+    // Every op gets its own program: shards share no cache, so two ops
+    // on one program (or on programs sharing a resource spec) could
+    // read `cached`/`reused` differently once they land on different
+    // shards.
+    let source = |file: &str| {
+        let item = corpus_items()
+            .into_iter()
+            .find(|item| item.name.ends_with(file))
+            .expect("corpus file");
+        Json::str(item.source).to_string()
+    };
+    let script = [
+        r#"{"op":"hello","protocol":1}"#.to_owned(),
+        // Refused on a v1 session, then a v1 op served.
+        r#"{"op":"metrics"}"#.to_owned(),
+        format!(
+            r#"{{"op":"verify","name":"07.csl","source":{}}}"#,
+            source("07_patient_statistic.csl")
+        ),
+        // Three decode errors: not JSON, an unknown op, one byte over
+        // the line cap.
+        "this is not json".to_owned(),
+        r#"{"op":"no-such-op"}"#.to_owned(),
+        "x".repeat(MAX_MESSAGE_BYTES + 1),
+        r#"{"op":"hello","protocol":2}"#.to_owned(),
+        r#"{"op":"subscribe","events":true}"#.to_owned(),
+        format!(
+            r#"{{"op":"open","doc":"a.csl","source":{}}}"#,
+            source("02_figure2_target_size.csl")
+        ),
+        format!(
+            r#"{{"op":"update","doc":"a.csl","source":{}}}"#,
+            source("03_count_sick_days.csl")
+        ),
+        format!(
+            r#"{{"op":"update","doc":"missing.csl","source":{}}}"#,
+            source("08_debt_sum.csl")
+        ),
+        format!(
+            r#"{{"op":"lint","name":"05.csl","source":{}}}"#,
+            source("05_mean_salary.csl")
+        ),
+        r#"{"op":"close","doc":"a.csl"}"#.to_owned(),
+        r#"{"op":"cache_get","tier":"obligation","key":"000102030405060708090a0b0c0d0e0f"}"#
+            .to_owned(),
+    ]
+    .join("\n")
+        + "\n";
+
+    let single = transcript(front_server(CacheConfig::memory_only(64)).as_ref(), &script);
+    let pooled = transcript(&pool(2), &script);
+    assert_eq!(single, pooled, "a pool must answer like one daemon");
+
+    // The script covers the front end's refusals, decode errors and
+    // request ids, and streamed events.
+    let text = single.join("\n");
+    assert!(single[1].contains("requires protocol v2"), "{}", single[1]);
+    assert!(single[2].contains(r#""verified":true"#), "{}", single[2]);
+    for (line, error) in single[3..6]
+        .iter()
+        .zip(["bad request", "unknown op", "longer than"])
+    {
+        assert!(line.starts_with(r#"{"ok":false"#) && line.contains(error), "{line}");
+    }
+    assert!(text.contains(r#""event":"obligation_done""#), "{text}");
+    assert!(text.contains(r#""event":"lint""#), "{text}");
+    assert!(text.contains("unknown document"), "{text}");
+    assert!(single.last().unwrap().contains(r#""hit":false"#), "{text}");
+    for (i, line) in single.iter().filter(|l| l.contains(r#""ok":"#)).enumerate() {
+        assert!(
+            line.ends_with(&format!(r#","request_id":"r{}"}}"#, i + 1)),
+            "daemon-assigned ids count requests: {line}"
+        );
+    }
+}
+
 #[test]
 fn remote_cache_tier_shares_obligations_across_daemons() {
     // Daemon A: serves the corpus cold over TCP, filling its
@@ -230,10 +343,13 @@ fn remote_cache_tier_shares_obligations_across_daemons() {
         // byte-identical.
         let b = front_server(CacheConfig::memory_only(256));
         b.set_remote_cache(Box::new(RemoteCacheClient::new(addr.clone())));
-        let (response, _) = b.handle_request(&Request::VerifyBatch {
-            items: items.clone(),
-            fail_fast: false,
-        });
+        let response = request(
+            &mut Connection::open(b.as_ref()),
+            &Request::VerifyBatch {
+                items: items.clone(),
+                fail_fast: false,
+            },
+        );
         assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
         let results = response.get("results").and_then(Json::as_arr).unwrap();
         for (result, outcome) in results.iter().zip(&from_a) {

@@ -4,12 +4,14 @@
 //! verdict cache in front of the work-stealing batch pool) and a
 //! *compile function* injected by the caller — the daemon is agnostic to
 //! the surface syntax; `commcsl-front` passes its `.csl` compiler in.
-//! Sessions speak the NDJSON protocol of [`crate::protocol`] over either
-//! transport:
+//! It is an [`Endpoint`] of the wire front end in [`crate::wire`], which
+//! speaks the NDJSON protocol of [`crate::protocol`]; each connection
+//! gets its own [`Workspace`] over the server-wide cache. Transports:
 //!
 //! * [`Server::serve_unix`] — a Unix-domain-socket accept loop, one
 //!   thread per connection, all sessions sharing the cache. This is the
 //!   `commcsl serve` daemon.
+//! * [`Server::serve_tcp`] — the same over TCP (`commcsl serve --tcp`).
 //! * [`Server::serve_stream`] — a single session over any
 //!   reader/writer pair; wired to stdin/stdout it is the portable
 //!   `commcsl serve --stdio` fallback (also used by the tests).
@@ -18,14 +20,12 @@
 //! own session, then the accept loop stops, in-flight sessions drain
 //! (their reads poll a shared flag), and the socket file is removed.
 
-use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io;
+use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread;
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::PoisonError;
+use std::time::Instant;
 
 use commcsl_verifier::batch::BatchConfig;
 use commcsl_verifier::cache::{CacheConfig, CachedVerifier, RemoteObligationTier};
@@ -37,17 +37,17 @@ use commcsl_verifier::workspace::{Workspace, WorkspaceEvent};
 
 use commcsl_analysis::lint::lint_program;
 
-use commcsl_telemetry::{EventLog, Histogram, MetricsSnapshot};
+use commcsl_telemetry::MetricsSnapshot;
 
 use crate::json::Json;
 use crate::protocol::{
     cache_get_response_json, cache_put_response_json, doc_response_json,
-    error_json, histograms_response_json, lint_event_json, lint_response_json,
-    logs_response_json, metrics_response_json, obligation_event_json,
-    started_event_json, verify_response_json, with_request_id, CacheTier,
-    DocOk, DocOutcomeWire, LintOk, LintOutcome, LogsPage, Request, StatusInfo,
-    VerifyItem, VerifyOk, VerifyOutcome, MAX_MESSAGE_BYTES, PROTOCOL_VERSION,
+    error_json, lint_event_json, lint_response_json, obligation_event_json,
+    started_event_json, verify_response_json, CacheTier, DocOk,
+    DocOutcomeWire, LintOk, LintOutcome, Request, StatusInfo, VerifyItem,
+    VerifyOk, VerifyOutcome,
 };
+use crate::wire::{self, Emit, Endpoint, Wire};
 
 /// Compiles surface source text to a lowered program. Errors are
 /// reported to the client verbatim (conventionally `line:col: message`).
@@ -97,28 +97,17 @@ pub struct ServerConfig {
     pub cache: CacheConfig,
     /// Verifier budgets (part of every cache key).
     pub verifier: VerifierConfig,
-    /// Requests at least this slow are flagged in the event log with
-    /// span aggregates for the op (0 = the 250 ms default).
-    pub slow_request_ms: u64,
-    /// Event-log capacity in records (0 = the default of
-    /// [`EventLog::DEFAULT_CAPACITY`]).
-    pub event_log_capacity: usize,
     /// Listen endpoint for [`Server::serve_listen`] (stdio sessions
     /// ignore it).
     pub listen: Listen,
 }
 
-/// Slow-request threshold used when [`ServerConfig::slow_request_ms`]
-/// is left at 0.
-const DEFAULT_SLOW_REQUEST_MS: u64 = 250;
-
-/// The verification daemon: shared cache, counters, session loops.
+/// The verification daemon: shared cache, counters, and its wire front
+/// end.
 pub struct Server {
     verifier: CachedVerifier,
     compile: CompileFn,
     threads: usize,
-    started: Instant,
-    requests: AtomicU64,
     programs: AtomicU64,
     /// Workspace documents currently open across all sessions.
     documents: AtomicI64,
@@ -126,53 +115,10 @@ pub struct Server {
     statically_proven: AtomicU64,
     /// Workspace obligations discharged by the solver.
     solver_checked: AtomicU64,
-    /// Response bytes written to clients (newlines included).
-    bytes_streamed: AtomicU64,
-    /// Lines that failed to decode as protocol requests.
-    decode_errors: AtomicU64,
-    /// Requests at or over the slow-request threshold.
-    slow_requests: AtomicU64,
-    /// Daemon-assigned request-id counter for clients that send none.
-    next_request_id: AtomicU64,
-    /// Slow-request threshold in nanoseconds.
-    slow_request_ns: u64,
-    /// Wall-clock start (ms since the Unix epoch), for
-    /// `status.started_at_unix_ms`.
-    started_unix_ms: u64,
-    /// Per-op request-latency histograms (nanoseconds).
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-    /// Ring buffer of recent request events (the `logs` op reads it).
-    events: EventLog,
     /// Configured listen endpoint ([`Server::serve_listen`] dispatches
     /// on it).
     listen: Listen,
-    /// `(transport, addr)` of the live listener — empty until a serve
-    /// loop binds; TCP records the *actual* address (port 0 resolves).
-    endpoint: Mutex<(String, String)>,
-    shutdown: AtomicBool,
-}
-
-/// Per-connection protocol state: the negotiated version, the event
-/// subscription, and the connection's [`Workspace`] (documents are
-/// session-scoped; the verdict/obligation cache behind them is the
-/// server-wide one).
-pub struct Session {
-    protocol: u32,
-    subscribed: bool,
-    workspace: Workspace,
-}
-
-impl Session {
-    /// The protocol version this session negotiated (defaults to
-    /// [`PROTOCOL_VERSION`] until a `hello` downgrades it).
-    pub fn protocol(&self) -> u32 {
-        self.protocol
-    }
-
-    /// Whether `open`/`update` responses stream events.
-    pub fn subscribed(&self) -> bool {
-        self.subscribed
-    }
+    wire: Wire,
 }
 
 impl Server {
@@ -188,46 +134,13 @@ impl Server {
             verifier: CachedVerifier::new(batch, config.cache),
             compile,
             threads: config.threads,
-            started: Instant::now(),
-            requests: AtomicU64::new(0),
             programs: AtomicU64::new(0),
             documents: AtomicI64::new(0),
             statically_proven: AtomicU64::new(0),
             solver_checked: AtomicU64::new(0),
-            bytes_streamed: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            slow_requests: AtomicU64::new(0),
-            next_request_id: AtomicU64::new(0),
-            slow_request_ns: if config.slow_request_ms == 0 {
-                DEFAULT_SLOW_REQUEST_MS
-            } else {
-                config.slow_request_ms
-            } * 1_000_000,
-            started_unix_ms: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-            histograms: Mutex::new(BTreeMap::new()),
-            events: if config.event_log_capacity == 0 {
-                EventLog::default()
-            } else {
-                EventLog::new(config.event_log_capacity)
-            },
             listen: config.listen,
-            endpoint: Mutex::new((String::new(), String::new())),
-            shutdown: AtomicBool::new(false),
+            wire: Wire::default(),
         }
-    }
-
-    /// Records the live listener's endpoint for `status` reporting.
-    /// Serve loops call this after binding; an external router serving
-    /// this shard may call it with the router's endpoint instead.
-    pub fn set_endpoint(&self, transport: &str, addr: &str) {
-        let mut endpoint = self
-            .endpoint
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *endpoint = (transport.to_owned(), addr.to_owned());
     }
 
     /// Chains a remote obligation-cache tier behind the local memory and
@@ -237,178 +150,13 @@ impl Server {
         self.verifier
             .shared_cache()
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .set_remote(remote);
-    }
-
-    /// Creates the protocol state for one connection: a fresh workspace
-    /// over the server-wide cache, the newest protocol version, events
-    /// off.
-    pub fn new_session(&self) -> Session {
-        Session {
-            protocol: PROTOCOL_VERSION,
-            subscribed: false,
-            workspace: Workspace::with_shared_cache(
-                self.verifier.verifier_config().clone(),
-                self.verifier.shared_cache(),
-            ),
-        }
-    }
-
-    /// `true` once a `shutdown` request has been served (or
-    /// [`Server::request_shutdown`] was called).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Asks every session loop and the accept loop to wind down.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Current daemon statistics.
-    pub fn status(&self) -> StatusInfo {
-        let cache = self.verifier.stats();
-        let (transport, addr) = self
-            .endpoint
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        StatusInfo {
-            version: env!("CARGO_PKG_VERSION").to_owned(),
-            format_version: u64::from(HASH_FORMAT_VERSION),
-            protocol_version: u64::from(PROTOCOL_VERSION),
-            backend: self.verifier.verifier_config().backend.name().to_owned(),
-            uptime_ms: self.started.elapsed().as_secs_f64() * 1000.0,
-            started_at_unix_ms: self.started_unix_ms,
-            ops: self
-                .histogram_snapshot()
-                .iter()
-                .map(|(op, h)| (op.clone(), h.count()))
-                .collect(),
-            requests: self.requests.load(Ordering::Relaxed),
-            programs: self.programs.load(Ordering::Relaxed),
-            documents: self.documents.load(Ordering::Relaxed).max(0) as u64,
-            memory_hits: cache.memory_hits,
-            disk_hits: cache.disk_hits,
-            misses: cache.misses,
-            evictions: cache.evictions,
-            memory_entries: self.verifier.memory_entries() as u64,
-            obligation_hits: cache.obligation_hits,
-            obligation_misses: cache.obligation_misses,
-            statically_proven: self.statically_proven.load(Ordering::Relaxed),
-            solver_checked: self.solver_checked.load(Ordering::Relaxed),
-            bytes_streamed: self.bytes_streamed.load(Ordering::Relaxed),
-            threads: self.threads as u64,
-            transport,
-            addr,
-            shards: 1,
-            remote: self
-                .verifier
-                .shared_cache()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remote_endpoint()
-                .unwrap_or_default(),
-            remote_hits: cache.remote_hits,
-            remote_misses: cache.remote_misses,
-            remote_stores: cache.remote_stores,
-            per_shard: Vec::new(),
-        }
-    }
-
-    /// The daemon's cumulative counters as one flat snapshot — the
-    /// `metrics` protocol response. Names follow the dotted taxonomy the
-    /// in-process profiler uses, so dashboards can treat both sources
-    /// uniformly.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let status = self.status();
-        MetricsSnapshot::from_pairs([
-            ("daemon.requests", status.requests),
-            ("daemon.programs", status.programs),
-            ("daemon.documents", status.documents),
-            ("daemon.bytes_streamed", status.bytes_streamed),
-            (
-                "daemon.request.decode_error",
-                self.decode_errors.load(Ordering::Relaxed),
-            ),
-            (
-                "daemon.requests.slow",
-                self.slow_requests.load(Ordering::Relaxed),
-            ),
-            ("daemon.events.dropped", self.events.dropped()),
-            ("cache.memory_hits", status.memory_hits),
-            ("cache.disk_hits", status.disk_hits),
-            ("cache.misses", status.misses),
-            ("cache.evictions", status.evictions),
-            ("cache.memory_entries", status.memory_entries),
-            ("cache.obligation_hits", status.obligation_hits),
-            ("cache.obligation_misses", status.obligation_misses),
-            ("cache.remote_hits", status.remote_hits),
-            ("cache.remote_misses", status.remote_misses),
-            ("cache.remote_stores", status.remote_stores),
-            ("obligations.statically_proven", status.statically_proven),
-            ("obligations.solver_checked", status.solver_checked),
-        ]
-        .map(|(name, value)| (name.to_owned(), value)))
-    }
-
-    /// A point-in-time copy of the per-op latency histograms, sorted by
-    /// op name (the `histograms` protocol response).
-    pub fn histogram_snapshot(&self) -> Vec<(String, Histogram)> {
-        let hists = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        hists.iter().map(|(op, h)| (op.clone(), h.clone())).collect()
-    }
-
-    /// The daemon's request event log (the `logs` protocol op serves
-    /// pages of it).
-    pub fn event_log(&self) -> &EventLog {
-        &self.events
-    }
-
-    /// A fresh daemon-assigned request id (`r1`, `r2`, …) for lines
-    /// whose client supplied none.
-    fn assign_request_id(&self) -> String {
-        format!("r{}", self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-
-    /// Records one served request into the per-op histogram and the
-    /// event log; slow requests additionally capture the op's current
-    /// latency aggregates in the event detail.
-    fn observe_request(&self, op: &str, request_id: &str, dur_ns: u64, ok: bool) {
-        let detail = {
-            let mut hists = self
-                .histograms
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let hist = hists.entry(op.to_owned()).or_default();
-            hist.record(dur_ns);
-            if dur_ns >= self.slow_request_ns {
-                self.slow_requests.fetch_add(1, Ordering::Relaxed);
-                format!(
-                    "slow: {:.3} ms over {} ms threshold (op p50 {:.3} ms, p99 {:.3} ms, n {})",
-                    dur_ns as f64 / 1e6,
-                    self.slow_request_ns / 1_000_000,
-                    hist.quantile(0.5) as f64 / 1e6,
-                    hist.quantile(0.99) as f64 / 1e6,
-                    hist.count(),
-                )
-            } else {
-                String::new()
-            }
-        };
-        let outcome = if ok { "ok" } else { "error" };
-        self.events.push(op, request_id, dur_ns, outcome, &detail);
-    }
-
-    /// Records a line that failed to decode: the
-    /// `daemon.request.decode_error` counter plus a `decode` event.
-    fn observe_decode_error(&self, request_id: &str, error: &str) {
-        self.decode_errors.fetch_add(1, Ordering::Relaxed);
-        self.events.push("decode", request_id, 0, "decode_error", error);
+        self.wire.request_shutdown();
     }
 
     /// Compiles and verifies a batch of items; cache misses ride the
@@ -454,178 +202,6 @@ impl Server {
             .collect()
     }
 
-    /// Serves one protocol request in a session, emitting one or more
-    /// response lines through `emit` (event streaming for subscribed v2
-    /// sessions). Returns whether the daemon should shut down after the
-    /// response.
-    pub fn handle_session_request(
-        &self,
-        session: &mut Session,
-        request: &Request,
-        emit: &mut dyn FnMut(&Json) -> io::Result<()>,
-    ) -> io::Result<bool> {
-        let _span = commcsl_telemetry::span!("daemon.request", op = request.op_name());
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        match request {
-            Request::Verify(item) => {
-                let outcome = self
-                    .verify_items(std::slice::from_ref(item), false)
-                    .remove(0);
-                emit(&verify_response_json(&outcome))?;
-                Ok(false)
-            }
-            Request::VerifyBatch { items, fail_fast } => {
-                let results: Vec<Json> = self
-                    .verify_items(items, *fail_fast)
-                    .iter()
-                    .map(verify_response_json)
-                    .collect();
-                emit(&Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("results", Json::Arr(results)),
-                ]))?;
-                Ok(false)
-            }
-            Request::Status => {
-                emit(&self.status().to_json())?;
-                Ok(false)
-            }
-            Request::Shutdown => {
-                self.request_shutdown();
-                emit(&Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("shutting_down", Json::Bool(true)),
-                ]))?;
-                Ok(true)
-            }
-            Request::Hello { protocol } => {
-                session.protocol = (*protocol).clamp(1, PROTOCOL_VERSION);
-                emit(&Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("protocol", Json::Num(f64::from(session.protocol))),
-                    ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-                    (
-                        "format_version",
-                        Json::Num(f64::from(HASH_FORMAT_VERSION)),
-                    ),
-                ]))?;
-                Ok(false)
-            }
-            Request::Subscribe { events } => {
-                if let Some(err) = self.v1_guard(session, "subscribe") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                session.subscribed = *events;
-                emit(&Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("subscribed", Json::Bool(session.subscribed)),
-                ]))?;
-                Ok(false)
-            }
-            Request::Open { doc, source } => {
-                if let Some(err) = self.v1_guard(session, "open") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                self.serve_doc(session, doc, source, false, emit)?;
-                Ok(false)
-            }
-            Request::Update { doc, source } => {
-                if let Some(err) = self.v1_guard(session, "update") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                self.serve_doc(session, doc, source, true, emit)?;
-                Ok(false)
-            }
-            Request::Lint(item) => {
-                if let Some(err) = self.v1_guard(session, "lint") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                let outcome: LintOutcome = match (self.compile)(&item.source) {
-                    Err(e) => Err(e),
-                    Ok(program) => {
-                        let lints = lint_program(&program);
-                        if session.subscribed {
-                            for lint in &lints {
-                                emit(&lint_event_json(&item.name, lint))?;
-                            }
-                        }
-                        Ok(LintOk {
-                            name: item.name.clone(),
-                            lints,
-                        })
-                    }
-                };
-                emit(&lint_response_json(&outcome))?;
-                Ok(false)
-            }
-            Request::Metrics => {
-                if let Some(err) = self.v1_guard(session, "metrics") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                emit(&metrics_response_json(&self.metrics()))?;
-                Ok(false)
-            }
-            Request::Histograms => {
-                if let Some(err) = self.v1_guard(session, "histograms") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                emit(&histograms_response_json(&self.histogram_snapshot()))?;
-                Ok(false)
-            }
-            Request::Logs { since } => {
-                if let Some(err) = self.v1_guard(session, "logs") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                let page = LogsPage {
-                    events: self.events.since(since.unwrap_or(0)),
-                    dropped: self.events.dropped(),
-                    last_seq: self.events.last_seq(),
-                };
-                emit(&logs_response_json(&page))?;
-                Ok(false)
-            }
-            Request::Close { doc } => {
-                if let Some(err) = self.v1_guard(session, "close") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                let closed = session.workspace.close_document(doc);
-                if closed {
-                    self.documents.fetch_sub(1, Ordering::Relaxed);
-                }
-                emit(&Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("doc", Json::str(doc)),
-                    ("closed", Json::Bool(closed)),
-                ]))?;
-                Ok(false)
-            }
-            Request::CacheGet { tier, key } => {
-                if let Some(err) = self.v1_guard(session, "cache_get") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                emit(&self.serve_cache_get(*tier, key))?;
-                Ok(false)
-            }
-            Request::CachePut { tier, key, entry } => {
-                if let Some(err) = self.v1_guard(session, "cache_put") {
-                    emit(&err)?;
-                    return Ok(false);
-                }
-                emit(&self.serve_cache_put(*tier, key, entry))?;
-                Ok(false)
-            }
-        }
-    }
-
     /// Serves a `cache_get`: the raw self-validating entry from the
     /// *local* tiers (memory, then disk) or a miss. The daemon's own
     /// remote tier is never consulted — remote chains would otherwise
@@ -633,9 +209,7 @@ impl Server {
     /// track verification traffic only.
     fn serve_cache_get(&self, tier: CacheTier, key: &str) -> Json {
         let cache = self.verifier.shared_cache();
-        let mut cache = cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = match tier {
             CacheTier::Obligation => match key.parse::<ObligationKey>() {
                 Ok(parsed) => cache.export_obligation(parsed),
@@ -655,9 +229,7 @@ impl Server {
     /// version skew between daemons is expected, staleness is not.
     fn serve_cache_put(&self, tier: CacheTier, key: &str, entry: &str) -> Json {
         let cache = self.verifier.shared_cache();
-        let mut cache = cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
         let stored = match tier {
             CacheTier::Obligation => match key.parse::<ObligationKey>() {
                 Ok(parsed) => cache.import_obligation(parsed, entry),
@@ -671,34 +243,24 @@ impl Server {
         cache_put_response_json(tier, key, stored)
     }
 
-    /// The error document for a v2 op on a session negotiated down to v1.
-    fn v1_guard(&self, session: &Session, op: &str) -> Option<Json> {
-        (session.protocol < 2).then(|| {
-            error_json(&format!(
-                "op `{op}` requires protocol v2 (session negotiated v{})",
-                session.protocol
-            ))
-        })
-    }
-
     /// Compiles and (incrementally) verifies one workspace document,
-    /// streaming `started`/`obligation_done` events when the session is
-    /// subscribed and always ending with the `report` response line.
+    /// streaming `started`/`obligation_done` events when the connection
+    /// is subscribed and always ending with the `report` response line.
     fn serve_doc(
         &self,
-        session: &mut Session,
+        workspace: &mut Workspace,
         doc_id: &str,
         source: &str,
         is_update: bool,
-        emit: &mut dyn FnMut(&Json) -> io::Result<()>,
+        subscribed: bool,
+        emit: &mut Emit<'_>,
     ) -> io::Result<()> {
         let started = Instant::now();
         let outcome: DocOutcomeWire = match (self.compile)(source) {
             Err(e) => Err(e),
             Ok(program) => {
-                let newly_open = !is_update
-                    && !session.workspace.open_documents().any(|d| d == doc_id);
-                let subscribed = session.subscribed;
+                let newly_open =
+                    !is_update && !workspace.open_documents().any(|d| d == doc_id);
                 let mut emit_err: Option<io::Error> = None;
                 let mut stream = |event: WorkspaceEvent<'_>| {
                     if !subscribed || emit_err.is_some() {
@@ -717,19 +279,15 @@ impl Server {
                         WorkspaceEvent::Finished { .. } => None,
                     };
                     if let Some(json) = json {
-                        if let Err(e) = emit(&json) {
+                        if let Err(e) = emit(json) {
                             emit_err = Some(e);
                         }
                     }
                 };
                 let checked = if is_update {
-                    session
-                        .workspace
-                        .update_document_with(doc_id, &program, &mut stream)
+                    workspace.update_document_with(doc_id, &program, &mut stream)
                 } else {
-                    Ok(session
-                        .workspace
-                        .open_document_with(doc_id, &program, &mut stream))
+                    Ok(workspace.open_document_with(doc_id, &program, &mut stream))
                 };
                 if let Some(e) = emit_err {
                     return Err(e);
@@ -763,357 +321,28 @@ impl Server {
                 }
             }
         };
-        emit(&doc_response_json(&outcome, session.subscribed))
-    }
-
-    /// Serves one protocol line in a session (malformed input yields an
-    /// `"ok":false` response rather than closing the session).
-    ///
-    /// This is the wire path: the request's id (client-supplied, or
-    /// daemon-assigned when absent) is stamped onto every emitted line —
-    /// the response *and* any streamed events — and the request is
-    /// recorded into the per-op latency histogram and the event log.
-    pub fn handle_session_line(
-        &self,
-        session: &mut Session,
-        line: &str,
-        emit: &mut dyn FnMut(&Json) -> io::Result<()>,
-    ) -> io::Result<bool> {
-        // Per-op latency covers decode→response, so decode cost shows up
-        // in the histograms and the event log.
-        let started = Instant::now();
-        match Request::decode_with_request_id(line.trim()) {
-            Ok((request, client_id)) => {
-                let request_id = client_id.unwrap_or_else(|| self.assign_request_id());
-                let op = request.op_name();
-                // Events carry no `"ok"` key; the final response does,
-                // so the last `"ok"` seen is the request's outcome.
-                let mut outcome_ok = true;
-                let result = {
-                    let mut stamped = |json: &Json| -> io::Result<()> {
-                        if let Some(ok) = json.get("ok").and_then(Json::as_bool) {
-                            outcome_ok = ok;
-                        }
-                        emit(&with_request_id(json, &request_id))
-                    };
-                    self.handle_session_request(session, &request, &mut stamped)
-                };
-                let dur_ns = u64::try_from(started.elapsed().as_nanos())
-                    .unwrap_or(u64::MAX);
-                self.observe_request(op, &request_id, dur_ns, outcome_ok);
-                result
-            }
-            Err(e) => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                let request_id = self.assign_request_id();
-                let message = format!("bad request: {e}");
-                self.observe_decode_error(&request_id, &message);
-                emit(&with_request_id(&error_json(&message), &request_id))?;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Serves one protocol request in a throwaway session and returns the
-    /// *final* response document plus the shutdown flag. Exactly the v1
-    /// behavior for v1 ops; v2 session ops work but their workspace state
-    /// does not persist across calls — long-lived callers should hold a
-    /// [`Session`] and use [`Server::handle_session_request`].
-    pub fn handle_request(&self, request: &Request) -> (Json, bool) {
-        let mut session = self.new_session();
-        let mut last: Option<Json> = None;
-        let stop = self
-            .handle_session_request(&mut session, request, &mut |json| {
-                last = Some(json.clone());
-                Ok(())
-            })
-            .expect("in-memory emit cannot fail");
-        self.release_session(&session);
-        (
-            last.unwrap_or_else(|| error_json("request produced no response")),
-            stop,
-        )
-    }
-
-    /// Releases a finished session's open documents from the server-wide
-    /// gauge (the cache, of course, stays). Serve loops call this when a
-    /// connection ends; external routers holding [`Session`]s must too.
-    pub fn release_session(&self, session: &Session) {
-        let open = session.workspace.open_documents().count() as i64;
-        if open > 0 {
-            self.documents.fetch_sub(open, Ordering::Relaxed);
-        }
-    }
-
-    /// Serves one protocol line in a throwaway session (see
-    /// [`Server::handle_request`] for the caveats). Like the session
-    /// wire path, the response is stamped with the request id and the
-    /// request lands in the histogram and event log.
-    pub fn handle_line(&self, line: &str) -> (Json, bool) {
-        let started = Instant::now();
-        match Request::decode_with_request_id(line.trim()) {
-            Ok((request, client_id)) => {
-                let request_id = client_id.unwrap_or_else(|| self.assign_request_id());
-                let (response, stop) = self.handle_request(&request);
-                let dur_ns = u64::try_from(started.elapsed().as_nanos())
-                    .unwrap_or(u64::MAX);
-                let ok = response.get("ok").and_then(Json::as_bool).unwrap_or(true);
-                self.observe_request(request.op_name(), &request_id, dur_ns, ok);
-                (with_request_id(&response, &request_id), stop)
-            }
-            Err(e) => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                let request_id = self.assign_request_id();
-                let message = format!("bad request: {e}");
-                self.observe_decode_error(&request_id, &message);
-                (with_request_id(&error_json(&message), &request_id), false)
-            }
-        }
+        emit(doc_response_json(&outcome, subscribed))
     }
 
     /// Runs one NDJSON session over a reader/writer pair until EOF or
-    /// shutdown. This is the stdio transport (`commcsl serve --stdio`)
-    /// and the per-connection loop of the socket transport.
+    /// shutdown ([`wire::serve_stream`]). This is the stdio transport
+    /// (`commcsl serve --stdio`).
     ///
     /// # Errors
     ///
-    /// Propagates transport I/O errors; timeout-flavored read errors
-    /// (`WouldBlock`/`TimedOut`) poll the shutdown flag and continue, so
-    /// socket sessions with a read timeout drain promptly on shutdown.
-    pub fn serve_stream(
-        &self,
-        reader: impl io::Read,
-        mut writer: impl Write,
-    ) -> io::Result<()> {
-        let mut session = self.new_session();
-        let result =
-            for_each_ndjson_line(reader, &|| self.shutdown_requested(), |line| {
-                // Each response (and each streamed event) is flushed
-                // as soon as it is rendered, so subscribed clients
-                // see obligations settle live.
-                let mut emit = |json: &Json| -> io::Result<()> {
-                    let rendered = json.to_string();
-                    writeln!(writer, "{rendered}")?;
-                    writer.flush()?;
-                    self.bytes_streamed
-                        .fetch_add(rendered.len() as u64 + 1, Ordering::Relaxed);
-                    Ok(())
-                };
-                let stop = match line {
-                    Ok(text) if text.trim().is_empty() => false,
-                    Ok(text) => {
-                        self.handle_session_line(&mut session, text, &mut emit)?
-                    }
-                    Err(message) => {
-                        let request_id = self.assign_request_id();
-                        self.observe_decode_error(&request_id, &message);
-                        emit(&with_request_id(&error_json(&message), &request_id))?;
-                        false
-                    }
-                };
-                Ok(stop || self.shutdown_requested())
-            });
-        // The connection's workspace dies with it.
-        self.release_session(&session);
-        result
-    }
-}
-
-/// Reads NDJSON lines from `reader` and feeds each (newline included) to
-/// `on_line` until EOF, shutdown, or `on_line` returns `Ok(true)`. A
-/// line that is not UTF-8, or longer than [`MAX_MESSAGE_BYTES`], reaches
-/// `on_line` as the `Err` message to answer it with.
-///
-/// The framing is length-robust: lines accumulate as raw bytes via
-/// `read_until`, so input split at arbitrary byte boundaries — 1-byte
-/// TCP segments, reads timing out mid-UTF-8-sequence — reassembles
-/// correctly. (`read_line` would roll back and lose bytes that end
-/// mid-sequence on a timed-out call.) An oversized line is buffered at
-/// most up to the cap, chunk by chunk, and dropped up to its newline;
-/// after a long line the buffer is shrunk again, so an idle connection
-/// does not keep a cap-sized allocation. EOF in the middle of a line
-/// discards the fragment: nothing more is coming.
-/// Timeout-flavored read errors (`WouldBlock`/`TimedOut`/`Interrupted`)
-/// poll `shutdown` and continue, so sessions with a read timeout drain
-/// promptly; other I/O errors propagate.
-pub fn for_each_ndjson_line(
-    reader: impl io::Read,
-    shutdown: &dyn Fn() -> bool,
-    mut on_line: impl FnMut(Result<&str, String>) -> io::Result<bool>,
-) -> io::Result<()> {
-    // Room for the longest accepted line plus its newline.
-    let limit = MAX_MESSAGE_BYTES + 1;
-    // What the line buffer keeps between lines; a longer line's memory
-    // is released once it has been answered or dropped.
-    const KEPT_CAPACITY: usize = 64 << 10;
-    let mut reader = BufReader::new(reader);
-    let mut line: Vec<u8> = Vec::new();
-    let mut oversized = false;
-    loop {
-        let room = (limit - line.len()) as u64;
-        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) if line.ends_with(b"\n") => {
-                let text = if oversized {
-                    Err(format!("bad request: line longer than {MAX_MESSAGE_BYTES} bytes"))
-                } else {
-                    std::str::from_utf8(&line)
-                        .map_err(|_| "bad request: line is not UTF-8".to_owned())
-                };
-                let stop = on_line(text)?;
-                line.clear();
-                line.shrink_to(KEPT_CAPACITY);
-                oversized = false;
-                if stop || shutdown() {
-                    return Ok(());
-                }
-            }
-            Ok(_) if line.len() == limit => {
-                // Over the cap: drop what was read, skip to the newline.
-                oversized = true;
-                line.clear();
-                line.shrink_to(KEPT_CAPACITY);
-            }
-            Ok(_) => {
-                // EOF in the middle of a line: nothing more is coming.
-                return Ok(());
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                // Read timeout: partial input (if any) stays buffered
-                // in `line`; bail out only on shutdown.
-                if shutdown() {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// `EMFILE`/`ENFILE` (process/system fd table full) have no stable
-/// `io::ErrorKind` mapping; both are transient under load and the
-/// accept loop must ride them out rather than die.
-fn is_fd_exhaustion(e: &io::Error) -> bool {
-    const ENFILE: i32 = 23;
-    const EMFILE: i32 = 24;
-    matches!(e.raw_os_error(), Some(code) if code == EMFILE || code == ENFILE)
-}
-
-/// Transient accept-time failures (peer hung up before accept, fd
-/// pressure) must not kill the daemon; the accept loop backs off and
-/// keeps accepting.
-fn is_transient_accept_error(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::Interrupted
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::ConnectionReset
-    ) || is_fd_exhaustion(e)
-}
-
-/// A nonblocking listener the daemon's accept loop can poll. Implemented
-/// for [`TcpListener`] everywhere and `UnixListener` on Unix; the
-/// cluster router reuses the same loop for its shard-routing frontend.
-pub trait Transport {
-    /// One accepted connection's stream.
-    type Stream: io::Read + io::Write + Send;
-
-    /// Polls for one pending connection; `Ok(None)` when none is queued
-    /// (the loop sleeps briefly and re-polls).
-    fn poll_accept(&self) -> io::Result<Option<Self::Stream>>;
-
-    /// Prepares an accepted stream for a session: blocking mode with a
-    /// short read timeout (so idle sessions notice shutdown), plus an
-    /// independently-owned writer handle.
-    fn split(stream: Self::Stream) -> io::Result<(Self::Stream, Self::Stream)>;
-
-    /// `(transport, addr)` as reported in `status` — for TCP the
-    /// *actual* bound address, so `--tcp 127.0.0.1:0` reports its
-    /// ephemeral port.
-    fn endpoint(&self) -> (String, String);
-}
-
-impl Transport for TcpListener {
-    type Stream = TcpStream;
-
-    fn poll_accept(&self) -> io::Result<Option<TcpStream>> {
-        match self.accept() {
-            Ok((stream, _addr)) => Ok(Some(stream)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
+    /// Propagates transport I/O errors.
+    pub fn serve_stream(&self, reader: impl io::Read, writer: impl io::Write) -> io::Result<()> {
+        wire::serve_stream(self, reader, writer)
     }
 
-    fn split(stream: TcpStream) -> io::Result<(TcpStream, TcpStream)> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        // Responses are a handful of small flushed writes per request;
-        // without NODELAY, Nagle's algorithm would serialize them
-        // against the peer's ACK clock.
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok((stream, writer))
-    }
-
-    fn endpoint(&self) -> (String, String) {
-        let addr = self
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_default();
-        ("tcp".to_owned(), addr)
-    }
-}
-
-/// Polls `listener` for connections until `shutdown()`, serving each
-/// accepted stream on its own scoped thread via `serve`. Returns `Ok`
-/// on a clean shutdown; a fatal accept error calls `on_fatal` (which
-/// must release in-flight sessions — they poll the shutdown flag — or
-/// the scope would join forever) and propagates the error.
-pub fn accept_loop<T: Transport + Sync>(
-    listener: &T,
-    shutdown: &(dyn Fn() -> bool + Sync),
-    on_fatal: &(dyn Fn() + Sync),
-    serve: &(dyn Fn(T::Stream) + Sync),
-) -> io::Result<()> {
-    thread::scope(|scope| -> io::Result<()> {
-        while !shutdown() {
-            match listener.poll_accept() {
-                Ok(Some(stream)) => {
-                    scope.spawn(move || serve(stream));
-                }
-                Ok(None) => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if is_transient_accept_error(&e) => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => {
-                    on_fatal();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    })
-}
-
-impl Server {
-    /// Claims the TCP address: binds a nonblocking listener, mapping
-    /// `AddrInUse` to the same "already listening" shape as the Unix
-    /// path (TCP has no stale-socket file to reclaim — a bound port is
-    /// always live). Callers that announce readiness should do so only
-    /// after this succeeds (reading the actual port from
-    /// `listener.local_addr()`), then hand the listener to
-    /// [`Server::serve_tcp`].
+    /// Claims the TCP address: binds a listener, mapping `AddrInUse` to
+    /// the same "already listening" shape as the Unix path (TCP has no
+    /// stale-socket file to reclaim — a bound port is always live).
+    /// Callers that announce readiness should do so only after this
+    /// succeeds (reading the actual port from `listener.local_addr()`),
+    /// then hand the listener to [`Server::serve_tcp`].
     pub fn bind_tcp(addr: &str) -> io::Result<TcpListener> {
-        let listener = TcpListener::bind(addr).map_err(|e| {
+        TcpListener::bind(addr).map_err(|e| {
             if e.kind() == io::ErrorKind::AddrInUse {
                 io::Error::new(
                     io::ErrorKind::AddrInUse,
@@ -1122,15 +351,13 @@ impl Server {
             } else {
                 e
             }
-        })?;
-        listener.set_nonblocking(true)?;
-        Ok(listener)
+        })
     }
 
     /// Serves connections on a bound TCP listener until a `shutdown`
     /// request arrives.
     pub fn serve_tcp(&self, listener: &TcpListener) -> io::Result<()> {
-        self.serve_transport(listener)
+        wire::serve_transport(self, listener)
     }
 
     /// Binds the configured [`Listen`] endpoint and serves until
@@ -1151,25 +378,154 @@ impl Server {
             )),
         }
     }
+}
 
-    /// The generic serve loop behind every listener: records the
-    /// endpoint for `status`, then accepts and serves sessions until
-    /// shutdown.
-    fn serve_transport<T: Transport + Sync>(&self, listener: &T) -> io::Result<()> {
-        let (transport, addr) = listener.endpoint();
-        self.set_endpoint(&transport, &addr);
-        accept_loop(
-            listener,
-            &|| self.shutdown_requested(),
-            // Fatal accept errors must release the in-flight sessions
-            // (they poll this flag), or the scope would join forever.
-            &|| self.request_shutdown(),
-            &|stream| {
-                if let Ok((reader, writer)) = T::split(stream) {
-                    let _ = self.serve_stream(reader, writer);
-                }
-            },
+impl Endpoint for Server {
+    /// A connection's workspace: its documents are its own, the verdict
+    /// and obligation cache behind them is the server-wide one.
+    type Session = Workspace;
+
+    fn wire(&self) -> &Wire {
+        &self.wire
+    }
+
+    fn open_session(&self) -> Workspace {
+        Workspace::with_shared_cache(
+            self.verifier.verifier_config().clone(),
+            self.verifier.shared_cache(),
         )
+    }
+
+    /// Takes a finished connection's open documents off the server-wide
+    /// gauge (the cache, of course, stays).
+    fn release_session(&self, workspace: &Workspace) {
+        let open = workspace.open_documents().count() as i64;
+        if open > 0 {
+            self.documents.fetch_sub(open, Ordering::Relaxed);
+        }
+    }
+
+    fn serve(
+        &self,
+        workspace: &mut Workspace,
+        request: &Request,
+        subscribed: bool,
+        emit: &mut Emit<'_>,
+    ) -> io::Result<()> {
+        match request {
+            Request::Verify(item) => {
+                let outcome = self
+                    .verify_items(std::slice::from_ref(item), false)
+                    .remove(0);
+                emit(verify_response_json(&outcome))
+            }
+            Request::VerifyBatch { items, fail_fast } => {
+                let results: Vec<Json> = self
+                    .verify_items(items, *fail_fast)
+                    .iter()
+                    .map(verify_response_json)
+                    .collect();
+                emit(Json::obj([
+                    ("ok", Json::Bool(true)),
+                    ("results", Json::Arr(results)),
+                ]))
+            }
+            Request::Open { doc, source } => {
+                self.serve_doc(workspace, doc, source, false, subscribed, emit)
+            }
+            Request::Update { doc, source } => {
+                self.serve_doc(workspace, doc, source, true, subscribed, emit)
+            }
+            Request::Lint(item) => {
+                let outcome: LintOutcome = match (self.compile)(&item.source) {
+                    Err(e) => Err(e),
+                    Ok(program) => {
+                        let lints = lint_program(&program);
+                        if subscribed {
+                            for lint in &lints {
+                                emit(lint_event_json(&item.name, lint))?;
+                            }
+                        }
+                        Ok(LintOk {
+                            name: item.name.clone(),
+                            lints,
+                        })
+                    }
+                };
+                emit(lint_response_json(&outcome))
+            }
+            Request::Close { doc } => {
+                let closed = workspace.close_document(doc);
+                if closed {
+                    self.documents.fetch_sub(1, Ordering::Relaxed);
+                }
+                emit(Json::obj([
+                    ("ok", Json::Bool(true)),
+                    ("doc", Json::str(doc)),
+                    ("closed", Json::Bool(closed)),
+                ]))
+            }
+            Request::CacheGet { tier, key } => emit(self.serve_cache_get(*tier, key)),
+            Request::CachePut { tier, key, entry } => {
+                emit(self.serve_cache_put(*tier, key, entry))
+            }
+            _ => unreachable!("the wire front end answers `{}`", request.op_name()),
+        }
+    }
+
+    fn status(&self) -> StatusInfo {
+        let cache = self.verifier.stats();
+        StatusInfo {
+            backend: self.verifier.verifier_config().backend.name().to_owned(),
+            programs: self.programs.load(Ordering::Relaxed),
+            documents: self.documents.load(Ordering::Relaxed).max(0) as u64,
+            memory_hits: cache.memory_hits,
+            disk_hits: cache.disk_hits,
+            misses: cache.misses,
+            evictions: cache.evictions,
+            memory_entries: self.verifier.memory_entries() as u64,
+            obligation_hits: cache.obligation_hits,
+            obligation_misses: cache.obligation_misses,
+            statically_proven: self.statically_proven.load(Ordering::Relaxed),
+            solver_checked: self.solver_checked.load(Ordering::Relaxed),
+            threads: self.threads as u64,
+            shards: 1,
+            remote: self
+                .verifier
+                .shared_cache()
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remote_endpoint()
+                .unwrap_or_default(),
+            remote_hits: cache.remote_hits,
+            remote_misses: cache.remote_misses,
+            remote_stores: cache.remote_stores,
+            ..self.wire.status()
+        }
+    }
+
+    /// The daemon's cumulative counters as one flat snapshot. Names
+    /// follow the dotted taxonomy the in-process profiler uses, so
+    /// dashboards can treat both sources uniformly.
+    fn metrics(&self) -> MetricsSnapshot {
+        let status = self.status();
+        let counters = self.wire.counters().into_iter().chain([
+            ("daemon.programs", status.programs),
+            ("daemon.documents", status.documents),
+            ("cache.memory_hits", status.memory_hits),
+            ("cache.disk_hits", status.disk_hits),
+            ("cache.misses", status.misses),
+            ("cache.evictions", status.evictions),
+            ("cache.memory_entries", status.memory_entries),
+            ("cache.obligation_hits", status.obligation_hits),
+            ("cache.obligation_misses", status.obligation_misses),
+            ("cache.remote_hits", status.remote_hits),
+            ("cache.remote_misses", status.remote_misses),
+            ("cache.remote_stores", status.remote_stores),
+            ("obligations.statically_proven", status.statically_proven),
+            ("obligations.solver_checked", status.solver_checked),
+        ]);
+        MetricsSnapshot::from_pairs(counters.map(|(name, value)| (name.to_owned(), value)))
     }
 }
 
@@ -1181,43 +537,12 @@ mod unix_transport {
 
     use super::*;
 
-    impl Transport for UnixListener {
-        type Stream = UnixStream;
-
-        fn poll_accept(&self) -> io::Result<Option<UnixStream>> {
-            match self.accept() {
-                Ok((stream, _addr)) => Ok(Some(stream)),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            }
-        }
-
-        fn split(stream: UnixStream) -> io::Result<(UnixStream, UnixStream)> {
-            stream.set_nonblocking(false)?;
-            // Short read timeout so idle sessions notice shutdown.
-            stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-            let writer = stream.try_clone()?;
-            Ok((stream, writer))
-        }
-
-        fn endpoint(&self) -> (String, String) {
-            let addr = self
-                .local_addr()
-                .ok()
-                .and_then(|a| {
-                    a.as_pathname().map(|p| p.display().to_string())
-                })
-                .unwrap_or_default();
-            ("unix".to_owned(), addr)
-        }
-    }
-
     impl Server {
         /// Claims `socket_path`: refuses when a live daemon already owns
         /// it, silently replaces a stale socket file left by a crashed
-        /// one, and returns the bound (nonblocking) listener. Callers
-        /// that announce readiness should do so only after this
-        /// succeeds, then hand the listener to [`Server::serve_bound`].
+        /// one, and returns the bound listener. Callers that announce
+        /// readiness should do so only after this succeeds, then hand
+        /// the listener to [`Server::serve_bound`].
         pub fn bind_unix(socket_path: &Path) -> io::Result<UnixListener> {
             if socket_path.exists() {
                 if UnixStream::connect(socket_path).is_ok() {
@@ -1234,9 +559,7 @@ mod unix_transport {
             if let Some(dir) = socket_path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 fs::create_dir_all(dir)?;
             }
-            let listener = UnixListener::bind(socket_path)?;
-            listener.set_nonblocking(true)?;
-            Ok(listener)
+            UnixListener::bind(socket_path)
         }
 
         /// Binds `socket_path` and serves connections until a `shutdown`
@@ -1252,7 +575,7 @@ mod unix_transport {
             listener: UnixListener,
             socket_path: &Path,
         ) -> io::Result<()> {
-            let result = self.serve_transport(&listener);
+            let result = wire::serve_transport(self, &listener);
             let _ = fs::remove_file(socket_path);
             result
         }
@@ -1261,10 +584,17 @@ mod unix_transport {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
     use commcsl_pure::{Sort, Term};
     use commcsl_verifier::program::VStmt;
 
     use super::*;
+    use crate::client::{connect_with_retry, Client};
+    use crate::protocol::MAX_MESSAGE_BYTES;
+    use crate::wire::{Connection, SLOW_REQUEST_MS};
 
     /// A toy "compiler": `ok NAME` → a verifying program, `leak NAME` →
     /// a rejected one, anything else → a compile error.
@@ -1307,12 +637,13 @@ mod tests {
             source: "ok prog-a".into(),
         });
 
-        let (cold, stop) = server.handle_request(&req);
+        let mut connection = Connection::open(&server);
+        let (cold, stop) = connection.call(&req);
         assert!(!stop);
         assert_eq!(cold.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(cold.get("cached").and_then(Json::as_bool), Some(false));
 
-        let (warm, _) = server.handle_request(&req);
+        let (warm, _) = connection.call(&req);
         assert_eq!(warm.get("cached").and_then(Json::as_bool), Some(true));
         assert_eq!(
             warm.get("report").map(ToString::to_string),
@@ -1330,7 +661,7 @@ mod tests {
     #[test]
     fn batch_mixes_compiled_and_failed_slots_in_order() {
         let server = server();
-        let (response, _) = server.handle_request(&Request::VerifyBatch {
+        let (response, _) = Connection::open(&server).call(&Request::VerifyBatch {
             items: vec![
                 VerifyItem { name: "a".into(), source: "ok a".into() },
                 VerifyItem { name: "b".into(), source: "syntax error here".into() },
@@ -1363,8 +694,8 @@ mod tests {
             toy_compiler(),
         );
         let batch = |fail_fast: bool, items: Vec<VerifyItem>| {
-            let (response, _) =
-                server.handle_request(&Request::VerifyBatch { items, fail_fast });
+            let (response, _) = Connection::open(&server)
+                .call(&Request::VerifyBatch { items, fail_fast });
             response
         };
         let item = |name: &str, source: &str| VerifyItem {
@@ -1428,7 +759,7 @@ mod tests {
         assert!(lines[1].contains("bad request"));
         assert!(lines[2].contains("\"requests\":"));
         assert!(lines[3].contains("\"shutting_down\":true"));
-        assert!(server.shutdown_requested());
+        assert!(server.wire().shutdown_requested());
     }
 
     #[test]
@@ -1623,7 +954,7 @@ mod tests {
 
         // In-memory sessions (no transport) stream nothing.
         let in_memory = self::server();
-        let (response, _) = in_memory.handle_request(&Request::Metrics);
+        let (response, _) = Connection::open(&in_memory).call(&Request::Metrics);
         assert_eq!(
             response
                 .get("counters")
@@ -1756,25 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_lines_at_the_cap_pass_and_longer_ones_are_dropped_whole() {
-        let input = format!(
-            "{}\n{}\n{{}}\n",
-            "a".repeat(MAX_MESSAGE_BYTES),
-            "b".repeat(MAX_MESSAGE_BYTES + 1),
-        );
-        let mut seen = Vec::new();
-        for_each_ndjson_line(input.as_bytes(), &|| false, |line| {
-            seen.push(line.map(str::len));
-            Ok(false)
-        })
-        .unwrap();
-        assert_eq!(seen.len(), 3, "{seen:?}");
-        assert_eq!(seen[0], Ok(MAX_MESSAGE_BYTES + 1), "newline included");
-        assert!(seen[1].as_ref().unwrap_err().contains("longer than"));
-        assert_eq!(seen[2], Ok(3), "the line after an oversized one is intact");
-    }
-
-    #[test]
     fn histograms_and_logs_ops_report_served_requests() {
         let server = server();
         let verify = Request::Verify(VerifyItem {
@@ -1845,27 +1157,61 @@ mod tests {
 
     #[test]
     fn slow_requests_are_flagged_with_span_aggregates() {
-        let server = Server::new(
-            ServerConfig {
-                threads: 1,
-                cache: CacheConfig::memory_only(64),
-                verifier: VerifierConfig::default(),
-                // Everything is "slow" against a threshold the clamp
-                // floor turns into the minimum expressible value.
-                slow_request_ms: 1,
-                ..Default::default()
-            },
-            toy_compiler(),
-        );
-        // Compile + verify of a real program takes well over a
-        // microsecond, but not reliably over a millisecond — drive the
-        // observation path directly for determinism.
-        server.observe_request("verify", "r1", 5_000_000, true);
-        let events = server.event_log().since(0);
+        let server = server();
+        // A real request is far faster than the threshold: drive the
+        // observation path directly, 1 ns over it.
+        server
+            .wire()
+            .observe("verify", "r1", SLOW_REQUEST_MS * 1_000_000 + 1, true);
+        let events = server.wire().event_log().since(0);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].outcome, "ok");
         assert!(events[0].detail.starts_with("slow: "), "{}", events[0].detail);
         assert!(events[0].detail.contains("p99"), "{}", events[0].detail);
         assert_eq!(server.metrics().get("daemon.requests.slow"), Some(1));
+    }
+
+    #[test]
+    fn request_shutdown_from_another_thread_wakes_an_idle_accept_loop() {
+        let dir = std::env::temp_dir().join(format!("commcsl-wake-{}", std::process::id()));
+        let socket = dir.join("d.sock");
+        let listener = Server::bind_tcp("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        for tcp in [false, true] {
+            let server = server();
+            let connect = || {
+                if tcp {
+                    Client::connect_tcp(&addr)
+                } else {
+                    Client::connect(&socket)
+                }
+            };
+            let (done, returned) = mpsc::channel();
+            thread::scope(|scope| {
+                scope.spawn(|| {
+                    let served = if tcp {
+                        server.serve_tcp(&listener)
+                    } else {
+                        server.serve_unix(&socket)
+                    };
+                    let _ = done.send(served.is_ok());
+                });
+                // One round trip proves the loop is up; after it the
+                // loop waits in `accept` with no connection pending.
+                connect_with_retry(Duration::from_secs(5), "test daemon", connect)
+                    .expect("the daemon comes up")
+                    .status()
+                    .expect("the daemon answers");
+                server.request_shutdown();
+                let outcome = returned.recv_timeout(Duration::from_secs(5));
+                if outcome.is_err() {
+                    // Unblock a loop that missed the wake-up, so that the
+                    // scope can join it.
+                    let _ = connect();
+                }
+                assert_eq!(outcome, Ok(true), "tcp={tcp}: the serve loop did not return");
+            });
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,11 +20,14 @@
 //!   `started`/`obligation_done`/`report` event channel), embedding each
 //!   [`commcsl_verifier::report::VerifierReport`] through its own JSON
 //!   codec,
-//! * [`daemon`] — the [`Server`](daemon::Server): per-connection
-//!   [`Session`](daemon::Session)s (each owning a
+//! * [`wire`] — the protocol front end shared by every endpoint: request
+//!   ids, latency histograms, the event log, protocol negotiation, the
+//!   NDJSON session loop and the accept loop over Unix-socket and TCP
+//!   listeners ([`Endpoint`] is what an endpoint adds),
+//! * [`daemon`] — the [`Server`](daemon::Server) endpoint: each
+//!   connection owns a
 //!   [`Workspace`](commcsl_verifier::workspace::Workspace) for
-//!   obligation-level incremental re-verification) over a Unix domain
-//!   socket or any reader/writer pair (the stdio fallback), all sharing
+//!   obligation-level incremental re-verification, and all of them share
 //!   one [`CachedVerifier`](commcsl_verifier::cache::CachedVerifier)
 //!   and its verdict/obligation cache,
 //! * [`client`] — the matching [`Client`](client::Client) (v1 and v2
@@ -41,6 +44,7 @@
 //!
 //! ```
 //! use commcsl_server::daemon::{Server, ServerConfig};
+//! use commcsl_server::json::Json;
 //! use commcsl_server::protocol::{Request, VerifyItem};
 //! use commcsl_verifier::{AnnotatedProgram, VStmt};
 //! use commcsl_pure::{Sort, Term};
@@ -51,11 +55,18 @@
 //!         VStmt::Output(Term::var("x")),
 //!     ]))
 //! }));
-//! let item = VerifyItem { name: "demo".into(), source: "…".into() };
-//! let (cold, _) = server.handle_request(&Request::Verify(item.clone()));
-//! let (warm, _) = server.handle_request(&Request::Verify(item));
-//! assert_eq!(cold.get("cached").and_then(|j| j.as_bool()), Some(false));
-//! assert_eq!(warm.get("cached").and_then(|j| j.as_bool()), Some(true));
+//! let verify = Request::Verify(VerifyItem { name: "demo".into(), source: "…".into() });
+//! // One session: two request lines in, one response line each out.
+//! let input = format!("{}\n{}\n", verify.encode(), verify.encode());
+//! let mut output = Vec::new();
+//! server.serve_stream(input.as_bytes(), &mut output).unwrap();
+//! let responses: Vec<Json> = String::from_utf8(output).unwrap()
+//!     .lines()
+//!     .map(|line| Json::parse(line).unwrap())
+//!     .collect();
+//! let cached = |response: &Json| response.get("cached").and_then(Json::as_bool);
+//! assert_eq!(cached(&responses[0]), Some(false));
+//! assert_eq!(cached(&responses[1]), Some(true));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,12 +76,11 @@ pub mod client;
 pub mod daemon;
 pub use commcsl_telemetry::json;
 pub mod protocol;
+pub mod wire;
 
 pub use client::{connect_with_retry, Client, ClientError};
-pub use daemon::{
-    accept_loop, for_each_ndjson_line, CompileFn, Listen, Server,
-    ServerConfig, Transport,
-};
+pub use daemon::{CompileFn, Listen, Server, ServerConfig};
+pub use wire::{for_each_ndjson_line, Endpoint, Transport};
 pub use json::Json;
 pub use protocol::{
     CacheTier, Request, ShardStatus, StatusInfo, VerifyItem, VerifyOk,

@@ -268,6 +268,19 @@ impl Request {
         }
     }
 
+    /// The oldest protocol version that speaks this op. A session that
+    /// negotiated an older version refuses the op with an error.
+    pub fn min_protocol(&self) -> u32 {
+        match self {
+            Request::Verify(_)
+            | Request::VerifyBatch { .. }
+            | Request::Status
+            | Request::Shutdown
+            | Request::Hello { .. } => 1,
+            _ => 2,
+        }
+    }
+
     /// Renders the request as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
         self.encode_value().to_string()
@@ -670,22 +683,24 @@ pub fn cache_put_from_json(doc: &Json) -> Result<bool, String> {
 
 /// Returns `doc` with `request_id` **appended as the last field**
 /// (replacing any existing one). The daemon stamps every response and
-/// streamed event through this, so correlation never perturbs the
+/// streamed event this way, so correlation never perturbs the
 /// leading bytes other framing pins rely on (`{"ok":…`, `{"event":…`)
 /// and never touches nested documents such as embedded reports.
 /// Non-object documents pass through unchanged.
 pub fn with_request_id(doc: &Json, request_id: &str) -> Json {
+    stamp_request_id(doc.clone(), request_id)
+}
+
+/// [`with_request_id`] on a document the caller gives up, so nothing is
+/// copied.
+pub(crate) fn stamp_request_id(doc: Json, request_id: &str) -> Json {
     match doc {
-        Json::Obj(fields) => {
-            let mut fields: Vec<(String, Json)> = fields
-                .iter()
-                .filter(|(name, _)| name != "request_id")
-                .cloned()
-                .collect();
+        Json::Obj(mut fields) => {
+            fields.retain(|(name, _)| name != "request_id");
             fields.push(("request_id".to_owned(), Json::str(request_id)));
             Json::Obj(fields)
         }
-        other => other.clone(),
+        other => other,
     }
 }
 
@@ -1994,6 +2009,8 @@ mod tests {
         use commcsl_verifier::cache::{CacheConfig, VerdictCache};
         use commcsl_verifier::obligation::ObligationKey;
 
+        use crate::wire::Connection;
+
         let mut exporter = VerdictCache::new(CacheConfig::memory_only(4));
         exporter.put_obligation(ObligationKey(0x0102), &ObligationStatus::Proved);
         let entry = exporter.export_obligation(ObligationKey(0x0102)).unwrap();
@@ -2008,7 +2025,7 @@ mod tests {
                 key: key.clone(),
                 entry: entry.to_owned(),
             };
-            cache_put_from_json(&server.handle_line(&request.encode()).0).unwrap()
+            cache_put_from_json(&Connection::open(&server).call(&request).0).unwrap()
         };
         let line_format = format!(
             "commcsl-obligation {}\nkey {key}\nproved\n",
@@ -2019,7 +2036,7 @@ mod tests {
             tier: CacheTier::Obligation,
             key: key.clone(),
         };
-        let served = || cache_get_from_json(&server.handle_line(&get.encode()).0).unwrap();
+        let served = || cache_get_from_json(&Connection::open(&server).call(&get).0).unwrap();
         assert_eq!(served(), None);
         assert!(put(&entry));
         assert_eq!(served().as_deref(), Some(entry.as_str()));

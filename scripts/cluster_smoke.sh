@@ -5,6 +5,8 @@
 # corpus through it, and assert (a) the second daemon's reports are
 # byte-identical to the first's, (b) >=90% of its obligation lookups
 # were served by the remote tier, (c) both daemons shut down cleanly.
+# On the pool it also checks the wire front end on one connection:
+# decode errors, the v2-only check and request ids.
 #
 # Usage: scripts/cluster_smoke.sh [path-to-commcsl-binary]
 set -euo pipefail
@@ -64,6 +66,28 @@ reports1 = {r["file"]: r["report"] for r in p1["results"]}
 reports2 = {r["file"]: r["report"] for r in p2["results"]}
 assert reports1 == reports2, "warm pool pass changed a report"
 assert all(r["cached"] for r in p2["results"]), "second pass not cached"
+EOF
+
+# One connection to the pool: a non-JSON line, a line one byte over the
+# cap, and a v2-only op on a session negotiated to v1 are each answered
+# with an error carrying a request id; the connection keeps serving.
+python3 - "$ADDR1" <<'EOF'
+import json, socket, sys
+CAP = 16 << 20
+host, port = sys.argv[1].rsplit(":", 1)
+conn = socket.create_connection((host, int(port)), timeout=60)
+replies = conn.makefile("rb")
+conn.sendall(b"not json\n" + b"x" * (CAP + 1) + b"\n"
+             + b'{"op":"hello","protocol":1}\n{"op":"metrics"}\n')
+answers = [json.loads(replies.readline()) for _ in range(4)]
+errors = [a for a in answers if a["ok"] is False]
+assert len(errors) == 3, answers
+for answer, text in zip(errors, ["bad request", "longer than", "requires protocol v2"]):
+    assert answer.get("request_id") and text in answer["error"], answer
+conn.sendall(b'{"op":"status"}\n')
+status = json.loads(replies.readline())
+assert status["ok"] is True and status["shards"] == 2, status
+print("cluster smoke: pool answered 3 refusals with request ids, then status")
 EOF
 
 # The edge daemon: fresh caches, the pool chained in as its remote

@@ -3,7 +3,8 @@
 # the client twice (accepted and rejected sets), assert the second pass
 # is served >=90% from cache via `daemon status`, send one request line
 # over the daemon's line cap and assert it is answered with an error
-# while the connection keeps serving, and shut down cleanly.
+# while the connection keeps serving, assert that 20 fresh connections
+# are accepted and answered without waiting, and shut down cleanly.
 #
 # Usage: scripts/daemon_smoke.sh [path-to-commcsl-binary]
 set -euo pipefail
@@ -72,6 +73,25 @@ conn.sendall(b'{"op":"status"}\n')
 status = json.loads(replies.readline())
 assert status["ok"] is True, status
 print(f"daemon smoke: oversized line answered: {oversized['error']}")
+EOF
+
+# A new connection is accepted at once: 20 sequential fresh connections,
+# each answering one `status`, take a few ms. An accept loop that polls
+# on a 20 ms tick takes ~400 ms.
+python3 - "$SOCK" <<'EOF'
+import socket, sys, time
+start = time.perf_counter()
+for _ in range(20):
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(10)
+    conn.connect(sys.argv[1])
+    conn.sendall(b'{"op":"status"}\n')
+    line = conn.makefile("rb").readline()
+    assert b'"ok":true' in line, line
+    conn.close()
+elapsed_ms = (time.perf_counter() - start) * 1000
+print(f"daemon smoke: 20 fresh connections answered in {elapsed_ms:.1f} ms")
+assert elapsed_ms < 100, f"20 fresh connections took {elapsed_ms:.1f} ms (limit 100 ms)"
 EOF
 
 "$BIN" daemon stop --socket "$SOCK"

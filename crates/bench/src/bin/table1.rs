@@ -1,8 +1,8 @@
 //! Regenerates Table 1 of the paper: verifies all 18 evaluation examples
 //! five times each (as in the paper) and prints the averaged table.
 //!
-//! The suite runs through the parallel batch-verification pipeline
-//! (`commcsl-verifier::batch`); use `--threads 1` for the paper's
+//! The suite runs through the parallel batch pipeline of
+//! `Verifier::verify_batch`; use `--threads 1` for the paper's
 //! sequential regime. With `--json <path>`, one single-line JSON snapshot
 //! of the run is *appended* to `<path>` (conventionally
 //! `BENCH_table1.json`), building up a perf trajectory run over run.
@@ -12,13 +12,15 @@
 
 use std::io::Write;
 
-use commcsl::verifier::batch::BatchConfig;
+use commcsl::verifier::Verifier;
 use commcsl_bench::{render_table, table1_json, table1_rows_parallel};
 
 fn main() {
     let (runs, threads, json_path) = parse_args();
     let rows = table1_rows_parallel(runs, threads);
-    let effective = BatchConfig::with_threads(threads).effective_threads(rows.len());
+    let effective = Verifier::new()
+        .with_threads(threads)
+        .effective_threads(rows.len());
     println!(
         "Table 1 (reproduction) — verification times averaged over {runs} runs, \
          batch-verified on {effective} thread(s)"

@@ -11,13 +11,12 @@ use std::time::Duration;
 
 use commcsl::fixtures;
 use commcsl::server::json::Json;
-use commcsl::verifier::batch::{verify_batch_ref, BatchConfig};
-use serde::Serialize;
+use commcsl::verifier::Verifier;
 
 pub mod loadgen;
 
 /// One reproduced row of Table 1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Example name (paper row).
     pub example: &'static str,
@@ -48,20 +47,19 @@ pub fn table1_rows(runs: u32) -> Vec<Table1Row> {
 /// available CPU, `1` = the paper's sequential regime).
 ///
 /// Each run pushes the full fixture suite through
-/// [`commcsl::verifier::batch::verify_batch_ref`]; verdicts are
-/// deterministic (identical to sequential verification) whatever the
-/// thread count, and the per-fixture wall-clock times are averaged over
-/// the runs.
+/// [`Verifier::verify_batch`]; verdicts are deterministic (identical to
+/// sequential verification) whatever the thread count, and the
+/// per-fixture wall-clock times are averaged over the runs.
 pub fn table1_rows_parallel(runs: u32, threads: usize) -> Vec<Table1Row> {
     assert!(runs > 0, "need at least one run to average over");
-    let config = BatchConfig::with_threads(threads);
+    let verifier = Verifier::new().with_threads(threads);
     let fixtures = fixtures::all();
     let programs: Vec<_> = fixtures.iter().map(|f| &f.program).collect();
 
     let mut totals = vec![Duration::ZERO; fixtures.len()];
     let mut verified = vec![true; fixtures.len()];
     for _ in 0..runs {
-        for result in verify_batch_ref(&programs, &config) {
+        for result in verifier.verify_batch(&programs) {
             totals[result.index] += result.time;
             verified[result.index] &= result.report.verified();
         }
@@ -124,7 +122,7 @@ pub struct ColdWarm {
     /// Wall-clock ms for the warm pass (same process, memory tier).
     pub warm_ms: f64,
     /// Wall-clock ms after a simulated daemon restart (fresh
-    /// [`CachedVerifier`], same disk dir — every hit from the disk tier).
+    /// [`Verifier`], same disk dir — every hit from the disk tier).
     pub restart_ms: f64,
     /// Whether every cached verdict (warm *and* restart) was
     /// byte-identical to direct, uncached verification.
@@ -148,7 +146,7 @@ impl ColdWarm {
 /// Runs the cold/warm/restart passes against a cache rooted at
 /// `cache_dir` (which should start empty; typically a temp dir).
 pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm {
-    use commcsl::verifier::cache::{CacheConfig, CachedVerifier};
+    use commcsl::verifier::cache::CacheConfig;
     use commcsl::verifier::verify;
     use std::time::Instant;
 
@@ -160,8 +158,9 @@ pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm 
         .chain(rejected.iter().map(|(_, p)| p))
         .collect();
 
-    let batch = BatchConfig::with_threads(threads);
-    let cached = CachedVerifier::new(batch.clone(), CacheConfig::persistent(cache_dir));
+    let cached = Verifier::new()
+        .with_threads(threads)
+        .with_cache(CacheConfig::persistent(cache_dir));
 
     let started = Instant::now();
     let cold = cached.verify_batch(&programs);
@@ -172,7 +171,9 @@ pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm 
     let warm_ms = started.elapsed().as_secs_f64() * 1000.0;
 
     // Simulated restart: a fresh verifier over the same disk tier.
-    let restarted = CachedVerifier::new(batch, CacheConfig::persistent(cache_dir));
+    let restarted = Verifier::new()
+        .with_threads(threads)
+        .with_cache(CacheConfig::persistent(cache_dir));
     let started = Instant::now();
     let after_restart = restarted.verify_batch(&programs);
     let restart_ms = started.elapsed().as_secs_f64() * 1000.0;
@@ -184,8 +185,8 @@ pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm 
         .zip(&cold)
         .zip(warm.iter().zip(&after_restart))
     {
-        fully_cached &= w.cached && r.cached && !c.cached;
-        let direct = verify(program, cached.verifier_config()).to_json();
+        fully_cached &= w.cached == Some(true) && r.cached == Some(true) && c.cached == Some(false);
+        let direct = verify(program, cached.config()).to_json();
         identical &= c.report.to_json() == direct
             && w.report.to_json() == direct
             && r.report.to_json() == direct;
@@ -478,7 +479,7 @@ pub fn replay_trace(
 /// corpus — the 18 fixtures, the rejected variants, and the stress
 /// programs.
 pub fn incremental_bench(runs: u32, top: usize) -> IncrementalBench {
-    use commcsl::prelude::{BackendKind, Verifier};
+    use commcsl::prelude::BackendKind;
     use commcsl::verifier::{solver_trace, SolverEvent};
     use std::time::Instant;
 
@@ -927,15 +928,6 @@ mod tests {
         assert!(json.starts_with("{\"bench\":\"cold_warm\""));
         assert!(!json.contains('\n'));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    // Nothing else in the workspace demands the `Serialize` bound, so
-    // this is the one place that would catch the vendored serde derive
-    // silently emitting no impl (its fallback for unsupported shapes).
-    #[test]
-    fn serialize_derive_emits_marker_impl() {
-        fn assert_serialize<T: serde::Serialize>() {}
-        assert_serialize::<Table1Row>();
     }
 
     #[test]

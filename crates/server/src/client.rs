@@ -6,7 +6,7 @@
 //! stdio-transport child process is driven. Both named transports share
 //! one bounded-retry helper, [`connect_with_retry`]: the
 //! [`connect_or_start`] daemon autostart path and the
-//! [`connect_tcp_retry`] cluster path report the same pinned "daemon
+//! [`Client::connect_tcp_retry`] cluster path report the same pinned "daemon
 //! did not come up within Nms" error when the wait budget runs out.
 
 use std::fmt;

@@ -1,9 +1,10 @@
 //! The long-running verification daemon.
 //!
-//! A [`Server`] owns a [`CachedVerifier`] (two-tier content-addressed
-//! verdict cache in front of the work-stealing batch pool) and a
-//! *compile function* injected by the caller — the daemon is agnostic to
-//! the surface syntax; `commcsl-front` passes its `.csl` compiler in.
+//! A [`Server`] owns a [`Verifier`] with a cache (the two-tier
+//! content-addressed verdict cache in front of the work-stealing batch
+//! pool) and a *compile function* injected by the caller — the daemon is
+//! agnostic to the surface syntax; `commcsl-front` passes its `.csl`
+//! compiler in.
 //! It is an [`Endpoint`] of the wire front end in [`crate::wire`], which
 //! speaks the NDJSON protocol of [`crate::protocol`]; each connection
 //! gets its own [`Workspace`] over the server-wide cache. Transports:
@@ -17,18 +18,19 @@
 //!   `commcsl serve --stdio` fallback (also used by the tests).
 //!
 //! Shutdown is cooperative: a `shutdown` request is acknowledged on its
-//! own session, then the accept loop stops, in-flight sessions drain
-//! (their reads poll a shared flag), and the socket file is removed.
+//! own session, then the accept loop stops and shuts down the reads of
+//! every live session (an idle one ends at once, one in the middle of a
+//! request writes its answer first), and the socket file is removed.
 
 use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::PoisonError;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use commcsl_verifier::batch::BatchConfig;
-use commcsl_verifier::cache::{CacheConfig, CachedVerifier, RemoteObligationTier};
+use commcsl_verifier::api::Verifier;
+use commcsl_verifier::cache::{CacheConfig, RemoteObligationTier, VerdictCache};
 use commcsl_verifier::hash::{ProgramHash, HASH_FORMAT_VERSION};
 use commcsl_verifier::obligation::ObligationKey;
 use commcsl_verifier::program::AnnotatedProgram;
@@ -105,7 +107,9 @@ pub struct ServerConfig {
 /// The verification daemon: shared cache, counters, and its wire front
 /// end.
 pub struct Server {
-    verifier: CachedVerifier,
+    verifier: Verifier,
+    /// The verifier's cache, which every session's workspace shares.
+    cache: Arc<Mutex<VerdictCache>>,
     compile: CompileFn,
     threads: usize,
     programs: AtomicU64,
@@ -124,14 +128,16 @@ pub struct Server {
 impl Server {
     /// Creates a daemon with the given compiler for incoming sources.
     pub fn new(config: ServerConfig, compile: CompileFn) -> Self {
-        let batch = BatchConfig {
-            threads: config.threads,
-            verifier: config.verifier,
-            // Fail-fast is a per-request protocol flag, not server state.
-            fail_fast: false,
-        };
+        // Fail-fast is a per-request protocol flag, not server state.
+        let verifier = Verifier::new()
+            .with_config(config.verifier)
+            .with_threads(config.threads)
+            .with_cache(config.cache);
         Server {
-            verifier: CachedVerifier::new(batch, config.cache),
+            cache: verifier
+                .shared_cache()
+                .expect("the verifier was given a cache"),
+            verifier,
             compile,
             threads: config.threads,
             programs: AtomicU64::new(0),
@@ -147,11 +153,11 @@ impl Server {
     /// disk tiers (`status` then reports its endpoint and per-tier
     /// counters).
     pub fn set_remote_cache(&self, remote: Box<dyn RemoteObligationTier>) {
-        self.verifier
-            .shared_cache()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .set_remote(remote);
+        self.lock_cache().set_remote(remote);
+    }
+
+    fn lock_cache(&self) -> MutexGuard<'_, VerdictCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Asks every session loop and the accept loop to wind down.
@@ -179,7 +185,11 @@ impl Server {
             .iter()
             .filter_map(|(c, _)| c.as_ref().ok())
             .collect();
-        let verified = self.verifier.verify_batch_opts(&programs, fail_fast);
+        let verified = self
+            .verifier
+            .clone()
+            .with_fail_fast(fail_fast)
+            .verify_batch(&programs);
         let attempted = verified.iter().filter(|r| !r.skipped).count();
         self.programs.fetch_add(attempted as u64, Ordering::Relaxed);
         let mut verified = verified.into_iter();
@@ -190,8 +200,8 @@ impl Server {
                 Ok(_) => {
                     let r = verified.next().expect("one result per compiled program");
                     Ok(VerifyOk {
-                        cached: r.cached,
-                        key: r.key,
+                        cached: r.cached == Some(true),
+                        key: r.key.expect("the cached route keys every outcome"),
                         time_ms: r.time.as_secs_f64() * 1000.0 + compile_ms,
                         skipped: r.skipped,
                         report: r.report,
@@ -208,8 +218,7 @@ impl Server {
     /// recurse — and serving reads move no hit/miss counters, which
     /// track verification traffic only.
     fn serve_cache_get(&self, tier: CacheTier, key: &str) -> Json {
-        let cache = self.verifier.shared_cache();
-        let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cache = self.lock_cache();
         let entry = match tier {
             CacheTier::Obligation => match key.parse::<ObligationKey>() {
                 Ok(parsed) => cache.export_obligation(parsed),
@@ -228,8 +237,7 @@ impl Server {
     /// tiers. A refused entry answers `stored:false` (not an error) —
     /// version skew between daemons is expected, staleness is not.
     fn serve_cache_put(&self, tier: CacheTier, key: &str, entry: &str) -> Json {
-        let cache = self.verifier.shared_cache();
-        let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cache = self.lock_cache();
         let stored = match tier {
             CacheTier::Obligation => match key.parse::<ObligationKey>() {
                 Ok(parsed) => cache.import_obligation(parsed, entry),
@@ -390,10 +398,7 @@ impl Endpoint for Server {
     }
 
     fn open_session(&self) -> Workspace {
-        Workspace::with_shared_cache(
-            self.verifier.verifier_config().clone(),
-            self.verifier.shared_cache(),
-        )
+        Workspace::with_shared_cache(self.verifier.config().clone(), Arc::clone(&self.cache))
     }
 
     /// Takes a finished connection's open documents off the server-wide
@@ -474,29 +479,26 @@ impl Endpoint for Server {
     }
 
     fn status(&self) -> StatusInfo {
-        let cache = self.verifier.stats();
+        let (cache, memory_entries, remote) = {
+            let cache = self.lock_cache();
+            (cache.stats(), cache.memory_len(), cache.remote_endpoint())
+        };
         StatusInfo {
-            backend: self.verifier.verifier_config().backend.name().to_owned(),
+            backend: self.verifier.config().backend.name().to_owned(),
             programs: self.programs.load(Ordering::Relaxed),
             documents: self.documents.load(Ordering::Relaxed).max(0) as u64,
             memory_hits: cache.memory_hits,
             disk_hits: cache.disk_hits,
             misses: cache.misses,
             evictions: cache.evictions,
-            memory_entries: self.verifier.memory_entries() as u64,
+            memory_entries: memory_entries as u64,
             obligation_hits: cache.obligation_hits,
             obligation_misses: cache.obligation_misses,
             statically_proven: self.statically_proven.load(Ordering::Relaxed),
             solver_checked: self.solver_checked.load(Ordering::Relaxed),
             threads: self.threads as u64,
             shards: 1,
-            remote: self
-                .verifier
-                .shared_cache()
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remote_endpoint()
-                .unwrap_or_default(),
+            remote: remote.unwrap_or_default(),
             remote_hits: cache.remote_hits,
             remote_misses: cache.remote_misses,
             remote_stores: cache.remote_stores,
@@ -1071,9 +1073,22 @@ mod tests {
         let oversized = lines[3].get("error").and_then(Json::as_str).unwrap();
         assert!(oversized.contains("longer than"), "{oversized}");
 
-        // The counter is visible through the wire `metrics` op.
+        // The counter is visible through the wire `metrics` op, and every
+        // answered line so far, refused by the framing or not, counts as
+        // a request (the `metrics` line itself included).
         let metrics = crate::protocol::metrics_from_json(&lines[4]).unwrap();
         assert_eq!(metrics.get("daemon.request.decode_error"), Some(4));
+        assert_eq!(metrics.get("daemon.requests"), Some(5), "{text}");
+        // Every request is one decode error or one histogram sample.
+        let samples: u64 = server
+            .wire()
+            .histogram_snapshot()
+            .iter()
+            .map(|(_, h)| h.count())
+            .sum();
+        let after = server.metrics();
+        assert_eq!((after.get("daemon.requests"), samples), (Some(6), 2));
+        assert_eq!(after.get("daemon.request.decode_error"), Some(6 - samples));
 
         // Every failure landed in the event log as a `decode` event.
         let page = crate::protocol::logs_from_json(&lines[5]).unwrap();
@@ -1210,6 +1225,55 @@ mod tests {
                     let _ = connect();
                 }
                 assert_eq!(outcome, Ok(true), "tcp={tcp}: the serve loop did not return");
+            });
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_ends_idle_sessions_at_once() {
+        let dir = std::env::temp_dir().join(format!("commcsl-idle-{}", std::process::id()));
+        let socket = dir.join("d.sock");
+        let listener = Server::bind_tcp("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        for tcp in [false, true] {
+            let server = server();
+            let connect = || {
+                if tcp {
+                    Client::connect_tcp(&addr)
+                } else {
+                    Client::connect(&socket)
+                }
+            };
+            let (done, returned) = mpsc::channel();
+            thread::scope(|scope| {
+                scope.spawn(|| {
+                    let served = if tcp {
+                        server.serve_tcp(&listener)
+                    } else {
+                        server.serve_unix(&socket)
+                    };
+                    let _ = done.send((served.is_ok(), Instant::now()));
+                });
+                // The idle session has just answered, so its next read
+                // timeout is a full 200 ms away when the shutdown lands.
+                let mut idle = connect_with_retry(Duration::from_secs(5), "test daemon", connect)
+                    .expect("the daemon comes up");
+                idle.status().expect("the daemon answers");
+                connect()
+                    .and_then(|mut client| client.shutdown().map_err(io::Error::other))
+                    .expect("the daemon acknowledges the shutdown");
+                let acknowledged = Instant::now();
+                let (served, at) = returned
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("the serve loop returns");
+                let after = at.saturating_duration_since(acknowledged);
+                assert!(served, "tcp={tcp}");
+                assert!(
+                    after < Duration::from_millis(100),
+                    "tcp={tcp}: returned {after:?} after the acknowledgement"
+                );
+                drop(idle);
             });
         }
         let _ = std::fs::remove_dir_all(&dir);

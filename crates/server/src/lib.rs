@@ -11,8 +11,7 @@
 //! The pieces:
 //!
 //! * [`json`] — the workspace's dependency-free JSON parser/writer
-//!   (re-exported from `commcsl-telemetry`; the vendored `serde` is a
-//!   stub),
+//!   (re-exported from `commcsl-telemetry`),
 //! * [`protocol`] — the newline-delimited JSON request/response schema:
 //!   protocol v1 (`verify`, `verify_batch`, `status`, `shutdown`) plus
 //!   the v2 workspace-session ops (`hello` version negotiation,
@@ -24,13 +23,13 @@
 //!   ids, latency histograms, the event log, protocol negotiation, the
 //!   NDJSON session loop and the accept loop over Unix-socket and TCP
 //!   listeners ([`Endpoint`] is what an endpoint adds),
-//! * [`daemon`] — the [`Server`](daemon::Server) endpoint: each
+//! * [`daemon`] — the [`Server`] endpoint: each
 //!   connection owns a
 //!   [`Workspace`](commcsl_verifier::workspace::Workspace) for
 //!   obligation-level incremental re-verification, and all of them share
-//!   one [`CachedVerifier`](commcsl_verifier::cache::CachedVerifier)
-//!   and its verdict/obligation cache,
-//! * [`client`] — the matching [`Client`](client::Client) (v1 and v2
+//!   the verdict/obligation cache of the server's one
+//!   [`Verifier`](commcsl_verifier::api::Verifier),
+//! * [`client`] — the matching [`Client`] (v1 and v2
 //!   methods, streaming included) plus
 //!   [`connect_or_start`](client::connect_or_start), the transparent
 //!   auto-spawn used by `commcsl verify --daemon`.

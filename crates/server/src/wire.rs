@@ -18,15 +18,16 @@
 //! * the ops that need no endpoint work: `hello`, `subscribe`, `status`,
 //!   `metrics`, `histograms`, `logs` and `shutdown`;
 //! * the NDJSON session loop ([`serve_stream`]) and the accept loop
-//!   ([`serve_transport`]) with cooperative shutdown.
+//!   ([`serve_transport`]) with cooperative shutdown, which ends every
+//!   live session's reads once the loop stops.
 //!
 //! An endpoint supplies the rest through [`Endpoint`]: its per-connection
 //! session, how it answers a request that does work, and its
 //! `status`/`metrics` view.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -99,7 +100,8 @@ pub struct Wire {
     /// Wall-clock start in ms since the Unix epoch (0 when the clock is
     /// unreadable).
     started_unix_ms: u64,
-    /// Lines that reached the decoder, well-formed or not.
+    /// Lines answered: each is one decode error or one sample in its
+    /// op's histogram. Blank lines are skipped, not answered.
     requests: AtomicU64,
     /// The last daemon-assigned request id's number.
     next_request_id: AtomicU64,
@@ -283,13 +285,11 @@ impl<'a, E: Endpoint> Connection<'a, E> {
         let started = Instant::now();
         let decoded = match line {
             Ok(text) if text.trim().is_empty() => return Ok(false),
-            Ok(text) => {
-                wire.requests.fetch_add(1, Ordering::Relaxed);
-                Request::decode_with_request_id(text.trim())
-                    .map_err(|e| format!("bad request: {e}"))
-            }
+            Ok(text) => Request::decode_with_request_id(text.trim())
+                .map_err(|e| format!("bad request: {e}")),
             Err(message) => Err(message),
         };
+        wire.requests.fetch_add(1, Ordering::Relaxed);
         let (request, client_id) = match decoded {
             Ok(decoded) => decoded,
             Err(message) => {
@@ -411,22 +411,40 @@ pub fn serve_stream<E: Endpoint>(
 ///
 /// The loop blocks in `accept`; [`Wire::request_shutdown`] wakes it by
 /// connecting once to the listener. A fatal accept error sets the
-/// shutdown flag, so that the in-flight sessions, which poll it, end
-/// and the scope can join them, and is returned.
-pub fn serve_transport<E: Endpoint, T: Transport>(endpoint: &E, listener: &T) -> io::Result<()> {
+/// shutdown flag and is returned. Either way, once the loop stops it
+/// shuts down the reads of every live session, so that an idle session
+/// ends at once instead of at its next read timeout, while one in the
+/// middle of a request still writes its answer; then the scope joins
+/// them.
+pub fn serve_transport<E: Endpoint, T: Transport>(endpoint: &E, listener: &T) -> io::Result<()>
+where
+    for<'s> &'s T::Stream: Read,
+{
     let wire = endpoint.wire();
     *lock(&wire.endpoint) = listener.endpoint();
     *lock(&wire.waker) = Some(listener.waker()?);
+    // Each live session's stream, by session number; a session removes
+    // its own when it ends.
+    let sessions: Mutex<HashMap<u64, Arc<T::Stream>>> = Mutex::default();
     let result = thread::scope(|scope| {
-        while !wire.shutdown_requested() {
+        let mut opened = 0u64;
+        let result = loop {
+            if wire.shutdown_requested() {
+                break Ok(());
+            }
             match listener.accept_stream() {
                 // After a shutdown, the connection that woke the loop is
                 // dropped unserved.
                 Ok(stream) if !wire.shutdown_requested() => {
+                    let Ok(writer) = T::split(&stream) else {
+                        continue;
+                    };
+                    opened += 1;
+                    let (id, stream, sessions) = (opened, Arc::new(stream), &sessions);
+                    lock(sessions).insert(id, Arc::clone(&stream));
                     scope.spawn(move || {
-                        if let Ok((reader, writer)) = T::split(stream) {
-                            let _ = serve_stream(endpoint, reader, writer);
-                        }
+                        let _ = serve_stream(endpoint, &*stream, writer);
+                        lock(sessions).remove(&id);
                     });
                 }
                 Ok(_) => {}
@@ -435,11 +453,14 @@ pub fn serve_transport<E: Endpoint, T: Transport>(endpoint: &E, listener: &T) ->
                 }
                 Err(e) => {
                     wire.shutdown.store(true, Ordering::SeqCst);
-                    return Err(e);
+                    break Err(e);
                 }
             }
+        };
+        for stream in lock(&sessions).values() {
+            T::shutdown_read(stream);
         }
-        Ok(())
+        result
     });
     *lock(&wire.waker) = None;
     result
@@ -549,16 +570,21 @@ fn is_transient_accept_error(e: &io::Error) -> bool {
 /// A listener the accept loop serves: [`TcpListener`] everywhere and
 /// `UnixListener` on Unix.
 pub trait Transport {
-    /// One accepted connection's stream.
-    type Stream: io::Read + io::Write + Send;
+    /// One accepted connection's stream. A shared reference to it reads,
+    /// so a session and the accept loop share the reading handle.
+    type Stream: io::Write + Send + Sync;
 
     /// Waits for the next connection.
     fn accept_stream(&self) -> io::Result<Self::Stream>;
 
-    /// Prepares an accepted stream for a session: a short read timeout
-    /// (so idle sessions notice shutdown), plus an independently-owned
-    /// writer handle.
-    fn split(stream: Self::Stream) -> io::Result<(Self::Stream, Self::Stream)>;
+    /// Prepares an accepted stream for a session — a short read timeout,
+    /// so that a session also notices a shutdown on its own — and
+    /// returns an independently-owned writer handle.
+    fn split(stream: &Self::Stream) -> io::Result<Self::Stream>;
+
+    /// Shuts down the stream's reads: a read blocked on it returns end of
+    /// file, and writes still go through.
+    fn shutdown_read(stream: &Self::Stream);
 
     /// `(transport, addr)` as reported in `status` — for TCP the
     /// *actual* bound address, so `--tcp 127.0.0.1:0` reports its
@@ -576,14 +602,17 @@ impl Transport for TcpListener {
         self.accept().map(|(stream, _addr)| stream)
     }
 
-    fn split(stream: TcpStream) -> io::Result<(TcpStream, TcpStream)> {
+    fn split(stream: &TcpStream) -> io::Result<TcpStream> {
         stream.set_read_timeout(Some(Duration::from_millis(200)))?;
         // Responses are a handful of small flushed writes per request;
         // without NODELAY, Nagle's algorithm would serialize them
         // against the peer's ACK clock.
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok((stream, writer))
+        stream.try_clone()
+    }
+
+    fn shutdown_read(stream: &TcpStream) {
+        let _ = stream.shutdown(Shutdown::Read);
     }
 
     fn endpoint(&self) -> (String, String) {
@@ -620,10 +649,13 @@ mod unix_transport {
             self.accept().map(|(stream, _addr)| stream)
         }
 
-        fn split(stream: UnixStream) -> io::Result<(UnixStream, UnixStream)> {
+        fn split(stream: &UnixStream) -> io::Result<UnixStream> {
             stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-            let writer = stream.try_clone()?;
-            Ok((stream, writer))
+            stream.try_clone()
+        }
+
+        fn shutdown_read(stream: &UnixStream) {
+            let _ = stream.shutdown(Shutdown::Read);
         }
 
         fn endpoint(&self) -> (String, String) {

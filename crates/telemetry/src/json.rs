@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON value type with a parser and writer.
 //!
-//! The workspace's vendored `serde` is a marker-impl stub, so this is the
-//! one JSON codec every layer shares: reports, the daemon protocol, the
+//! The workspace builds offline with no `serde`, so this is the one JSON
+//! codec every layer shares: reports, the daemon protocol, the
 //! verdict-cache entries, histograms and metrics all encode to a [`Json`]
 //! tree beside their type and render through its [`Display`], the only
 //! place that escapes strings. Input is the full JSON grammar (including

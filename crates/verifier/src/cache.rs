@@ -15,9 +15,8 @@
 //! Invalidation is structural, never temporal: a verdict file is one JSON
 //! entry, served only when its format version and embedded key match the
 //! requested hash and its report decodes completely. Any mismatch —
-//! including a [`HASH_FORMAT_VERSION`](crate::hash::HASH_FORMAT_VERSION)
-//! bump, which changes every key and the tier directory name — is a
-//! cache **miss**, never a stale verdict.
+//! including a [`HASH_FORMAT_VERSION`] bump, which changes every key and
+//! the tier directory name — is a cache **miss**, never a stale verdict.
 //!
 //! Alongside the whole-program verdict tiers, the cache carries an
 //! **obligation tier**: per-obligation [`ObligationStatus`]es addressed
@@ -29,24 +28,21 @@
 //! LRU, optional on-disk persistence (`obl/` under the version
 //! directory), structural validation, corrupt ⇒ miss.
 //!
-//! [`CachedVerifier`] wraps the pipeline end-to-end: single-program
-//! lookups, and batch verification that routes only the misses through
-//! the work-stealing pool of [`crate::batch`].
+//! [`Verifier::with_cache`](crate::api::Verifier::with_cache) puts a
+//! cache in front of the pipeline: its batches answer hits from here and
+//! run only the misses, against the obligation tier.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
 
 use commcsl_telemetry::Json;
 
-use crate::batch::{verify_batch_stored, BatchConfig};
-use crate::hash::{program_hash, ProgramHash, HASH_FORMAT_VERSION};
+use crate::hash::{ProgramHash, HASH_FORMAT_VERSION};
 use crate::obligation::{ObligationKey, ObligationStore};
-use crate::program::AnnotatedProgram;
-use crate::report::{ObligationStatus, VerifierConfig, VerifierReport};
+use crate::report::{ObligationStatus, VerifierReport};
 
 // ----------------------------------------------------------------- entries
 //
@@ -312,7 +308,8 @@ impl VerdictCache {
 
     /// Looks up a verdict: memory first, then disk (with promotion).
     ///
-    /// Concurrent wrappers ([`CachedVerifier`]) should prefer
+    /// Concurrent callers (the cached route of
+    /// [`Verifier`](crate::api::Verifier)) should prefer
     /// [`VerdictCache::probe_memory`] / [`VerdictCache::admit_disk`] so
     /// the file I/O between them can run outside their lock.
     pub fn get(&mut self, key: ProgramHash) -> Option<VerifierReport> {
@@ -641,314 +638,23 @@ fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
     }
 }
 
-// -------------------------------------------------------- cached verifier
-
-/// The outcome of one program in a cached batch.
-#[derive(Debug, Clone)]
-pub struct CachedResult {
-    /// Position in the input batch.
-    pub index: usize,
-    /// The content address of the job.
-    pub key: ProgramHash,
-    /// The verdict (identical whether cached or computed). A placeholder
-    /// when `skipped`.
-    pub report: VerifierReport,
-    /// `true` when the verdict was served from cache.
-    pub cached: bool,
-    /// `true` when fail-fast stopped the batch before this program ran;
-    /// skipped placeholders are never stored in the cache.
-    pub skipped: bool,
-    /// Wall-clock time for this program (lookup or verification).
-    pub time: Duration,
-}
-
-/// A verifier with a content-addressed cache in front of it.
-///
-/// Lookups and verification results are keyed by
-/// [`program_hash`](crate::hash::program_hash) over the program *and* the
-/// verifier configuration, so one `CachedVerifier` always returns
-/// verdicts byte-identical to running [`crate::symexec::verify`] directly
-/// with its configuration. Internally synchronized; share it behind an
-/// `Arc` across daemon sessions.
-#[derive(Debug)]
-pub struct CachedVerifier {
-    batch: BatchConfig,
-    cache: Arc<Mutex<VerdictCache>>,
-}
-
-impl CachedVerifier {
-    /// Creates a cached verifier.
-    pub fn new(batch: BatchConfig, cache: CacheConfig) -> Self {
-        CachedVerifier::with_shared(batch, Arc::new(Mutex::new(VerdictCache::new(cache))))
-    }
-
-    /// Creates a cached verifier over an existing shared cache — the
-    /// daemon hands the same cache to its batch pipeline and to every
-    /// session's [`Workspace`](crate::workspace::Workspace), so a
-    /// program verified through one surface answers the other.
-    pub fn with_shared(batch: BatchConfig, cache: Arc<Mutex<VerdictCache>>) -> Self {
-        CachedVerifier { batch, cache }
-    }
-
-    /// The shared cache handle (for wiring workspaces to the same tiers).
-    pub fn shared_cache(&self) -> Arc<Mutex<VerdictCache>> {
-        Arc::clone(&self.cache)
-    }
-
-    /// The verifier configuration used for cache misses (and for keys).
-    pub fn verifier_config(&self) -> &VerifierConfig {
-        &self.batch.verifier
-    }
-
-    /// Verifies one program through the cache.
-    pub fn verify(&self, program: &AnnotatedProgram) -> CachedResult {
-        self.verify_batch(&[program]).remove(0)
-    }
-
-    /// Verifies a batch: cache hits are answered immediately, misses are
-    /// routed through the parallel pipeline of [`crate::batch`], stored,
-    /// and merged back **in input order**.
-    ///
-    /// The cache lock is held only for the in-memory tier; disk reads,
-    /// disk writes, and verification itself run outside it, so
-    /// concurrent callers (daemon sessions) do not serialize on file
-    /// I/O.
-    pub fn verify_batch(&self, programs: &[&AnnotatedProgram]) -> Vec<CachedResult> {
-        self.verify_batch_opts(programs, self.batch.fail_fast)
-    }
-
-    /// [`CachedVerifier::verify_batch`] with an explicit fail-fast
-    /// override (the daemon protocol carries the flag per request).
-    ///
-    /// Fail-fast semantics through a cache: hits are always answered
-    /// (they cost nothing); once a *hit* is known to fail, misses later
-    /// in the batch are skipped without dispatch, and the dispatched
-    /// misses themselves run under fail-fast. Skipped placeholders are
-    /// never stored.
-    pub fn verify_batch_opts(
-        &self,
-        programs: &[&AnnotatedProgram],
-        fail_fast: bool,
-    ) -> Vec<CachedResult> {
-        let keys: Vec<ProgramHash> = programs
-            .iter()
-            .map(|p| program_hash(p, &self.batch.verifier))
-            .collect();
-
-        // Memory probes, under one short lock hold. Misses keep their
-        // disk path (if any) for the unlocked read below.
-        let mut results: Vec<Option<CachedResult>> = Vec::with_capacity(programs.len());
-        let mut disk_probes: Vec<(usize, Option<PathBuf>)> = Vec::new();
-        {
-            let mut cache = self.cache.lock().expect("verdict cache poisoned");
-            for (index, &key) in keys.iter().enumerate() {
-                let start = Instant::now();
-                match cache.probe_memory(key) {
-                    Ok(report) => results.push(Some(CachedResult {
-                        index,
-                        key,
-                        report,
-                        cached: true,
-                        skipped: false,
-                        time: start.elapsed(),
-                    })),
-                    Err(path) => {
-                        results.push(None);
-                        disk_probes.push((index, path));
-                    }
-                }
-            }
-        }
-
-        // Disk reads with the lock released; then settle hits/misses.
-        let loaded: Vec<(usize, Instant, Option<String>)> = disk_probes
-            .iter()
-            .map(|(index, path)| {
-                let start = Instant::now();
-                let text = path.as_deref().and_then(|p| fs::read_to_string(p).ok());
-                (*index, start, text)
-            })
-            .collect();
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let mut cache = self.cache.lock().expect("verdict cache poisoned");
-            for (index, start, text) in loaded {
-                match cache.admit_disk(keys[index], text.as_deref()) {
-                    Some(report) => {
-                        results[index] = Some(CachedResult {
-                            index,
-                            key: keys[index],
-                            report,
-                            cached: true,
-                            skipped: false,
-                            time: start.elapsed(),
-                        })
-                    }
-                    None => misses.push(index),
-                }
-            }
-        }
-
-        // With fail-fast, a failing cache *hit* already stops dispatch:
-        // every miss after the first failing hit is answered with a
-        // skipped placeholder instead of being verified.
-        if fail_fast {
-            let first_failed_hit = results
-                .iter()
-                .flatten()
-                .filter(|r| !r.skipped && !r.report.verified())
-                .map(|r| r.index)
-                .min();
-            if let Some(stop) = first_failed_hit {
-                for &slot in misses.iter().filter(|&&s| s > stop) {
-                    results[slot] = Some(CachedResult {
-                        index: slot,
-                        key: keys[slot],
-                        report: crate::batch::skipped_report(&programs[slot].name),
-                        cached: false,
-                        skipped: true,
-                        time: Duration::ZERO,
-                    });
-                }
-                misses.retain(|&s| s < stop);
-            }
-        }
-
-        // Verify the misses in parallel, lock released. Duplicate keys
-        // within one batch are verified once; the extra occurrences are
-        // served from the freshly computed verdicts (NOT from the cache,
-        // whose LRU may already have evicted them).
-        if !misses.is_empty() {
-            let disk_paths: HashMap<usize, Option<PathBuf>> =
-                disk_probes.into_iter().collect();
-            let mut unique: Vec<usize> = Vec::new();
-            let mut seen: HashSet<ProgramHash> = HashSet::new();
-            for &slot in &misses {
-                if seen.insert(keys[slot]) {
-                    unique.push(slot);
-                }
-            }
-            let miss_programs: Vec<&AnnotatedProgram> =
-                unique.iter().map(|&i| programs[i]).collect();
-            let mut batch_config = self.batch.clone();
-            batch_config.fail_fast = fail_fast;
-            // Misses run against the shared obligation tier: statuses
-            // whose cones earlier traffic (batch or workspace, local or
-            // remote) already settled replay instead of re-solving, and
-            // every freshly computed status is recorded for both
-            // surfaces. Reports stay byte-identical either way.
-            let verified = verify_batch_stored(&miss_programs, &batch_config, &self.cache);
-
-            let mut fresh: HashMap<ProgramHash, VerifierReport> = HashMap::new();
-            for (slot, result) in unique.iter().zip(verified) {
-                let key = keys[*slot];
-                if result.skipped {
-                    // Fail-fast placeholder: surfaced to the caller but
-                    // never written to either cache tier — it is not a
-                    // verdict.
-                    results[*slot] = Some(CachedResult {
-                        index: *slot,
-                        key,
-                        report: result.report,
-                        cached: false,
-                        skipped: true,
-                        time: result.time,
-                    });
-                    continue;
-                }
-                // Disk write outside the lock; a failed write only means
-                // the verdict will be recomputed after a restart.
-                if let Some(Some(path)) = disk_paths.get(slot) {
-                    let _ = write_verdict_file(path, key, &result.report);
-                }
-                fresh.insert(key, result.report.clone());
-                results[*slot] = Some(CachedResult {
-                    index: *slot,
-                    key,
-                    report: result.report,
-                    cached: false,
-                    skipped: false,
-                    time: result.time,
-                });
-            }
-            {
-                let mut cache = self.cache.lock().expect("verdict cache poisoned");
-                for (&key, report) in &fresh {
-                    cache.insert(key, report);
-                }
-            }
-            for &slot in &misses {
-                if results[slot].is_none() {
-                    let key = keys[slot];
-                    match fresh.get(&key) {
-                        Some(report) => {
-                            results[slot] = Some(CachedResult {
-                                index: slot,
-                                key,
-                                report: report.clone(),
-                                cached: true,
-                                skipped: false,
-                                time: Duration::ZERO,
-                            });
-                        }
-                        None => {
-                            // The duplicate's representative was skipped
-                            // by fail-fast; this slot is skipped too.
-                            results[slot] = Some(CachedResult {
-                                index: slot,
-                                key,
-                                report: crate::batch::skipped_report(&programs[slot].name),
-                                cached: false,
-                                skipped: true,
-                                time: Duration::ZERO,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot is a hit or a verified miss"))
-            .collect()
-    }
-
-    /// Cumulative cache counters.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.lock().expect("verdict cache poisoned").stats()
-    }
-
-    /// Number of verdicts currently in the in-memory tier.
-    pub fn memory_entries(&self) -> usize {
-        self.cache
-            .lock()
-            .expect("verdict cache poisoned")
-            .memory_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use commcsl_pure::{Sort, Term};
 
+    use std::sync::Arc;
+
     use super::*;
     use crate::diag::{CexBinding, Counterexample, DiagnosticCode, Failure};
-    use crate::program::VStmt;
-    use crate::report::ObligationResult;
+    use crate::hash::program_hash;
+    use crate::program::{AnnotatedProgram, VStmt};
+    use crate::report::{ObligationResult, VerifierConfig};
     use crate::symexec::verify;
 
     fn ok_program(name: &str) -> AnnotatedProgram {
         AnnotatedProgram::new(name).with_body([
             VStmt::input("x", Sort::Int, true),
             VStmt::Output(Term::var("x")),
-        ])
-    }
-
-    fn leaky_program(name: &str) -> AnnotatedProgram {
-        AnnotatedProgram::new(name).with_body([
-            VStmt::input("h", Sort::Int, false),
-            VStmt::Output(Term::var("h")),
         ])
     }
 
@@ -1069,52 +775,6 @@ mod tests {
         assert!(fresh.get(key).is_none());
         assert!(!path.exists());
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cached_verifier_hits_and_verdicts_are_identical() {
-        let verifier =
-            CachedVerifier::new(BatchConfig::with_threads(2), CacheConfig::memory_only(64));
-        let ok = ok_program("cv-ok");
-        let leaky = leaky_program("cv-leaky");
-        let programs: Vec<&AnnotatedProgram> = vec![&ok, &leaky];
-
-        let cold = verifier.verify_batch(&programs);
-        assert!(cold.iter().all(|r| !r.cached));
-        let warm = verifier.verify_batch(&programs);
-        assert!(warm.iter().all(|r| r.cached));
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.key, w.key);
-            assert_eq!(c.report.to_json(), w.report.to_json());
-        }
-        // Cached verdicts equal direct verification byte-for-byte.
-        let direct = verify(&leaky, verifier.verifier_config());
-        assert_eq!(warm[1].report.to_json(), direct.to_json());
-
-        let stats = verifier.stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.memory_hits, 2);
-        assert_eq!(stats.stores, 2);
-    }
-
-    #[test]
-    fn duplicate_keys_survive_immediate_lru_eviction() {
-        // Regression: with a capacity-1 memory tier and no disk tier,
-        // verifying [A, B, A] evicts A's fresh verdict before the
-        // duplicate slot is served; the duplicate must be answered from
-        // the batch's own results, not the (already-evicted) cache.
-        let verifier = CachedVerifier::new(
-            BatchConfig::with_threads(1),
-            CacheConfig::memory_only(1),
-        );
-        let a = ok_program("dup-a");
-        let b = ok_program("dup-b");
-        let results = verifier.verify_batch(&[&a, &b, &a]);
-        assert_eq!(results.len(), 3);
-        assert!(!results[0].cached && !results[1].cached);
-        assert!(results[2].cached, "duplicate slot is served, not recomputed");
-        assert_eq!(results[0].key, results[2].key);
-        assert_eq!(results[0].report.to_json(), results[2].report.to_json());
     }
 
     #[test]
@@ -1361,15 +1021,5 @@ mod tests {
         assert!(!client.import_verdict(ProgramHash(13), &verdict_entry));
         assert!(!client.import_obligation(ObligationKey(13), "garbage"));
         assert_eq!(client.get_obligation(ObligationKey(13)), None);
-    }
-
-    #[test]
-    fn same_body_different_name_is_a_different_address() {
-        let verifier =
-            CachedVerifier::new(BatchConfig::default(), CacheConfig::memory_only(64));
-        let a = verifier.verify(&ok_program("name-a"));
-        let b = verifier.verify(&ok_program("name-b"));
-        assert_ne!(a.key, b.key);
-        assert!(!b.cached, "a renamed program must not hit a's verdict");
     }
 }

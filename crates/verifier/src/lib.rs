@@ -59,7 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod batch;
+mod batch;
 pub mod cache;
 pub mod hash;
 pub mod minimize;
@@ -74,8 +74,7 @@ pub mod workspace;
 pub use commcsl_analysis::{diag, program};
 
 pub use api::{Outcome, Verifier};
-pub use batch::{verify_batch, BatchConfig, BatchResult};
-pub use cache::{CacheConfig, CacheStats, CachedResult, CachedVerifier, VerdictCache};
+pub use cache::{CacheConfig, CacheStats, VerdictCache};
 pub use diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
 pub use hash::{program_hash, ProgramHash, StableHash, StableHasher};
 pub use minimize::{minimize_counterexample, Minimized};

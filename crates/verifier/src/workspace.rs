@@ -14,8 +14,7 @@
 //! * the **program tier** answers unchanged programs with their whole
 //!   cached report ([`program_hash`] address), and
 //! * the **obligation tier** answers changed programs obligation by
-//!   obligation: [`verify_incremental`](crate::symexec::verify_incremental)
-//!   re-discharges only the obligations whose dependency cone the edit
+//!   obligation: [`verify_incremental`] re-discharges only the obligations whose dependency cone the edit
 //!   dirtied and replays cached statuses for the rest. A
 //!   single-statement edit near the end of a document re-checks one
 //!   obligation; everything before it is a key hit.
@@ -144,7 +143,7 @@ impl Workspace {
 
     /// A workspace over a shared cache (daemon sessions all point at the
     /// server's cache; see
-    /// [`CachedVerifier::shared_cache`](crate::cache::CachedVerifier::shared_cache)).
+    /// [`Verifier::shared_cache`](crate::api::Verifier::shared_cache)).
     pub fn with_shared_cache(
         config: VerifierConfig,
         cache: Arc<Mutex<VerdictCache>>,

@@ -3,8 +3,7 @@
 //! identical to sequential `verify` verdicts regardless of thread count.
 
 use commcsl::fixtures::{self, rejected};
-use commcsl::verifier::batch::{verify_batch_ref, BatchConfig};
-use commcsl::verifier::{verify, AnnotatedProgram, VerifierConfig, VerifierReport};
+use commcsl::verifier::{verify, AnnotatedProgram, Verifier, VerifierConfig, VerifierReport};
 
 fn sequential(programs: &[&AnnotatedProgram]) -> Vec<VerifierReport> {
     let config = VerifierConfig::default();
@@ -34,7 +33,9 @@ fn batch_matches_sequential_on_all_fixtures_for_any_thread_count() {
     let expected = sequential(&programs);
 
     for threads in [1, 2, 3, 7, 32] {
-        let results = verify_batch_ref(&programs, &BatchConfig::with_threads(threads));
+        let results = Verifier::new()
+            .with_threads(threads)
+            .verify_batch(&programs);
         assert_eq!(results.len(), expected.len());
         for (result, seq) in results.iter().zip(&expected) {
             let context = format!("{} (threads={threads})", result.program);
@@ -51,7 +52,9 @@ fn batch_matches_sequential_on_rejected_programs() {
     let expected = sequential(&programs);
 
     for threads in [2, 5] {
-        let results = verify_batch_ref(&programs, &BatchConfig::with_threads(threads));
+        let results = Verifier::new()
+            .with_threads(threads)
+            .verify_batch(&programs);
         for ((result, seq), (name, _)) in results.iter().zip(&expected).zip(&rejected) {
             let context = format!("{name} (threads={threads})");
             assert_reports_identical(&result.report, seq, &context);
@@ -72,7 +75,7 @@ fn batch_preserves_input_order_under_contention() {
         .chain(fixtures.iter())
         .map(|f| &f.program)
         .collect();
-    let results = verify_batch_ref(&programs, &BatchConfig::default());
+    let results = Verifier::new().verify_batch(&programs);
     assert_eq!(results.len(), 2 * fixtures.len());
     for (i, result) in results.iter().enumerate() {
         assert_eq!(result.index, i);

@@ -12,10 +12,9 @@ use commcsl::fixtures;
 use commcsl::server::client::{connect_or_start, Client};
 use commcsl::server::daemon::{Server, ServerConfig};
 use commcsl::server::protocol::VerifyItem;
-use commcsl::verifier::batch::BatchConfig;
-use commcsl::verifier::cache::{CacheConfig, CachedVerifier};
+use commcsl::verifier::cache::CacheConfig;
 use commcsl::verifier::report::VerifierConfig;
-use commcsl::verifier::{program_hash, verify, AnnotatedProgram};
+use commcsl::verifier::{program_hash, verify, AnnotatedProgram, Verifier};
 
 /// Drops → `request_shutdown()`: keeps a panicking assertion inside a
 /// `thread::scope` from hanging the test forever (scope joins the
@@ -61,31 +60,30 @@ fn cached_verdicts_are_byte_identical_across_tiers_and_restarts() {
         .collect();
 
     // Cold + warm within one verifier (memory tier).
-    let cached = CachedVerifier::new(
-        BatchConfig::with_threads(0),
-        CacheConfig::persistent(&cache_dir),
-    );
+    let cached = Verifier::new().with_cache(CacheConfig::persistent(&cache_dir));
     let cold = cached.verify_batch(&refs);
     let warm = cached.verify_batch(&refs);
     for ((c, w), d) in cold.iter().zip(&warm).zip(&direct) {
-        assert!(!c.cached && w.cached);
+        assert!(c.cached == Some(false) && w.cached == Some(true));
         assert_eq!(c.report.to_json(), *d);
         assert_eq!(w.report.to_json(), *d, "memory tier altered a verdict");
     }
 
     // "Daemon restart": a fresh verifier over the same directory — every
     // verdict must come from disk, still byte-identical.
-    let restarted = CachedVerifier::new(
-        BatchConfig::with_threads(0),
-        CacheConfig::persistent(&cache_dir),
-    );
+    let restarted = Verifier::new().with_cache(CacheConfig::persistent(&cache_dir));
     let after = restarted.verify_batch(&refs);
     for ((r, d), p) in after.iter().zip(&direct).zip(&programs) {
-        assert!(r.cached, "disk tier must survive a restart for {}", p.name);
+        assert_eq!(
+            r.cached,
+            Some(true),
+            "disk tier must survive a restart for {}",
+            p.name
+        );
         assert_eq!(r.report.to_json(), *d, "disk tier altered a verdict for {}", p.name);
-        assert_eq!(r.key, program_hash(p, &config));
+        assert_eq!(r.key, Some(program_hash(p, &config)));
     }
-    let stats = restarted.stats();
+    let stats = restarted.cache_stats().expect("a cache is configured");
     assert_eq!(stats.disk_hits as usize, programs.len());
     assert_eq!(stats.misses, 0);
 

@@ -3,8 +3,7 @@
 //! Lints are *advisory* static diagnostics: unlike proof obligations they
 //! never change a verification verdict, and unlike parse errors they never
 //! stop a run. Each lint carries a stable machine-readable [`LintCode`]
-//! (same append-only contract as
-//! [`DiagnosticCode`](crate::diag::DiagnosticCode)) and a [`Severity`];
+//! (same append-only contract as [`DiagnosticCode`]) and a [`Severity`];
 //! `commcsl lint --deny warnings` turns warning-severity lints into a
 //! non-zero exit.
 

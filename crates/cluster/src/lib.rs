@@ -9,12 +9,12 @@
 //! * [`ring`] — a deterministic consistent-hash ring with virtual
 //!   nodes: content keys map to shards identically in every process,
 //!   and a shard's death re-routes only its own key range;
-//! * [`router`] — the [`ShardPool`](router::ShardPool): N
+//! * [`router`] — the [`ShardPool`]: N
 //!   shared-nothing [`Server`](commcsl_server::Server) shards behind
 //!   one TCP endpoint, requests routed on program hash (v1) or
 //!   document identity (v2) so content always lands on its warm shard.
 //!   Responses stay byte-identical to a single-process daemon;
-//! * [`remote`] — the [`RemoteCacheClient`](remote::RemoteCacheClient):
+//! * [`remote`] — the [`RemoteCacheClient`]:
 //!   a `cache_get`/`cache_put` protocol client that slots in as the
 //!   third tier of the obligation cache chain (memory → disk →
 //!   remote), sccache-style, so many daemons and CI runners share one

@@ -8,7 +8,7 @@
 
 use commcsl_lang::span::Pos;
 use commcsl_logic::spec::ActionKind;
-use commcsl_pure::{Sort, Term};
+use commcsl_pure::{Sort, Symbol, Term};
 
 /// A parsed `.csl` file.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,11 +26,11 @@ pub struct SurfaceProgram {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResourceDecl {
     /// The surface name `share` / `with` / `unshare` statements refer to.
-    pub binder: String,
+    pub binder: Symbol,
     /// Position of the binder (for duplicate-declaration diagnostics).
     pub binder_pos: Pos,
     /// Specification name override (`named "…"`); defaults to the binder.
-    pub spec_name: Option<String>,
+    pub spec_name: Option<Symbol>,
     /// Sort of the resource value.
     pub value_sort: Sort,
     /// The abstraction function body, over the fixed variable `v`.
@@ -45,7 +45,7 @@ pub struct ResourceDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActionDecl {
     /// Action name.
-    pub name: String,
+    pub name: Symbol,
     /// Position of the action name.
     pub name_pos: Pos,
     /// `shared` or `unique`.
@@ -75,7 +75,7 @@ pub enum WithSuffix {
     /// (`VStmt::ConsumeBind`).
     Binding {
         /// Variable bound to the consumed element.
-        var: String,
+        var: Symbol,
         /// Index of the consumed element in the produced sequence.
         index: Term,
     },
@@ -100,7 +100,7 @@ pub enum StmtKind {
     /// `input x: Sort low|high;`
     Input {
         /// Variable bound.
-        var: String,
+        var: Symbol,
         /// Declared sort.
         sort: Sort,
         /// `low` or `high`.
@@ -109,7 +109,7 @@ pub enum StmtKind {
     /// `x := e;`
     Assign {
         /// Assigned variable.
-        var: String,
+        var: Symbol,
         /// Right-hand side.
         expr: Term,
     },
@@ -125,7 +125,7 @@ pub enum StmtKind {
     /// `for x in e .. e { … }`
     For {
         /// Loop variable.
-        var: String,
+        var: Symbol,
         /// Inclusive lower bound.
         from: Term,
         /// Exclusive upper bound.
@@ -136,7 +136,7 @@ pub enum StmtKind {
     /// `share r = e;`
     Share {
         /// Resource binder.
-        resource: String,
+        resource: Symbol,
         /// Position of the binder use.
         resource_pos: Pos,
         /// Initial value expression.
@@ -152,11 +152,11 @@ pub enum StmtKind {
     /// `with r performing a(e) [deferred | times e | binding x at e];`
     With {
         /// Resource binder.
-        resource: String,
+        resource: Symbol,
         /// Position of the binder use.
         resource_pos: Pos,
         /// Action name.
-        action: String,
+        action: Symbol,
         /// Position of the action name.
         action_pos: Pos,
         /// Parsed argument list (`()` is empty; lowering maps it to `unit`).
@@ -169,11 +169,11 @@ pub enum StmtKind {
     /// `unshare r into x;`
     Unshare {
         /// Resource binder.
-        resource: String,
+        resource: Symbol,
         /// Position of the binder use.
         resource_pos: Pos,
         /// Variable receiving the final value.
-        into: String,
+        into: Symbol,
     },
     /// `assert low(e);`
     AssertLow(Term),

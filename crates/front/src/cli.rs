@@ -34,8 +34,9 @@
 //! `PATH` arguments may be `.csl` files, directories (searched recursively
 //! for `*.csl`), or simple `*`-globs in the final path component. `verify`
 //! pushes every program through the parallel batch-verification pipeline
-//! ([`commcsl_verifier::batch`]) and reports per-program results — human-
-//! readable by default, one machine-readable JSON document with `--json`.
+//! ([`commcsl_verifier::Verifier::verify_batch`]) and reports per-program
+//! results — human-readable by default, one machine-readable JSON document
+//! with `--json`.
 //!
 //! With `--daemon`, `verify` connects to the persistent verification
 //! service of `commcsl-server` instead (starting one on demand unless

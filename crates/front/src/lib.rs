@@ -70,5 +70,5 @@ pub fn compile(source: &str) -> Result<AnnotatedProgram, ParseError> {
         parser::parse_surface(source)?
     };
     let _span = commcsl_telemetry::span!("front.lower");
-    lower::lower(&surface)
+    lower::lower_owned(surface)
 }

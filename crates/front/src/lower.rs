@@ -34,28 +34,39 @@ use crate::sorts::infer;
 /// verification reports can point back at the `.csl` line of a failed
 /// obligation.
 ///
+/// This copies the surface program's terms; [`crate::compile`] lowers the
+/// program it has just parsed by moving them instead.
+///
 /// # Errors
 ///
 /// Returns a [`ParseError`] (with position) on name-resolution or
 /// sort-discipline violations; see the module docs for the full list.
 pub fn lower(surface: &SurfaceProgram) -> Result<AnnotatedProgram, ParseError> {
+    lower_owned(surface.clone())
+}
+
+/// [`lower`], consuming the surface program: its terms and names move
+/// into the lowered program.
+pub(crate) fn lower_owned(surface: SurfaceProgram) -> Result<AnnotatedProgram, ParseError> {
     let mut resources = Vec::new();
-    let mut index_of: BTreeMap<&str, usize> = BTreeMap::new();
-    for (i, decl) in surface.resources.iter().enumerate() {
-        if index_of.insert(&decl.binder, i).is_some() {
+    let mut index_of: BTreeMap<Symbol, usize> = BTreeMap::new();
+    for (i, decl) in surface.resources.into_iter().enumerate() {
+        if index_of.contains_key(&decl.binder) {
             return Err(ParseError::new(
                 decl.binder_pos,
                 format!("duplicate resource `{}`", decl.binder),
             ));
         }
+        let binder = decl.binder.clone();
         resources.push(lower_resource(decl)?);
+        index_of.insert(binder, i);
     }
     let ctx = Ctx { index_of, specs: &resources };
     let mut spans: BTreeMap<StmtPath, SourceSpan> = BTreeMap::new();
     let mut path: StmtPath = Vec::new();
-    let body = lower_body(&surface.body, &ctx, &mut path, 0, &mut spans)?;
+    let body = lower_body(surface.body, &ctx, &mut path, 0, &mut spans)?;
     Ok(AnnotatedProgram {
-        name: surface.name.clone(),
+        name: surface.name,
         resources,
         body,
         spans,
@@ -86,11 +97,11 @@ fn check_free_vars(
     Ok(())
 }
 
-fn lower_resource(decl: &ResourceDecl) -> Result<ResourceSpec, ParseError> {
+fn lower_resource(decl: ResourceDecl) -> Result<ResourceSpec, ParseError> {
     check_free_vars(&decl.alpha, &["v"], "the abstraction function", decl.alpha_pos)?;
-    let mut actions = Vec::new();
-    for action in &decl.actions {
-        if actions.iter().any(|a: &ActionDef| a.name.as_str() == action.name) {
+    let mut actions: Vec<ActionDef> = Vec::new();
+    for action in decl.actions {
+        if actions.iter().any(|a| a.name == action.name) {
             return Err(ParseError::new(
                 action.name_pos,
                 format!("duplicate action `{}`", action.name),
@@ -102,46 +113,46 @@ fn lower_resource(decl: &ResourceDecl) -> Result<ResourceSpec, ParseError> {
             "an action body",
             action.body_pos,
         )?;
-        let pre = match &action.pre {
+        let pre = match action.pre {
             None => Term::tt(),
             Some((pre, pre_pos)) => {
-                check_free_vars(pre, &["arg1", "arg2"], "a `requires` clause", *pre_pos)?;
+                check_free_vars(&pre, &["arg1", "arg2"], "a `requires` clause", pre_pos)?;
                 let env: BTreeMap<Symbol, Sort> = [
                     (Symbol::new("arg1"), action.arg_sort.clone()),
                     (Symbol::new("arg2"), action.arg_sort.clone()),
                 ]
                 .into_iter()
                 .collect();
-                let sort = infer(pre, &env);
+                let sort = infer(&pre, &env);
                 if !sort.compatible(&Sort::Bool) {
                     return Err(ParseError::new(
-                        *pre_pos,
+                        pre_pos,
                         format!(
                             "ill-sorted `requires` clause: expected Bool, found {sort}"
                         ),
                     ));
                 }
-                pre.clone()
+                pre
             }
         };
         actions.push(ActionDef {
-            name: Symbol::new(&action.name),
+            name: action.name,
             kind: action.kind,
-            arg_sort: action.arg_sort.clone(),
-            body: action.body.clone(),
+            arg_sort: action.arg_sort,
+            body: action.body,
             pre,
         });
     }
     Ok(ResourceSpec::new(
-        decl.spec_name.as_deref().unwrap_or(&decl.binder),
-        decl.value_sort.clone(),
-        decl.alpha.clone(),
+        decl.spec_name.unwrap_or(decl.binder),
+        decl.value_sort,
+        decl.alpha,
         actions,
     ))
 }
 
 struct Ctx<'a> {
-    index_of: BTreeMap<&'a str, usize>,
+    index_of: BTreeMap<Symbol, usize>,
     specs: &'a [ResourceSpec],
 }
 
@@ -158,56 +169,52 @@ impl<'a> Ctx<'a> {
 /// statement's source position in `spans`. The offset conventions match
 /// [`StmtPath`]'s documentation (and the verifier's traversal) exactly.
 fn lower_body(
-    stmts: &[Stmt],
+    stmts: Vec<Stmt>,
     ctx: &Ctx<'_>,
     path: &mut StmtPath,
     offset: u32,
     spans: &mut BTreeMap<StmtPath, SourceSpan>,
 ) -> Result<Vec<VStmt>, ParseError> {
-    stmts
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            path.push(offset + i as u32);
-            spans.insert(path.clone(), SourceSpan::new(s.pos.line, s.pos.col));
-            let lowered = lower_stmt(s, ctx, path, spans);
-            path.pop();
-            lowered
-        })
-        .collect()
+    let mut lowered = Vec::with_capacity(stmts.len());
+    for (i, s) in stmts.into_iter().enumerate() {
+        path.push(offset + i as u32);
+        spans.insert(path.clone(), SourceSpan::new(s.pos.line, s.pos.col));
+        lowered.push(lower_stmt(s.kind, ctx, path, spans)?);
+        path.pop();
+    }
+    Ok(lowered)
 }
 
 fn lower_stmt(
-    stmt: &Stmt,
+    kind: StmtKind,
     ctx: &Ctx<'_>,
     path: &mut StmtPath,
     spans: &mut BTreeMap<StmtPath, SourceSpan>,
 ) -> Result<VStmt, ParseError> {
-    Ok(match &stmt.kind {
-        StmtKind::Input { var, sort, low } => VStmt::Input {
-            var: Symbol::new(var),
-            sort: sort.clone(),
-            low: *low,
-        },
-        StmtKind::Assign { var, expr } => VStmt::Assign(Symbol::new(var), expr.clone()),
-        StmtKind::If { cond, then_b, else_b } => VStmt::If {
-            cond: cond.clone(),
-            then_b: lower_body(then_b, ctx, path, 0, spans)?,
-            else_b: lower_body(else_b, ctx, path, then_b.len() as u32, spans)?,
-        },
+    Ok(match kind {
+        StmtKind::Input { var, sort, low } => VStmt::Input { var, sort, low },
+        StmtKind::Assign { var, expr } => VStmt::Assign(var, expr),
+        StmtKind::If { cond, then_b, else_b } => {
+            let else_offset = then_b.len() as u32;
+            VStmt::If {
+                cond,
+                then_b: lower_body(then_b, ctx, path, 0, spans)?,
+                else_b: lower_body(else_b, ctx, path, else_offset, spans)?,
+            }
+        }
         StmtKind::For { var, from, to, body } => VStmt::For {
-            var: Symbol::new(var),
-            from: from.clone(),
-            to: to.clone(),
+            var,
+            from,
+            to,
             body: lower_body(body, ctx, path, 0, spans)?,
         },
         StmtKind::Share { resource, resource_pos, init, init_pos } => {
-            let index = ctx.resolve(resource, *resource_pos)?;
+            let index = ctx.resolve(resource.as_str(), resource_pos)?;
             let spec = &ctx.specs[index];
-            let init_sort = infer(init, &BTreeMap::new());
+            let init_sort = infer(&init, &BTreeMap::new());
             if !init_sort.compatible(&spec.value_sort) {
                 return Err(ParseError::new(
-                    *init_pos,
+                    init_pos,
                     format!(
                         "initial value has sort {init_sort}, but resource `{resource}` \
                          holds {}",
@@ -215,11 +222,11 @@ fn lower_stmt(
                     ),
                 ));
             }
-            VStmt::Share { resource: index, init: init.clone() }
+            VStmt::Share { resource: index, init }
         }
         StmtKind::Par { workers } => VStmt::Par {
             workers: workers
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(w, worker)| {
                     path.push(w as u32);
@@ -238,13 +245,13 @@ fn lower_stmt(
             args_pos,
             suffix,
         } => {
-            let index = ctx.resolve(resource, *resource_pos)?;
+            let index = ctx.resolve(resource.as_str(), resource_pos)?;
             let spec = &ctx.specs[index];
-            let Some(action_def) = spec.action(action) else {
+            let Some(action_def) = spec.action(action.as_str()) else {
                 let known: Vec<&str> =
                     spec.actions.iter().map(|a| a.name.as_str()).collect();
                 return Err(ParseError::new(
-                    *action_pos,
+                    action_pos,
                     format!(
                         "resource `{resource}` (spec `{}`) has no action `{action}`; \
                          available: {}",
@@ -255,7 +262,7 @@ fn lower_stmt(
             };
             if matches!(suffix, WithSuffix::Binding { .. }) && !args.is_empty() {
                 return Err(ParseError::new(
-                    *args_pos,
+                    args_pos,
                     format!(
                         "a consuming `binding` action takes no argument, got {}",
                         args.len()
@@ -264,61 +271,49 @@ fn lower_stmt(
             }
             if args.len() > 1 {
                 return Err(ParseError::new(
-                    *args_pos,
+                    args_pos,
                     format!(
                         "action `{action}` takes at most one argument, got {}",
                         args.len()
                     ),
                 ));
             }
-            let arg = args
-                .first()
-                .cloned()
-                .unwrap_or(Term::Lit(Value::Unit));
+            let arg = args.into_iter().next().unwrap_or(Term::Lit(Value::Unit));
             let arg_sort = infer(&arg, &BTreeMap::new());
             if !matches!(suffix, WithSuffix::Binding { .. })
                 && !arg_sort.compatible(&action_def.arg_sort)
             {
                 return Err(ParseError::new(
-                    *args_pos,
+                    args_pos,
                     format!(
                         "action `{action}` expects an argument of sort {}, found {arg_sort}",
                         action_def.arg_sort
                     ),
                 ));
             }
-            let action_sym = Symbol::new(action);
             match suffix {
-                WithSuffix::None => VStmt::Atomic {
-                    resource: index,
-                    action: action_sym,
-                    arg,
-                },
-                WithSuffix::Deferred => VStmt::AtomicDeferred {
-                    resource: index,
-                    action: action_sym,
-                    arg,
-                },
+                WithSuffix::None => VStmt::Atomic { resource: index, action, arg },
+                WithSuffix::Deferred => VStmt::AtomicDeferred { resource: index, action, arg },
                 WithSuffix::Times(count) => VStmt::AtomicBatch {
                     resource: index,
-                    action: action_sym,
+                    action,
                     arg,
-                    count: count.clone(),
+                    count,
                 },
                 WithSuffix::Binding { var, index: at } => VStmt::ConsumeBind {
                     resource: index,
-                    action: action_sym,
-                    var: Symbol::new(var),
-                    index: at.clone(),
+                    action,
+                    var,
+                    index: at,
                 },
             }
         }
         StmtKind::Unshare { resource, resource_pos, into } => VStmt::Unshare {
-            resource: ctx.resolve(resource, *resource_pos)?,
-            into: Symbol::new(into),
+            resource: ctx.resolve(resource.as_str(), resource_pos)?,
+            into,
         },
-        StmtKind::AssertLow(e) => VStmt::AssertLow(e.clone()),
-        StmtKind::Output(e) => VStmt::Output(e.clone()),
+        StmtKind::AssertLow(e) => VStmt::AssertLow(e),
+        StmtKind::Output(e) => VStmt::Output(e),
     })
 }
 

@@ -41,25 +41,19 @@
 //! All diagnostics carry 1-based `line:column` positions via the shared
 //! [`commcsl_lang::span`] machinery.
 
-use commcsl_lang::parser::func_by_name;
-use commcsl_lang::span::{Lexer, ParseError, Pos, Token};
+use commcsl_lang::parser::{Dialect, Parser, Word};
+use commcsl_lang::span::{unescape, ParseError, Sym, Token};
 use commcsl_logic::spec::ActionKind;
-use commcsl_pure::{Func, Sort, Term, Value};
+use commcsl_pure::{Sort, Symbol, Term};
 
 use crate::ast::{ActionDecl, ResourceDecl, Stmt, StmtKind, SurfaceProgram, WithSuffix};
 
-/// Words that cannot open an assignment statement or bind a resource.
-pub const KEYWORDS: &[&str] = &[
-    "program", "resource", "named", "alpha", "shared", "unique", "action", "requires",
-    "input", "low", "high", "if", "else", "for", "in", "share", "par", "with",
-    "performing", "deferred", "times", "binding", "at", "unshare", "into", "assert",
-    "output",
-];
-
-const SYMBOLS: &[&str] = &[
-    ":=", "==", "!=", "<=", ">=", "&&", "||", "..", "(", ")", "[", "]", "{", "}", ",",
-    ";", ":", "+", "-", "*", "/", "%", "<", ">", "!", "=", "?", ".",
-];
+/// `true` for the words that cannot open an assignment statement or bind
+/// a resource (`program`, `resource`, `input`, `low`, …; see
+/// [`Word::reserved`]).
+pub fn is_keyword(ident: &str) -> bool {
+    Word::of(ident).is_some_and(Word::reserved)
+}
 
 /// Parses a whole `.csl` file into its surface AST.
 ///
@@ -68,8 +62,8 @@ const SYMBOLS: &[&str] = &[
 /// Returns a [`ParseError`] (with `line:column` position) on malformed
 /// input, including trailing junk.
 pub fn parse_surface(input: &str) -> Result<SurfaceProgram, ParseError> {
-    let mut p = Parser::new(input)?;
-    let prog = p.parse_program()?;
+    let mut p = Parser::new(input, Dialect::Annotated)?;
+    let prog = program(&mut p)?;
     p.expect_eof()?;
     Ok(prog)
 }
@@ -80,576 +74,334 @@ pub fn parse_surface(input: &str) -> Result<SurfaceProgram, ParseError> {
 ///
 /// Returns a [`ParseError`] on malformed input, including trailing junk.
 pub fn parse_term(input: &str) -> Result<Term, ParseError> {
-    let mut p = Parser::new(input)?;
+    let mut p = Parser::new(input, Dialect::Annotated)?;
     let e = p.parse_expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
-struct Parser<'a> {
-    lexer: Lexer<'a>,
-    tok: Token,
-    pos: Pos,
+// ----------------------------------------------------------------- program
+
+fn program(p: &mut Parser<'_>) -> Result<SurfaceProgram, ParseError> {
+    p.eat_word(Word::Program)?;
+    let name = match p.tok() {
+        Token::Ident(s) => s.to_owned(),
+        Token::Str(raw) => unescape(raw).into_owned(),
+        other => {
+            return p.err(format!(
+                "expected a program name (identifier or string), found {other}"
+            ))
+        }
+    };
+    p.advance()?;
+    p.eat(Sym::Semi)?;
+    let mut resources = Vec::new();
+    while p.at_word(Word::Resource) {
+        resources.push(resource(p)?);
+    }
+    let mut body = Vec::new();
+    while p.tok() != Token::Eof {
+        body.push(stmt(p)?);
+    }
+    Ok(SurfaceProgram { name, resources, body })
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Result<Self, ParseError> {
-        let mut lexer = Lexer::new(input, SYMBOLS);
-        let (tok, pos) = lexer.next_token()?;
-        Ok(Parser { lexer, tok, pos })
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError::new(self.pos, message))
-    }
-
-    fn advance(&mut self) -> Result<(), ParseError> {
-        let (tok, pos) = self.lexer.next_token()?;
-        self.tok = tok;
-        self.pos = pos;
-        Ok(())
-    }
-
-    fn at_sym(&self, sym: &'static str) -> bool {
-        self.tok == Token::Sym(sym)
-    }
-
-    fn eat_sym(&mut self, sym: &'static str) -> Result<(), ParseError> {
-        if self.at_sym(sym) {
-            self.advance()
-        } else {
-            self.err(format!("expected `{sym}`, found {}", self.tok))
-        }
-    }
-
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(&self.tok, Token::Ident(s) if s == kw)
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.at_keyword(kw) {
-            self.advance()
-        } else {
-            self.err(format!("expected keyword `{kw}`, found {}", self.tok))
-        }
-    }
-
-    fn eat_ident(&mut self, what: &str) -> Result<(String, Pos), ParseError> {
-        match self.tok.clone() {
-            Token::Ident(s) => {
-                let pos = self.pos;
-                self.advance()?;
-                Ok((s, pos))
-            }
-            other => self.err(format!("expected {what}, found {other}")),
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<(), ParseError> {
-        if self.tok == Token::Eof {
-            Ok(())
-        } else {
-            self.err(format!("trailing input: {}", self.tok))
-        }
-    }
-
-    // ------------------------------------------------------------- program
-
-    fn parse_program(&mut self) -> Result<SurfaceProgram, ParseError> {
-        self.eat_keyword("program")?;
-        let name = match self.tok.clone() {
-            Token::Ident(s) => {
-                self.advance()?;
-                s
-            }
-            Token::Str(s) => {
-                self.advance()?;
-                s
-            }
-            other => {
-                return self.err(format!(
-                    "expected a program name (identifier or string), found {other}"
-                ))
-            }
-        };
-        self.eat_sym(";")?;
-        let mut resources = Vec::new();
-        while self.at_keyword("resource") {
-            resources.push(self.parse_resource()?);
-        }
-        let mut body = Vec::new();
-        while self.tok != Token::Eof {
-            body.push(self.parse_stmt()?);
-        }
-        Ok(SurfaceProgram { name, resources, body })
-    }
-
-    fn parse_resource(&mut self) -> Result<ResourceDecl, ParseError> {
-        self.eat_keyword("resource")?;
-        let (binder, binder_pos) = self.eat_ident("a resource name")?;
-        if KEYWORDS.contains(&binder.as_str()) {
-            return Err(ParseError::new(
-                binder_pos,
-                format!("`{binder}` is a reserved word and cannot name a resource"),
-            ));
-        }
-        self.eat_sym(":")?;
-        let value_sort = self.parse_sort()?;
-        let spec_name = if self.at_keyword("named") {
-            self.advance()?;
-            match self.tok.clone() {
-                Token::Str(s) => {
-                    self.advance()?;
-                    Some(s)
-                }
-                other => {
-                    return self.err(format!(
-                        "expected a string after `named`, found {other}"
-                    ))
-                }
-            }
-        } else {
-            None
-        };
-        self.eat_sym("{")?;
-        self.eat_keyword("alpha")?;
-        self.eat_sym("(")?;
-        self.eat_keyword("v")?;
-        self.eat_sym(")")?;
-        self.eat_sym("=")?;
-        let alpha_pos = self.pos;
-        let alpha = self.parse_expr()?;
-        self.eat_sym(";")?;
-        let mut actions = Vec::new();
-        while self.at_keyword("shared") || self.at_keyword("unique") {
-            actions.push(self.parse_action()?);
-        }
-        self.eat_sym("}")?;
-        Ok(ResourceDecl {
-            binder,
+fn resource(p: &mut Parser<'_>) -> Result<ResourceDecl, ParseError> {
+    p.eat_word(Word::Resource)?;
+    let reserved = p.word().is_some_and(Word::reserved);
+    let (binder, binder_pos) = p.eat_ident("a resource name")?;
+    if reserved {
+        return Err(ParseError::new(
             binder_pos,
-            spec_name,
-            value_sort,
-            alpha,
-            alpha_pos,
-            actions,
-        })
+            format!("`{binder}` is a reserved word and cannot name a resource"),
+        ));
     }
-
-    fn parse_action(&mut self) -> Result<ActionDecl, ParseError> {
-        let kind = if self.at_keyword("shared") {
-            ActionKind::Shared
-        } else {
-            ActionKind::Unique
+    p.eat(Sym::Colon)?;
+    let value_sort = sort(p)?;
+    let spec_name = if p.at_word(Word::Named) {
+        p.advance()?;
+        let Token::Str(raw) = p.tok() else {
+            return p.err(format!("expected a string after `named`, found {}", p.tok()));
         };
-        self.advance()?;
-        self.eat_keyword("action")?;
-        let (name, name_pos) = self.eat_ident("an action name")?;
-        self.eat_sym("(")?;
-        self.eat_keyword("arg")?;
-        self.eat_sym(":")?;
-        let arg_sort = self.parse_sort()?;
-        self.eat_sym(")")?;
-        self.eat_sym("=")?;
-        let body_pos = self.pos;
-        let body = self.parse_expr()?;
-        let pre = if self.at_keyword("requires") {
-            self.advance()?;
-            let pre_pos = self.pos;
-            Some((self.parse_expr()?, pre_pos))
-        } else {
-            None
-        };
-        self.eat_sym(";")?;
-        Ok(ActionDecl {
-            name,
-            name_pos,
-            kind,
-            arg_sort,
-            body,
-            body_pos,
-            pre,
-        })
+        p.advance()?;
+        Some(Symbol::new(unescape(raw)))
+    } else {
+        None
+    };
+    p.eat(Sym::LBrace)?;
+    p.eat_word(Word::Alpha)?;
+    p.eat(Sym::LParen)?;
+    p.eat_word(Word::V)?;
+    p.eat(Sym::RParen)?;
+    p.eat(Sym::Eq)?;
+    let alpha_pos = p.pos();
+    let alpha = p.parse_expr()?;
+    p.eat(Sym::Semi)?;
+    let mut actions = Vec::new();
+    while p.at_word(Word::Shared) || p.at_word(Word::Unique) {
+        actions.push(action(p)?);
     }
+    p.eat(Sym::RBrace)?;
+    Ok(ResourceDecl {
+        binder: p.symbol(binder),
+        binder_pos,
+        spec_name,
+        value_sort,
+        alpha,
+        alpha_pos,
+        actions,
+    })
+}
 
-    // --------------------------------------------------------------- sorts
+fn action(p: &mut Parser<'_>) -> Result<ActionDecl, ParseError> {
+    let kind = if p.at_word(Word::Shared) {
+        ActionKind::Shared
+    } else {
+        ActionKind::Unique
+    };
+    p.advance()?;
+    p.eat_word(Word::Action)?;
+    let (name, name_pos) = p.eat_ident("an action name")?;
+    p.eat(Sym::LParen)?;
+    p.eat_word(Word::Arg)?;
+    p.eat(Sym::Colon)?;
+    let arg_sort = sort(p)?;
+    p.eat(Sym::RParen)?;
+    p.eat(Sym::Eq)?;
+    let body_pos = p.pos();
+    let body = p.parse_expr()?;
+    let pre = if p.at_word(Word::Requires) {
+        p.advance()?;
+        let pre_pos = p.pos();
+        Some((p.parse_expr()?, pre_pos))
+    } else {
+        None
+    };
+    p.eat(Sym::Semi)?;
+    Ok(ActionDecl {
+        name: p.symbol(name),
+        name_pos,
+        kind,
+        arg_sort,
+        body,
+        body_pos,
+        pre,
+    })
+}
 
-    fn parse_sort(&mut self) -> Result<Sort, ParseError> {
-        if self.at_sym("?") {
-            self.advance()?;
-            return Ok(Sort::Unknown);
+// ------------------------------------------------------------------- sorts
+
+fn sort(p: &mut Parser<'_>) -> Result<Sort, ParseError> {
+    if p.at(Sym::Question) {
+        p.advance()?;
+        return Ok(Sort::Unknown);
+    }
+    let word = p.word();
+    let (head, head_pos) = p.eat_ident("a sort")?;
+    let one = |p: &mut Parser<'_>| -> Result<Sort, ParseError> {
+        p.eat(Sym::LBracket)?;
+        let s = sort(p)?;
+        p.eat(Sym::RBracket)?;
+        Ok(s)
+    };
+    let two = |p: &mut Parser<'_>| -> Result<(Sort, Sort), ParseError> {
+        p.eat(Sym::LBracket)?;
+        let a = sort(p)?;
+        p.eat(Sym::Comma)?;
+        let b = sort(p)?;
+        p.eat(Sym::RBracket)?;
+        Ok((a, b))
+    };
+    match word {
+        Some(Word::IntSort) => Ok(Sort::Int),
+        Some(Word::BoolSort) => Ok(Sort::Bool),
+        Some(Word::UnitSort) => Ok(Sort::Unit),
+        Some(Word::StrSort) => Ok(Sort::Str),
+        Some(Word::SeqSort) => Ok(Sort::seq(one(p)?)),
+        Some(Word::SetSort) => Ok(Sort::set(one(p)?)),
+        Some(Word::MultisetSort) => Ok(Sort::multiset(one(p)?)),
+        Some(Word::MapSort) => {
+            let (k, v) = two(p)?;
+            Ok(Sort::map(k, v))
         }
-        let (head, head_pos) = self.eat_ident("a sort")?;
-        let one = |p: &mut Self| -> Result<Sort, ParseError> {
-            p.eat_sym("[")?;
-            let s = p.parse_sort()?;
-            p.eat_sym("]")?;
-            Ok(s)
-        };
-        let two = |p: &mut Self| -> Result<(Sort, Sort), ParseError> {
-            p.eat_sym("[")?;
-            let a = p.parse_sort()?;
-            p.eat_sym(",")?;
-            let b = p.parse_sort()?;
-            p.eat_sym("]")?;
-            Ok((a, b))
-        };
-        match head.as_str() {
-            "Int" => Ok(Sort::Int),
-            "Bool" => Ok(Sort::Bool),
-            "Unit" => Ok(Sort::Unit),
-            "Str" => Ok(Sort::Str),
-            "Seq" => Ok(Sort::seq(one(self)?)),
-            "Set" => Ok(Sort::set(one(self)?)),
-            "Multiset" => Ok(Sort::multiset(one(self)?)),
-            "Map" => {
-                let (k, v) = two(self)?;
-                Ok(Sort::map(k, v))
-            }
-            "Pair" => {
-                let (a, b) = two(self)?;
-                Ok(Sort::pair(a, b))
-            }
-            "Either" => {
-                let (a, b) = two(self)?;
-                Ok(Sort::either(a, b))
-            }
-            other => Err(ParseError::new(
-                head_pos,
-                format!("unknown sort `{other}`"),
-            )),
+        Some(Word::PairSort) => {
+            let (a, b) = two(p)?;
+            Ok(Sort::pair(a, b))
         }
-    }
-
-    // ---------------------------------------------------------- statements
-
-    fn parse_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        self.eat_sym("{")?;
-        let mut body = Vec::new();
-        while !self.at_sym("}") {
-            body.push(self.parse_stmt()?);
+        Some(Word::EitherSort) => {
+            let (a, b) = two(p)?;
+            Ok(Sort::either(a, b))
         }
-        self.advance()?;
-        Ok(body)
+        _ => Err(ParseError::new(head_pos, format!("unknown sort `{head}`"))),
     }
+}
 
-    fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
-        let pos = self.pos;
-        let kind = self.parse_stmt_kind()?;
-        Ok(Stmt { pos, kind })
+// -------------------------------------------------------------- statements
+
+fn block(p: &mut Parser<'_>) -> Result<Vec<Stmt>, ParseError> {
+    p.eat(Sym::LBrace)?;
+    let mut body = Vec::new();
+    while !p.at(Sym::RBrace) {
+        body.push(stmt(p)?);
     }
+    p.advance()?;
+    Ok(body)
+}
 
-    fn parse_stmt_kind(&mut self) -> Result<StmtKind, ParseError> {
-        match self.tok.clone() {
-            Token::Ident(kw) if kw == "input" => {
-                self.advance()?;
-                let (var, _) = self.eat_ident("a variable")?;
-                self.eat_sym(":")?;
-                let sort = self.parse_sort()?;
-                let low = if self.at_keyword("low") {
-                    true
-                } else if self.at_keyword("high") {
-                    false
-                } else {
-                    return self.err(format!(
-                        "expected `low` or `high`, found {}",
-                        self.tok
-                    ));
-                };
-                self.advance()?;
-                self.eat_sym(";")?;
-                Ok(StmtKind::Input { var, sort, low })
+fn stmt(p: &mut Parser<'_>) -> Result<Stmt, ParseError> {
+    let pos = p.pos();
+    let kind = stmt_kind(p)?;
+    Ok(Stmt { pos, kind })
+}
+
+/// An identifier as a variable name.
+fn var(p: &mut Parser<'_>, what: &str) -> Result<Symbol, ParseError> {
+    let (name, _) = p.eat_ident(what)?;
+    Ok(p.symbol(name))
+}
+
+fn stmt_kind(p: &mut Parser<'_>) -> Result<StmtKind, ParseError> {
+    let Token::Ident(name) = p.tok() else {
+        return p.err(format!("expected a statement, found {}", p.tok()));
+    };
+    let Some(word) = p.word().filter(|w| w.reserved()) else {
+        p.advance()?;
+        p.eat(Sym::Assign)?;
+        let expr = p.parse_expr()?;
+        p.eat(Sym::Semi)?;
+        return Ok(StmtKind::Assign { var: p.symbol(name), expr });
+    };
+    match word {
+        Word::Input => {
+            p.advance()?;
+            let var = var(p, "a variable")?;
+            p.eat(Sym::Colon)?;
+            let sort = sort(p)?;
+            let low = match p.word() {
+                Some(Word::Low) => true,
+                Some(Word::High) => false,
+                _ => return p.err(format!("expected `low` or `high`, found {}", p.tok())),
+            };
+            p.advance()?;
+            p.eat(Sym::Semi)?;
+            Ok(StmtKind::Input { var, sort, low })
+        }
+        Word::If => {
+            p.advance()?;
+            p.eat(Sym::LParen)?;
+            let cond = p.parse_expr()?;
+            p.eat(Sym::RParen)?;
+            let then_b = block(p)?;
+            let else_b = if p.at_word(Word::Else) {
+                p.advance()?;
+                block(p)?
+            } else {
+                Vec::new()
+            };
+            Ok(StmtKind::If { cond, then_b, else_b })
+        }
+        Word::For => {
+            p.advance()?;
+            let var = var(p, "a loop variable")?;
+            p.eat_word(Word::In)?;
+            let from = p.parse_expr()?;
+            p.eat(Sym::DotDot)?;
+            let to = p.parse_expr()?;
+            let body = block(p)?;
+            Ok(StmtKind::For { var, from, to, body })
+        }
+        Word::Share => {
+            p.advance()?;
+            let (resource, resource_pos) = p.eat_ident("a resource name")?;
+            p.eat(Sym::Eq)?;
+            let init_pos = p.pos();
+            let init = p.parse_expr()?;
+            p.eat(Sym::Semi)?;
+            Ok(StmtKind::Share {
+                resource: p.symbol(resource),
+                resource_pos,
+                init,
+                init_pos,
+            })
+        }
+        Word::Par => {
+            p.advance()?;
+            let mut workers = vec![block(p)?];
+            while p.at(Sym::OrOr) {
+                p.advance()?;
+                workers.push(block(p)?);
             }
-            Token::Ident(kw) if kw == "if" => {
-                self.advance()?;
-                self.eat_sym("(")?;
-                let cond = self.parse_expr()?;
-                self.eat_sym(")")?;
-                let then_b = self.parse_block()?;
-                let else_b = if self.at_keyword("else") {
-                    self.advance()?;
-                    self.parse_block()?
-                } else {
-                    Vec::new()
-                };
-                Ok(StmtKind::If { cond, then_b, else_b })
-            }
-            Token::Ident(kw) if kw == "for" => {
-                self.advance()?;
-                let (var, _) = self.eat_ident("a loop variable")?;
-                self.eat_keyword("in")?;
-                let from = self.parse_expr()?;
-                self.eat_sym("..")?;
-                let to = self.parse_expr()?;
-                let body = self.parse_block()?;
-                Ok(StmtKind::For { var, from, to, body })
-            }
-            Token::Ident(kw) if kw == "share" => {
-                self.advance()?;
-                let (resource, resource_pos) = self.eat_ident("a resource name")?;
-                self.eat_sym("=")?;
-                let init_pos = self.pos;
-                let init = self.parse_expr()?;
-                self.eat_sym(";")?;
-                Ok(StmtKind::Share { resource, resource_pos, init, init_pos })
-            }
-            Token::Ident(kw) if kw == "par" => {
-                self.advance()?;
-                let mut workers = vec![self.parse_block()?];
-                while self.at_sym("||") {
-                    self.advance()?;
-                    workers.push(self.parse_block()?);
-                }
-                Ok(StmtKind::Par { workers })
-            }
-            Token::Ident(kw) if kw == "with" => {
-                self.advance()?;
-                let (resource, resource_pos) = self.eat_ident("a resource name")?;
-                self.eat_keyword("performing")?;
-                let (action, action_pos) = self.eat_ident("an action name")?;
-                let args_pos = self.pos;
-                self.eat_sym("(")?;
-                let mut args = Vec::new();
-                if !self.at_sym(")") {
-                    args.push(self.parse_expr()?);
-                    while self.at_sym(",") {
-                        self.advance()?;
-                        args.push(self.parse_expr()?);
-                    }
-                }
-                self.eat_sym(")")?;
-                let suffix = if self.at_keyword("deferred") {
-                    self.advance()?;
+            Ok(StmtKind::Par { workers })
+        }
+        Word::With => {
+            p.advance()?;
+            let (resource, resource_pos) = p.eat_ident("a resource name")?;
+            p.eat_word(Word::Performing)?;
+            let (action, action_pos) = p.eat_ident("an action name")?;
+            let args_pos = p.pos();
+            // An action takes at most one argument.
+            let args = p.parse_args(1)?;
+            let suffix = match p.word() {
+                Some(Word::Deferred) => {
+                    p.advance()?;
                     WithSuffix::Deferred
-                } else if self.at_keyword("times") {
-                    self.advance()?;
-                    WithSuffix::Times(self.parse_expr()?)
-                } else if self.at_keyword("binding") {
-                    self.advance()?;
-                    let (var, _) = self.eat_ident("a variable")?;
-                    self.eat_keyword("at")?;
-                    let index = self.parse_expr()?;
+                }
+                Some(Word::Times) => {
+                    p.advance()?;
+                    WithSuffix::Times(p.parse_expr()?)
+                }
+                Some(Word::Binding) => {
+                    p.advance()?;
+                    let var = var(p, "a variable")?;
+                    p.eat_word(Word::At)?;
+                    let index = p.parse_expr()?;
                     WithSuffix::Binding { var, index }
-                } else {
-                    WithSuffix::None
-                };
-                self.eat_sym(";")?;
-                Ok(StmtKind::With {
-                    resource,
-                    resource_pos,
-                    action,
-                    action_pos,
-                    args,
-                    args_pos,
-                    suffix,
-                })
-            }
-            Token::Ident(kw) if kw == "unshare" => {
-                self.advance()?;
-                let (resource, resource_pos) = self.eat_ident("a resource name")?;
-                self.eat_keyword("into")?;
-                let (into, _) = self.eat_ident("a variable")?;
-                self.eat_sym(";")?;
-                Ok(StmtKind::Unshare { resource, resource_pos, into })
-            }
-            Token::Ident(kw) if kw == "assert" => {
-                self.advance()?;
-                self.eat_keyword("low")?;
-                self.eat_sym("(")?;
-                let e = self.parse_expr()?;
-                self.eat_sym(")")?;
-                self.eat_sym(";")?;
-                Ok(StmtKind::AssertLow(e))
-            }
-            Token::Ident(kw) if kw == "output" => {
-                self.advance()?;
-                let e = self.parse_expr()?;
-                self.eat_sym(";")?;
-                Ok(StmtKind::Output(e))
-            }
-            Token::Ident(name) => {
-                if KEYWORDS.contains(&name.as_str()) {
-                    return self.err(format!("unexpected keyword `{name}`"));
                 }
-                self.advance()?;
-                self.eat_sym(":=")?;
-                let expr = self.parse_expr()?;
-                self.eat_sym(";")?;
-                Ok(StmtKind::Assign { var: name, expr })
-            }
-            other => self.err(format!("expected a statement, found {other}")),
+                _ => WithSuffix::None,
+            };
+            p.eat(Sym::Semi)?;
+            Ok(StmtKind::With {
+                resource: p.symbol(resource),
+                resource_pos,
+                action: p.symbol(action),
+                action_pos,
+                args,
+                args_pos,
+                suffix,
+            })
         }
-    }
-
-    // ---------------------------------------------------------- expressions
-
-    fn parse_expr(&mut self) -> Result<Term, ParseError> {
-        self.parse_or()
-    }
-
-    fn parse_or(&mut self) -> Result<Term, ParseError> {
-        let first = self.parse_and()?;
-        if !self.at_sym("||") {
-            return Ok(first);
+        Word::Unshare => {
+            p.advance()?;
+            let (resource, resource_pos) = p.eat_ident("a resource name")?;
+            p.eat_word(Word::Into)?;
+            let into = var(p, "a variable")?;
+            p.eat(Sym::Semi)?;
+            let resource = p.symbol(resource);
+            Ok(StmtKind::Unshare { resource, resource_pos, into })
         }
-        let mut operands = vec![first];
-        while self.at_sym("||") {
-            self.advance()?;
-            operands.push(self.parse_and()?);
+        Word::Assert => {
+            p.advance()?;
+            p.eat_word(Word::Low)?;
+            p.eat(Sym::LParen)?;
+            let e = p.parse_expr()?;
+            p.eat(Sym::RParen)?;
+            p.eat(Sym::Semi)?;
+            Ok(StmtKind::AssertLow(e))
         }
-        Ok(Term::or(operands))
-    }
-
-    fn parse_and(&mut self) -> Result<Term, ParseError> {
-        let first = self.parse_cmp()?;
-        if !self.at_sym("&&") {
-            return Ok(first);
+        Word::Output => {
+            p.advance()?;
+            let e = p.parse_expr()?;
+            p.eat(Sym::Semi)?;
+            Ok(StmtKind::Output(e))
         }
-        let mut operands = vec![first];
-        while self.at_sym("&&") {
-            self.advance()?;
-            operands.push(self.parse_cmp()?);
-        }
-        Ok(Term::and(operands))
-    }
-
-    fn parse_cmp(&mut self) -> Result<Term, ParseError> {
-        let lhs = self.parse_add()?;
-        let op = match self.tok {
-            Token::Sym("==") => Some("=="),
-            Token::Sym("!=") => Some("!="),
-            Token::Sym("<") => Some("<"),
-            Token::Sym("<=") => Some("<="),
-            Token::Sym(">") => Some(">"),
-            Token::Sym(">=") => Some(">="),
-            _ => None,
-        };
-        let Some(op) = op else {
-            return Ok(lhs);
-        };
-        self.advance()?;
-        let rhs = self.parse_add()?;
-        Ok(match op {
-            "==" => Term::eq(lhs, rhs),
-            "!=" => Term::neq(lhs, rhs),
-            "<" => Term::lt(lhs, rhs),
-            "<=" => Term::le(lhs, rhs),
-            ">" => Term::lt(rhs, lhs),
-            ">=" => Term::le(rhs, lhs),
-            _ => unreachable!("comparison token"),
-        })
-    }
-
-    fn parse_add(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            if self.at_sym("+") {
-                self.advance()?;
-                lhs = Term::add(lhs, self.parse_mul()?);
-            } else if self.at_sym("-") {
-                self.advance()?;
-                lhs = Term::sub(lhs, self.parse_mul()?);
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn parse_mul(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            if self.at_sym("*") {
-                self.advance()?;
-                lhs = Term::mul(lhs, self.parse_unary()?);
-            } else if self.at_sym("/") {
-                self.advance()?;
-                lhs = Term::app(Func::Div, [lhs, self.parse_unary()?]);
-            } else if self.at_sym("%") {
-                self.advance()?;
-                lhs = Term::app(Func::Mod, [lhs, self.parse_unary()?]);
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn parse_unary(&mut self) -> Result<Term, ParseError> {
-        if self.at_sym("!") {
-            self.advance()?;
-            return Ok(Term::not(self.parse_unary()?));
-        }
-        if self.at_sym("-") {
-            self.advance()?;
-            // `-` directly before an integer literal folds into a negative
-            // literal, so `-1` round-trips as `Term::int(-1)`.
-            if let Token::Int(n) = self.tok {
-                self.advance()?;
-                return Ok(Term::int(-n));
-            }
-            return Ok(Term::app(Func::Neg, [self.parse_unary()?]));
-        }
-        self.parse_primary()
-    }
-
-    fn parse_primary(&mut self) -> Result<Term, ParseError> {
-        match self.tok.clone() {
-            Token::Int(n) => {
-                self.advance()?;
-                Ok(Term::int(n))
-            }
-            Token::Str(s) => {
-                self.advance()?;
-                Ok(Term::Lit(Value::str(s)))
-            }
-            Token::Sym("(") => {
-                self.advance()?;
-                let e = self.parse_expr()?;
-                self.eat_sym(")")?;
-                Ok(e)
-            }
-            Token::Ident(name) => {
-                self.advance()?;
-                match name.as_str() {
-                    "true" => return Ok(Term::tt()),
-                    "false" => return Ok(Term::ff()),
-                    "empty_seq" => return Ok(Term::Lit(Value::seq_empty())),
-                    "empty_set" => return Ok(Term::Lit(Value::set_empty())),
-                    "empty_ms" => return Ok(Term::Lit(Value::multiset_empty())),
-                    "empty_map" => return Ok(Term::Lit(Value::map_empty())),
-                    "unit" => return Ok(Term::Lit(Value::Unit)),
-                    _ => {}
-                }
-                if !self.at_sym("(") {
-                    return Ok(Term::var(name));
-                }
-                self.advance()?;
-                let mut args = Vec::new();
-                if !self.at_sym(")") {
-                    args.push(self.parse_expr()?);
-                    while self.at_sym(",") {
-                        self.advance()?;
-                        args.push(self.parse_expr()?);
-                    }
-                }
-                self.eat_sym(")")?;
-                let Some((func, arity)) = func_by_name(&name) else {
-                    return self.err(format!("unknown function `{name}`"));
-                };
-                if args.len() != arity {
-                    return self.err(format!(
-                        "`{name}` expects {arity} argument(s), got {}",
-                        args.len()
-                    ));
-                }
-                Ok(Term::App(func, args))
-            }
-            other => self.err(format!("expected an expression, found {other}")),
-        }
+        _ => p.err(format!("unexpected keyword `{name}`")),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use commcsl_pure::Func;
+
     use super::*;
 
     #[test]
@@ -682,8 +434,8 @@ mod tests {
         let p = parse_surface(src).unwrap();
         assert_eq!(p.resources.len(), 1);
         let r = &p.resources[0];
-        assert_eq!(r.binder, "ctr");
-        assert_eq!(r.spec_name.as_deref(), Some("counter-add"));
+        assert_eq!(r.binder.as_str(), "ctr");
+        assert_eq!(r.spec_name.as_ref().map(Symbol::as_str), Some("counter-add"));
         assert_eq!(r.value_sort, Sort::Int);
         assert_eq!(r.alpha, Term::var("v"));
         assert_eq!(r.actions.len(), 2);
@@ -733,7 +485,7 @@ mod tests {
             panic!("expected with");
         };
         assert!(args.is_empty());
-        assert!(matches!(suffix, WithSuffix::Binding { var, .. } if var == "y"));
+        assert!(matches!(suffix, WithSuffix::Binding { var, .. } if var.as_str() == "y"));
     }
 
     #[test]

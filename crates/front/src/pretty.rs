@@ -24,7 +24,7 @@ use commcsl_logic::spec::{ActionKind, ResourceSpec};
 use commcsl_pure::{Func, Term, Value};
 use commcsl_verifier::program::{AnnotatedProgram, VStmt};
 
-use crate::parser::KEYWORDS;
+use crate::parser::is_keyword;
 
 /// Renders a whole program as a parseable `.csl` document.
 pub fn pretty(program: &AnnotatedProgram) -> String {
@@ -59,7 +59,7 @@ pub fn is_ident(s: &str) -> bool {
     };
     (first.is_alphabetic() || first == '_')
         && chars.all(|c| c.is_alphanumeric() || c == '_')
-        && !KEYWORDS.contains(&s)
+        && !is_keyword(s)
 }
 
 fn name_token(name: &str) -> String {
@@ -103,7 +103,7 @@ fn resource_binders(resources: &[ResourceSpec]) -> Vec<String> {
             {
                 base.insert(0, 'r');
             }
-            if KEYWORDS.contains(&base.as_str()) {
+            if is_keyword(&base) {
                 base.push('_');
             }
             let mut binder = base.clone();

@@ -91,3 +91,37 @@ fn syntax_errors_point_into_later_lines() {
     let (line, col, _) = err_at(&src);
     assert_eq!((line, col), (9, 12));
 }
+
+#[test]
+fn columns_count_characters_after_multibyte_identifiers_strings_and_comments() {
+    // `ö`, `ß` and `π` take two bytes each, `—` three; columns count
+    // characters.
+    let (line, col, msg) = err_at("program p;\ninput größe: Int low;\nπ := größe +;\n");
+    assert_eq!((line, col), (3, 13));
+    assert!(msg.contains("expected an expression, found `;`"));
+
+    let (line, col, msg) = err_at("program p;\nαβ := 1 @ 2;\n");
+    assert_eq!((line, col), (2, 9));
+    assert_eq!(msg, "unexpected character '@'");
+
+    // After a string literal on the same line, and after one that spans
+    // a line break.
+    let (line, col, msg) = err_at("program \"naïve—demo\" x;\n");
+    assert_eq!((line, col), (1, 22));
+    assert_eq!(msg, "expected `;`, found `x`");
+    let (line, col, _) = err_at("program \"a\nβγ\" x;\n");
+    assert_eq!((line, col), (2, 5));
+
+    // An escape error inside a string points at its backslash.
+    let (line, col, msg) = err_at("program \"ü\\q\";\n");
+    assert_eq!((line, col), (1, 11));
+    assert_eq!(msg, "unknown escape sequence `\\q`");
+
+    // After a `//` comment: the next line starts at column 1, and the end
+    // of input after a trailing comment sits past its last character.
+    let (line, col, _) = err_at("program p; // ünïcödé ✓\noutput 1 +;\n");
+    assert_eq!((line, col), (2, 11));
+    let (line, col, msg) = err_at("program p;\noutput 1 // ünï");
+    assert_eq!((line, col), (2, 16));
+    assert_eq!(msg, "expected `;`, found end of input");
+}

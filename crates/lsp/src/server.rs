@@ -9,8 +9,9 @@
 //! The resulting report is translated to `textDocument/publishDiagnostics`:
 //!
 //! * structural errors and failed obligations become `Error` diagnostics
-//!   whose `code` is the obligation's stable [`DiagnosticCode`] spelling
-//!   and whose message carries the failure reason and the (optionally
+//!   whose `code` is the obligation's stable
+//!   [`DiagnosticCode`](commcsl_verifier::DiagnosticCode) spelling and
+//!   whose message carries the failure reason and the (optionally
 //!   minimized) counterexample;
 //! * compile errors become a single `Error` diagnostic positioned from
 //!   the conventional `line:col:` prefix of the compiler's message;

@@ -115,9 +115,12 @@ pub struct Server {
     programs: AtomicU64,
     /// Workspace documents currently open across all sessions.
     documents: AtomicI64,
-    /// Workspace obligations discharged by the static pre-pass.
+    /// Obligations discharged by the static pre-pass: in workspace
+    /// `open`/`update`s and in the programs `verify`/`verify_batch`
+    /// verified (not those served from the verdict cache).
     statically_proven: AtomicU64,
-    /// Workspace obligations discharged by the solver.
+    /// Obligations discharged by the solver, counted like
+    /// `statically_proven`.
     solver_checked: AtomicU64,
     /// Configured listen endpoint ([`Server::serve_listen`] dispatches
     /// on it).
@@ -192,6 +195,12 @@ impl Server {
             .verify_batch(&programs);
         let attempted = verified.iter().filter(|r| !r.skipped).count();
         self.programs.fetch_add(attempted as u64, Ordering::Relaxed);
+        // A verified miss carries its discharge split; a hit has none.
+        for stats in verified.iter().filter_map(|r| r.stats.as_ref()) {
+            self.statically_proven
+                .fetch_add(stats.statically_proven as u64, Ordering::Relaxed);
+            self.solver_checked.fetch_add(stats.checked as u64, Ordering::Relaxed);
+        }
         let mut verified = verified.into_iter();
 
         compiled
@@ -658,6 +667,34 @@ mod tests {
         assert_eq!(status.programs, 2);
         assert_eq!(status.misses, 1);
         assert_eq!(status.memory_hits, 1);
+    }
+
+    #[test]
+    fn verified_misses_count_their_discharge_and_hits_do_not() {
+        let server = server();
+        let batch = Request::VerifyBatch {
+            items: vec![
+                VerifyItem { name: "a".into(), source: "ok a".into() },
+                VerifyItem { name: "b".into(), source: "leak b".into() },
+            ],
+            fail_fast: false,
+        };
+        let mut connection = Connection::open(&server);
+        connection.call(&batch);
+        let cold = server.status();
+        // `ok a`'s low output is proved by the pre-pass; `leak b`'s high
+        // one goes to the solver.
+        assert_eq!((cold.statically_proven, cold.solver_checked), (1, 1));
+
+        // Verdict-cache hits run no discharge.
+        connection.call(&batch);
+        connection.call(&Request::Verify(VerifyItem {
+            name: "a".into(),
+            source: "ok a".into(),
+        }));
+        let warm = server.status();
+        assert_eq!((warm.memory_hits, warm.misses), (3, 2));
+        assert_eq!((warm.statically_proven, warm.solver_checked), (1, 1));
     }
 
     #[test]

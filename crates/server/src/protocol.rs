@@ -751,10 +751,12 @@ pub struct StatusInfo {
     pub obligation_hits: u64,
     /// Obligation-tier lookups answered by neither tier.
     pub obligation_misses: u64,
-    /// Workspace obligations discharged by the static low-ness pre-pass
-    /// (no solver query).
+    /// Obligations discharged by the static low-ness pre-pass (no solver
+    /// query), in workspace `open`/`update`s and in verified
+    /// `verify`/`verify_batch` misses.
     pub statically_proven: u64,
-    /// Workspace obligations discharged by the solver.
+    /// Obligations discharged by the solver, counted like
+    /// `statically_proven`.
     pub solver_checked: u64,
     /// Response bytes streamed to clients (newlines included) over the
     /// daemon's lifetime, all transports combined.

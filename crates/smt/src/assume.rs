@@ -30,16 +30,18 @@ use std::collections::BTreeSet;
 
 use commcsl_pure::{Symbol, Term};
 
-/// Indices of the hypotheses a proof of `hyps ⊨ goal` may have used: the
-/// connected component of `goal` in the variable-sharing graph over
-/// `hyps`, plus every ground (variable-free) hypothesis.
+/// Indices of the hypotheses `H` a proof of `H ⊨ goal` may have used: the
+/// connected component of `goal` in the variable-sharing graph over `H`,
+/// plus every ground (variable-free) hypothesis. `hyp_vars` holds each
+/// hypothesis's free variables ([`Term::free_vars`]), so a caller that
+/// keeps a hypothesis list computes them once per hypothesis, not once
+/// per goal.
 ///
 /// The result is sorted and duplicate-free. It depends only on the
 /// syntactic hypothesis list and goal — never on solver state, backend
 /// choice, or discharge order — so both solver backends and every cache
 /// route report the identical core for the identical obligation.
-pub fn assumption_core(hyps: &[Term], goal: &Term) -> Vec<usize> {
-    let hyp_vars: Vec<BTreeSet<Symbol>> = hyps.iter().map(Term::free_vars).collect();
+pub fn assumption_core(hyp_vars: &[BTreeSet<Symbol>], goal: &Term) -> Vec<usize> {
     let mut reached: BTreeSet<Symbol> = goal.free_vars();
     let mut in_core: Vec<bool> = hyp_vars.iter().map(BTreeSet::is_empty).collect();
     // Fixpoint: admit any hypothesis sharing a variable with the reached
@@ -77,6 +79,11 @@ mod tests {
         Term::var(s)
     }
 
+    fn core(hyps: &[Term], goal: &Term) -> Vec<usize> {
+        let vars: Vec<BTreeSet<Symbol>> = hyps.iter().map(Term::free_vars).collect();
+        assumption_core(&vars, goal)
+    }
+
     #[test]
     fn disconnected_hypotheses_are_excluded() {
         // x-chain proves the goal; the y-fact is unreachable.
@@ -86,7 +93,7 @@ mod tests {
             Term::eq(var("z"), var("w")),
         ];
         let goal = Term::eq(var("x"), var("w"));
-        assert_eq!(assumption_core(&hyps, &goal), vec![0, 2]);
+        assert_eq!(core(&hyps, &goal), vec![0, 2]);
     }
 
     #[test]
@@ -98,21 +105,21 @@ mod tests {
             Term::eq(var("u"), var("v")),
         ];
         let goal = Term::le(var("a"), var("a"));
-        assert_eq!(assumption_core(&hyps, &goal), vec![0, 1]);
+        assert_eq!(core(&hyps, &goal), vec![0, 1]);
     }
 
     #[test]
     fn ground_hypotheses_are_kept_conservatively() {
         let hyps = [Term::le(Term::int(1), Term::int(2)), Term::eq(var("p"), var("q"))];
         let goal = Term::eq(var("r"), var("r"));
-        assert_eq!(assumption_core(&hyps, &goal), vec![0]);
+        assert_eq!(core(&hyps, &goal), vec![0]);
     }
 
     #[test]
     fn empty_goal_component_yields_ground_only() {
         let hyps = [Term::eq(var("x"), var("y"))];
         let goal = Term::tt();
-        assert!(assumption_core(&hyps, &goal).is_empty());
+        assert!(core(&hyps, &goal).is_empty());
     }
 
     /// The soundness contract the hints rely on: dropping every hypothesis
@@ -142,8 +149,7 @@ mod tests {
         ];
         for (hyps, goal) in samples {
             assert_eq!(solver.check_valid(&hyps, &goal), Verdict::Proved);
-            let core = assumption_core(&hyps, &goal);
-            let kept: Vec<Term> = core.iter().map(|&i| hyps[i].clone()).collect();
+            let kept: Vec<Term> = core(&hyps, &goal).iter().map(|&i| hyps[i].clone()).collect();
             assert!(kept.len() < hyps.len(), "core must shrink the samples");
             assert_eq!(solver.check_valid(&kept, &goal), Verdict::Proved);
         }

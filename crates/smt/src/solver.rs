@@ -155,12 +155,6 @@ impl Solver {
             return false;
         }
         branches.set(branches.get() + 1);
-        if std::env::var("COMMCSL_SMT_TRACE").is_ok() {
-            eprintln!("--- branch {} depth {depth}", branches.get());
-            for l in &literals {
-                eprintln!("    {l:?}");
-            }
-        }
 
         let cc = Congruence::new();
         let lits = match self.saturate(&cc, literals, quiescence_skip) {

@@ -375,6 +375,11 @@ struct Exec<'a, 'b> {
     /// — the fact half of each obligation's dependency cone, and the site
     /// map proof cores resolve their fact indices through.
     fact_origins: Vec<StmtPath>,
+    /// Free variables of each live fact (parallel to `facts`) when
+    /// proof-core tracking is on, empty otherwise: the input of
+    /// [`assumption_core`], computed once per fact instead of once per
+    /// obligation.
+    fact_vars: Vec<BTreeSet<Symbol>>,
     /// `unshare` sites whose abstraction-equality assumption counts as a
     /// user annotation: `(path, resource name)`. Recorded only when
     /// proof-core tracking is on; [`Exec::collect_hints`] reports the
@@ -415,6 +420,7 @@ impl<'a, 'b> Exec<'a, 'b> {
             session: config.backend.open_session(config.solver.clone()),
             facts: Vec::new(),
             fact_origins: Vec::new(),
+            fact_vars: Vec::new(),
             annotation_sites: Vec::new(),
             store: BTreeMap::new(),
             var_sorts: BTreeMap::new(),
@@ -520,6 +526,9 @@ impl<'a, 'b> Exec<'a, 'b> {
     /// free-variable sorts and origin statement) is folded into the
     /// context digest instead.
     fn push_fact(&mut self, fact: Term) {
+        if self.config.proof_cores {
+            self.fact_vars.push(fact.free_vars());
+        }
         self.facts.push(fact.clone());
         self.fact_origins.push(self.path.clone());
         match &mut self.discharge {
@@ -571,6 +580,7 @@ impl<'a, 'b> Exec<'a, 'b> {
         }
         self.facts.truncate(mark);
         self.fact_origins.truncate(mark);
+        self.fact_vars.truncate(mark);
     }
 
     /// Applies every buffered session operation (incremental regime only;
@@ -694,7 +704,7 @@ impl<'a, 'b> Exec<'a, 'b> {
         if !self.config.proof_cores {
             return None;
         }
-        let mut paths: Vec<StmtPath> = assumption_core(&self.facts, goal)
+        let mut paths: Vec<StmtPath> = assumption_core(&self.fact_vars, goal)
             .into_iter()
             .map(|i| self.fact_origins[i].clone())
             .collect();

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Daemon smoke test: start `commcsl serve`, push the full corpus through
 # the client twice (accepted and rejected sets), assert the second pass
-# is served >=90% from cache via `daemon status`, send one request line
-# over the daemon's line cap and assert it is answered with an error
-# while the connection keeps serving, assert that 20 fresh connections
-# are accepted and answered without waiting, and shut down cleanly.
+# is served >=90% from cache via `daemon status` and that the first
+# pass's obligations are counted as statically proven and solver-checked,
+# send one request line over the daemon's line cap and assert it is
+# answered with an error while the connection keeps serving, assert that
+# 20 fresh connections are accepted and answered without waiting, and
+# shut down cleanly.
 #
 # Usage: scripts/daemon_smoke.sh [path-to-commcsl-binary]
 set -euo pipefail
@@ -54,6 +56,8 @@ corpus = 23  # 18 accepted + 5 rejected programs per pass
 assert misses == corpus, f"first pass should miss all {corpus}: {s}"
 assert hits >= 0.9 * corpus, f"second pass must be >=90% cached: {s}"
 assert s["programs"] == 2 * corpus, s
+# The first pass's misses discharge obligations both ways.
+assert s["statically_proven"] > 0 and s["solver_checked"] > 0, s
 EOF
 
 # One line over the cap (`MAX_MESSAGE_BYTES`, 16 MiB) gets an error

@@ -26,11 +26,11 @@ use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use commcsl_verifier::api::Verifier;
-use commcsl_verifier::cache::{CacheConfig, RemoteObligationTier, VerdictCache};
+use commcsl_verifier::cache::{lock_cache, CacheConfig, RemoteObligationTier, VerdictCache};
 use commcsl_verifier::hash::{ProgramHash, HASH_FORMAT_VERSION};
 use commcsl_verifier::obligation::ObligationKey;
 use commcsl_verifier::program::AnnotatedProgram;
@@ -156,11 +156,7 @@ impl Server {
     /// disk tiers (`status` then reports its endpoint and per-tier
     /// counters).
     pub fn set_remote_cache(&self, remote: Box<dyn RemoteObligationTier>) {
-        self.lock_cache().set_remote(remote);
-    }
-
-    fn lock_cache(&self) -> MutexGuard<'_, VerdictCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+        lock_cache(&self.cache).set_remote(remote);
     }
 
     /// Asks every session loop and the accept loop to wind down.
@@ -227,7 +223,7 @@ impl Server {
     /// recurse — and serving reads move no hit/miss counters, which
     /// track verification traffic only.
     fn serve_cache_get(&self, tier: CacheTier, key: &str) -> Json {
-        let mut cache = self.lock_cache();
+        let mut cache = lock_cache(&self.cache);
         let entry = match tier {
             CacheTier::Obligation => match key.parse::<ObligationKey>() {
                 Ok(parsed) => cache.export_obligation(parsed),
@@ -246,7 +242,7 @@ impl Server {
     /// tiers. A refused entry answers `stored:false` (not an error) —
     /// version skew between daemons is expected, staleness is not.
     fn serve_cache_put(&self, tier: CacheTier, key: &str, entry: &str) -> Json {
-        let mut cache = self.lock_cache();
+        let mut cache = lock_cache(&self.cache);
         let stored = match tier {
             CacheTier::Obligation => match key.parse::<ObligationKey>() {
                 Ok(parsed) => cache.import_obligation(parsed, entry),
@@ -489,7 +485,7 @@ impl Endpoint for Server {
 
     fn status(&self) -> StatusInfo {
         let (cache, memory_entries, remote) = {
-            let cache = self.lock_cache();
+            let cache = lock_cache(&self.cache);
             (cache.stats(), cache.memory_len(), cache.remote_endpoint())
         };
         StatusInfo {

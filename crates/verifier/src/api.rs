@@ -36,17 +36,13 @@
 //! single-program reference every route is tested against.
 
 use std::collections::{HashMap, HashSet};
-use std::fs;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use commcsl_smt::{BackendKind, SessionStats};
 
 use crate::batch::run_pool;
-use crate::cache::{
-    write_verdict_file, CacheConfig, CacheStats, SharedObligationStore, VerdictCache,
-};
+use crate::cache::{lock_cache, CacheConfig, CacheStats, SharedObligationStore, VerdictCache};
 use crate::hash::{program_hash, ProgramHash};
 use crate::obligation::DischargeStats;
 use crate::program::AnnotatedProgram;
@@ -245,7 +241,7 @@ impl Verifier {
     /// Cumulative cache counters, when a cache is configured.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         let cache = self.cache.as_ref()?;
-        Some(cache.lock().expect("verdict cache poisoned").stats())
+        Some(lock_cache(cache).stats())
     }
 
     /// The pool size for a batch of `jobs` programs: never zero, never
@@ -300,12 +296,9 @@ impl Verifier {
         )
     }
 
-    /// The cached route: memory hits under one short lock hold, disk
-    /// reads with the lock released, then the misses verified once per
-    /// distinct key, stored, and merged back **in input order**.
-    ///
-    /// Disk reads, disk writes and verification run outside the lock, so
-    /// concurrent callers (daemon sessions) do not serialize on file I/O.
+    /// The cached route: hits from either tier under one lock hold, then
+    /// the misses verified once per distinct key with the lock released,
+    /// stored, and merged back **in input order**.
     fn verify_cached(
         &self,
         programs: &[&AnnotatedProgram],
@@ -321,51 +314,25 @@ impl Verifier {
             key: Some(keys[index]),
             ..outcome
         };
-        let hit = |index: usize, report: VerifierReport, start: Instant| {
-            let outcome = Outcome {
-                time: start.elapsed(),
-                ..Outcome::new(report)
-            };
-            Some(through_cache(index, true, outcome))
+
+        let mut results: Vec<Option<Outcome>> = {
+            let mut cache = lock_cache(cache);
+            keys.iter()
+                .enumerate()
+                .map(|(index, &key)| {
+                    let start = Instant::now();
+                    let report = cache.get(key)?;
+                    let outcome = Outcome {
+                        time: start.elapsed(),
+                        ..Outcome::new(report)
+                    };
+                    Some(through_cache(index, true, outcome))
+                })
+                .collect()
         };
-
-        // Memory probes, under one short lock hold. Misses keep their
-        // disk path (if any) for the unlocked read below.
-        let mut results: Vec<Option<Outcome>> = Vec::with_capacity(programs.len());
-        let mut disk_probes: Vec<(usize, Option<PathBuf>)> = Vec::new();
-        {
-            let mut cache = cache.lock().expect("verdict cache poisoned");
-            for (index, &key) in keys.iter().enumerate() {
-                let start = Instant::now();
-                match cache.probe_memory(key) {
-                    Ok(report) => results.push(hit(index, report, start)),
-                    Err(path) => {
-                        results.push(None);
-                        disk_probes.push((index, path));
-                    }
-                }
-            }
-        }
-
-        // Disk reads with the lock released; then settle hits/misses.
-        let loaded: Vec<(usize, Instant, Option<String>)> = disk_probes
-            .iter()
-            .map(|(index, path)| {
-                let start = Instant::now();
-                let text = path.as_deref().and_then(|p| fs::read_to_string(p).ok());
-                (*index, start, text)
-            })
+        let mut misses: Vec<usize> = (0..programs.len())
+            .filter(|&slot| results[slot].is_none())
             .collect();
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let mut cache = cache.lock().expect("verdict cache poisoned");
-            for (index, start, text) in loaded {
-                match cache.admit_disk(keys[index], text.as_deref()) {
-                    Some(report) => results[index] = hit(index, report, start),
-                    None => misses.push(index),
-                }
-            }
-        }
 
         // With fail-fast, a failing cache *hit* already stops dispatch:
         // every miss after the first failing hit stays unanswered here
@@ -386,7 +353,6 @@ impl Verifier {
         // served from the freshly computed verdicts (NOT from the cache,
         // whose LRU may already have evicted them).
         if !misses.is_empty() {
-            let disk_paths: HashMap<usize, Option<PathBuf>> = disk_probes.into_iter().collect();
             let mut seen: HashSet<ProgramHash> = HashSet::new();
             let unique: Vec<usize> = misses
                 .iter()
@@ -401,22 +367,12 @@ impl Verifier {
                 .zip(self.verify_batch_stored(&miss_programs, cache))
             {
                 // A fail-fast placeholder is surfaced to the caller but
-                // never written to either cache tier — it is not a
-                // verdict. A failed disk write only means the verdict is
-                // recomputed after a restart.
+                // never cached — it is not a verdict.
                 if !outcome.skipped {
-                    if let Some(Some(path)) = disk_paths.get(&slot) {
-                        let _ = write_verdict_file(path, keys[slot], &outcome.report);
-                    }
+                    lock_cache(cache).put(keys[slot], &outcome.report);
                     fresh.insert(keys[slot], outcome.report.clone());
                 }
                 results[slot] = Some(through_cache(slot, false, outcome));
-            }
-            {
-                let mut cache = cache.lock().expect("verdict cache poisoned");
-                for (&key, report) in &fresh {
-                    cache.insert(key, report);
-                }
             }
             for &slot in &misses {
                 if let (None, Some(report)) = (&results[slot], fresh.get(&keys[slot])) {
@@ -476,6 +432,7 @@ mod tests {
     use super::*;
     use crate::program::VStmt;
     use crate::symexec::verify;
+    use crate::workspace::Workspace;
 
     fn ok_program(name: &str) -> AnnotatedProgram {
         AnnotatedProgram::new(name).with_body([
@@ -687,6 +644,70 @@ mod tests {
         );
         assert_eq!(results[0].key, results[2].key);
         assert_eq!(results[0].report.to_json(), results[2].report.to_json());
+    }
+
+    #[test]
+    fn a_poisoned_cache_keeps_serving_byte_identical_reports() {
+        let verifier = Verifier::new()
+            .with_threads(1)
+            .with_cache(CacheConfig::memory_only(16));
+        let shared = verifier.shared_cache().expect("cache configured");
+        let held = Arc::clone(&shared);
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.lock().unwrap();
+            panic!("a session panics while holding the cache");
+        })
+        .join();
+        assert!(panicked.is_err() && shared.is_poisoned());
+
+        let ok = ok_program("poison-ok");
+        let leaky = leaky_program("poison-leaky");
+        let direct = |p: &AnnotatedProgram| verify(p, verifier.config()).to_json();
+        for cached in [false, true] {
+            let outcomes = verifier.verify_batch(&[&ok, &leaky]);
+            for (outcome, program) in outcomes.iter().zip([&ok, &leaky]) {
+                assert_eq!(outcome.cached, Some(cached));
+                assert_eq!(outcome.report.to_json(), direct(program));
+            }
+        }
+        let mut workspace = Workspace::with_shared_cache(verifier.config().clone(), shared);
+        let hit = workspace.open_document("leaky", &leaky);
+        assert!(hit.report_cached);
+        assert_eq!(hit.report.to_json(), direct(&leaky));
+        let renamed = ok_program("poison-renamed");
+        let miss = workspace.open_document("renamed", &renamed);
+        assert!(!miss.report_cached);
+        assert_eq!(miss.report.to_json(), direct(&renamed));
+        let stats = verifier.cache_stats().expect("cache configured");
+        assert_eq!(stats, workspace.cache_stats());
+        assert_eq!((stats.memory_hits, stats.misses, stats.stores), (3, 3, 3));
+    }
+
+    #[test]
+    fn a_disk_dir_that_cannot_be_created_leaves_a_memory_only_cache() {
+        let file = std::env::temp_dir().join(format!(
+            "commcsl-api-not-a-directory-{}",
+            std::process::id()
+        ));
+        std::fs::write(&file, "a file, not a directory").unwrap();
+        let verifier = Verifier::new()
+            .with_threads(1)
+            .with_cache(CacheConfig::persistent(file.join("cache")));
+        let ok = ok_program("no-disk-ok");
+        let leaky = leaky_program("no-disk-leaky");
+        for cached in [false, true] {
+            let outcomes = verifier.verify_batch(&[&ok, &leaky]);
+            for (outcome, program) in outcomes.iter().zip([&ok, &leaky]) {
+                assert_eq!(outcome.cached, Some(cached));
+                assert_eq!(
+                    outcome.report.to_json(),
+                    verify(program, verifier.config()).to_json()
+                );
+            }
+        }
+        let stats = verifier.cache_stats().expect("cache configured");
+        assert_eq!((stats.memory_hits, stats.disk_hits), (2, 0));
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //!
 //! * an **in-memory LRU tier** (capacity-bounded, stamp-based eviction),
 //! * an optional **on-disk tier** under a cache directory (conventionally
-//!   `.commcsl-cache/`), one file per verdict, written atomically
-//!   (temp file + rename) so a crash mid-write never leaves a readable
-//!   half-verdict.
+//!   `.commcsl-cache/`): one append-only log per tier, one
+//!   self-validating JSON entry per line.
 //!
-//! Invalidation is structural, never temporal: a verdict file is one JSON
-//! entry, served only when its format version and embedded key match the
-//! requested hash and its report decodes completely. Any mismatch —
-//! including a [`HASH_FORMAT_VERSION`] bump, which changes every key and
-//! the tier directory name — is a cache **miss**, never a stale verdict.
+//! Invalidation is structural, never temporal: a record is served only
+//! when its format version and embedded key match the requested key and
+//! its body decodes completely. Anything else — a corrupt or torn
+//! record, an entry in the old line format, a record of another format
+//! version — is a cache **miss**, never a stale verdict. A
+//! [`HASH_FORMAT_VERSION`] bump changes every key and the tier directory
+//! name, so it orphans (never misreads) every old log.
 //!
 //! Alongside the whole-program verdict tiers, the cache carries an
 //! **obligation tier**: per-obligation [`ObligationStatus`]es addressed
@@ -25,18 +26,46 @@
 //! [`Workspace`](crate::workspace::Workspace) re-verification — an edit
 //! that misses the program tier still replays every obligation whose
 //! cone it left untouched. The tier follows the same rules: in-memory
-//! LRU, optional on-disk persistence (`obl/` under the version
-//! directory), structural validation, corrupt ⇒ miss.
+//! LRU, optional on-disk log, structural validation, corrupt ⇒ miss.
+//!
+//! # The disk tier
+//!
+//! `<disk_dir>/v<HASH_FORMAT_VERSION>/verdicts.log` and `obligations.log`
+//! hold one entry per line (escaped JSON has no raw newline):
+//!
+//! * Opening the cache scans each log once into an index from key to the
+//!   record's offset and length. The index holds no entry text.
+//! * A put is one `write` of the entry and its newline on an `O_APPEND`
+//!   descriptor, so writers in several processes append whole records.
+//!   It is skipped when the index already holds the key: entries are
+//!   content-addressed and never change.
+//! * A hit is one positioned read plus the entry's validation. A record
+//!   that fails it is dropped from the index, so a later put of its key
+//!   appends a record that supersedes it.
+//! * A key the index lacks is looked up once more after indexing the
+//!   complete records that other writers appended since the last scan,
+//!   so caches in several processes can share one directory.
+//! * Bytes after the last newline (a torn tail: a writer that died
+//!   mid-append, or one still appending) are never indexed, and the next
+//!   put starts with a newline so it cannot glue onto them. The log is
+//!   never truncated or rewritten, because another process may be
+//!   mid-append.
+//!
+//! Per-entry files that earlier builds wrote beside the logs
+//! (`<hash>.verdict`, `obl/<key>.obl`) are never read.
 //!
 //! [`Verifier::with_cache`](crate::api::Verifier::with_cache) puts a
 //! cache in front of the pipeline: its batches answer hits from here and
 //! run only the misses, against the obligation tier.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
+use std::fs::{self, File, OpenOptions};
+use std::hash::Hash;
+use std::io::{Seek, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::str::FromStr;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use commcsl_telemetry::Json;
 
@@ -46,7 +75,7 @@ use crate::report::{ObligationStatus, VerifierReport};
 
 // ----------------------------------------------------------------- entries
 //
-// Disk files and remote-cache payloads are one self-validating JSON
+// Log records and remote-cache payloads are one self-validating JSON
 // entry: `{"format":…,"version":HASH_FORMAT_VERSION,"key":…,"report"|"status":…}`
 // around the report's (or status's) own JSON codec.
 
@@ -54,8 +83,8 @@ const VERDICT_FORMAT: &str = "commcsl-verdict";
 const OBLIGATION_FORMAT: &str = "commcsl-obligation";
 
 /// Wraps `body` in an entry naming its format, [`HASH_FORMAT_VERSION`]
-/// and its own key, so a file renamed or copied to the wrong address, or
-/// written by another format version, is rejected on load.
+/// and its own key, so a record served for the wrong key, or written by
+/// another format version, is rejected on load.
 fn entry(format: &'static str, key: impl ToString, field: &'static str, body: Json) -> String {
     Json::obj([
         ("format", Json::str(format)),
@@ -64,6 +93,12 @@ fn entry(format: &'static str, key: impl ToString, field: &'static str, body: Js
         (field, body),
     ])
     .to_string()
+}
+
+/// The text [`entry`] writes before the key: a log scan indexes a line
+/// by it without parsing the line, and reads validate the whole entry.
+fn entry_prefix(format: &str) -> String {
+    format!("{{\"format\":\"{format}\",\"version\":{HASH_FORMAT_VERSION},\"key\":\"")
 }
 
 /// Parses an entry written by [`entry`]; `None` unless it is JSON whose
@@ -98,6 +133,142 @@ fn read_obligation_entry(key: ObligationKey, text: &str) -> Option<ObligationSta
     ObligationStatus::from_json(doc.get("status")?).ok()
 }
 
+// --------------------------------------------------------------- disk tier
+
+/// File names of the two logs inside the version directory.
+const VERDICT_LOG: &str = "verdicts.log";
+const OBLIGATION_LOG: &str = "obligations.log";
+/// Bytes a scan reads at once, so indexing a large log stays small.
+const SCAN_CHUNK: u64 = 1 << 20;
+
+/// One append-only log of entries of one format (see the module docs).
+struct Log<K> {
+    file: File,
+    /// [`entry_prefix`] of this log's format.
+    prefix: String,
+    /// key → (offset, length) of its newest indexed record.
+    index: HashMap<K, (u64, u32)>,
+    /// Offset just past the last complete line indexed.
+    scanned: u64,
+    /// The log's length when last looked at; `scanned < end` means it
+    /// ended in a torn tail.
+    end: u64,
+}
+
+impl<K: Copy + Eq + Hash + FromStr> Log<K> {
+    /// Opens (creating) and indexes the log at `path`; `None` when it
+    /// cannot be opened, which leaves the tier memory-only.
+    fn open(path: &Path, format: &str) -> Option<Log<K>> {
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+            .ok()?;
+        let mut log = Log {
+            file,
+            prefix: entry_prefix(format),
+            index: HashMap::new(),
+            scanned: 0,
+            end: 0,
+        };
+        log.catch_up();
+        Some(log)
+    }
+
+    fn holds(&self, key: K) -> bool {
+        self.index.contains_key(&key)
+    }
+
+    /// Indexes the complete records appended since the last scan, by any
+    /// writer, reading at most [`SCAN_CHUNK`] bytes (plus one record) at
+    /// a time. A later record of a key supersedes an earlier one.
+    fn catch_up(&mut self) {
+        let len = self.file.metadata().map_or(0, |m| m.len());
+        if len <= self.end {
+            return;
+        }
+        let mut pending = Vec::new();
+        let mut read = self.scanned;
+        while read < len {
+            let start = pending.len();
+            let more = (len - read).min(SCAN_CHUNK);
+            pending.resize(start + more as usize, 0);
+            if self
+                .file
+                .read_exact_at(&mut pending[start..], read)
+                .is_err()
+            {
+                return;
+            }
+            read += more;
+            let mut line = 0;
+            while let Some(newline) = pending[line..].iter().position(|&b| b == b'\n') {
+                let key = pending[line..line + newline]
+                    .strip_prefix(self.prefix.as_bytes())
+                    .and_then(|rest| rest.split(|&b| b == b'"').next())
+                    .and_then(|key| std::str::from_utf8(key).ok()?.parse().ok());
+                if let (Some(key), Ok(length)) = (key, u32::try_from(newline)) {
+                    self.index.insert(key, (self.scanned, length));
+                }
+                self.scanned += newline as u64 + 1;
+                line += newline + 1;
+            }
+            pending.drain(..line);
+        }
+        self.end = len;
+    }
+
+    /// Reads `key`'s record and decodes it. A record that cannot be read
+    /// or does not decode is dropped from the index, so a later put of
+    /// the key appends one that supersedes it.
+    fn load<T>(&mut self, key: K, decode: impl FnOnce(&str) -> Option<T>) -> Option<(String, T)> {
+        if !self.holds(key) {
+            self.catch_up();
+        }
+        let &(offset, length) = self.index.get(&key)?;
+        let mut bytes = vec![0; length as usize];
+        let loaded = self
+            .file
+            .read_exact_at(&mut bytes, offset)
+            .ok()
+            .and_then(|()| String::from_utf8(bytes).ok())
+            .and_then(|text| decode(&text).map(|value| (text, value)));
+        if loaded.is_none() {
+            self.index.remove(&key);
+        }
+        loaded
+    }
+
+    /// Appends `entry` (one line, no raw newline) as `key`'s record,
+    /// unless the index already holds the key. A failed write only
+    /// means the entry is recomputed after a restart.
+    fn append(&mut self, key: K, entry: &str) {
+        if self.holds(key) {
+            return;
+        }
+        let Ok(length) = u32::try_from(entry.len()) else {
+            return;
+        };
+        let separator = if self.scanned < self.end { "\n" } else { "" };
+        let record = format!("{separator}{entry}\n");
+        if (&self.file).write_all(record.as_bytes()).is_err() {
+            return;
+        }
+        // After an append the descriptor's offset is the record's end.
+        let Ok(after) = (&self.file).stream_position() else {
+            return;
+        };
+        self.index
+            .insert(key, (after - 1 - u64::from(length), length));
+        if after - record.len() as u64 == self.end {
+            // Nobody appended since the last look: nothing to re-scan.
+            self.scanned = after;
+            self.end = after;
+        }
+    }
+}
+
 // ------------------------------------------------------------------ cache
 
 /// Configuration of a [`VerdictCache`].
@@ -111,10 +282,10 @@ pub struct CacheConfig {
     /// generous.
     pub obligation_capacity: usize,
     /// Root of the on-disk tier (`None` disables persistence). Verdicts
-    /// live under `<disk_dir>/v<HASH_FORMAT_VERSION>/<hash>.verdict` and
-    /// obligation statuses under
-    /// `<disk_dir>/v<HASH_FORMAT_VERSION>/obl/<key>.obl`, so a
-    /// format-version bump orphans (never misreads) old entries.
+    /// are appended to `<disk_dir>/v<HASH_FORMAT_VERSION>/verdicts.log`
+    /// and obligation statuses to `…/obligations.log`, so a
+    /// format-version bump orphans (never misreads) old logs. A directory
+    /// that cannot be created leaves the cache memory-only.
     pub disk_dir: Option<PathBuf>,
 }
 
@@ -232,6 +403,9 @@ pub struct VerdictCache {
     /// Obligation-tier eviction order.
     obligation_lru: BTreeMap<u64, ObligationKey>,
     obligation_clock: u64,
+    /// The disk tier's logs (`None` without a usable `disk_dir`).
+    verdict_log: Option<Log<ProgramHash>>,
+    obligation_log: Option<Log<ObligationKey>>,
     /// Optional remote tier behind the local obligation tiers.
     remote: Option<Box<dyn RemoteObligationTier>>,
     stats: CacheStats,
@@ -252,11 +426,31 @@ impl std::fmt::Debug for VerdictCache {
     }
 }
 
+/// Locks a shared cache, recovering it when a thread panicked while
+/// holding it. That is safe: the memory tiers hold whole values, so a
+/// panic cannot leave half a verdict in them; every disk record
+/// validates itself on read; and an LRU order torn mid-update only
+/// delays an eviction. Without this, one panicking request would make
+/// every later lookup through the cache panic too.
+pub fn lock_cache(cache: &Mutex<VerdictCache>) -> MutexGuard<'_, VerdictCache> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl VerdictCache {
-    /// Creates a cache; the disk directory is created lazily on first
-    /// store.
+    /// Creates a cache, creating and indexing its disk tier at once.
     pub fn new(config: CacheConfig) -> Self {
+        let tier = config
+            .disk_dir
+            .as_ref()
+            .map(|d| d.join(format!("v{HASH_FORMAT_VERSION}")))
+            .filter(|dir| fs::create_dir_all(dir).is_ok());
         VerdictCache {
+            verdict_log: tier
+                .as_ref()
+                .and_then(|dir| Log::open(&dir.join(VERDICT_LOG), VERDICT_FORMAT)),
+            obligation_log: tier
+                .as_ref()
+                .and_then(|dir| Log::open(&dir.join(OBLIGATION_LOG), OBLIGATION_FORMAT)),
             config,
             entries: HashMap::new(),
             lru: BTreeMap::new(),
@@ -281,22 +475,6 @@ impl VerdictCache {
         self.remote.as_ref().map(|r| r.endpoint())
     }
 
-    /// The directory holding this format version's verdict files.
-    fn tier_dir(&self) -> Option<PathBuf> {
-        self.config
-            .disk_dir
-            .as_ref()
-            .map(|d| d.join(format!("v{HASH_FORMAT_VERSION}")))
-    }
-
-    fn verdict_path(&self, key: ProgramHash) -> Option<PathBuf> {
-        self.tier_dir().map(|d| d.join(format!("{key}.verdict")))
-    }
-
-    fn obligation_path(&self, key: ObligationKey) -> Option<PathBuf> {
-        self.tier_dir().map(|d| d.join("obl").join(format!("{key}.obl")))
-    }
-
     fn touch(&mut self, key: ProgramHash) {
         if let Some((stamp, _)) = self.entries.get_mut(&key) {
             self.lru.remove(stamp);
@@ -307,91 +485,38 @@ impl VerdictCache {
     }
 
     /// Looks up a verdict: memory first, then disk (with promotion).
-    ///
-    /// Concurrent callers (the cached route of
-    /// [`Verifier`](crate::api::Verifier)) should prefer
-    /// [`VerdictCache::probe_memory`] / [`VerdictCache::admit_disk`] so
-    /// the file I/O between them can run outside their lock.
     pub fn get(&mut self, key: ProgramHash) -> Option<VerifierReport> {
         let _span = commcsl_telemetry::span!("cache.get");
-        match self.probe_memory(key) {
-            Ok(report) => Some(report),
-            Err(path) => {
-                let text = path.as_deref().and_then(|p| fs::read_to_string(p).ok());
-                self.admit_disk(key, text.as_deref())
-            }
-        }
-    }
-
-    /// Memory-tier-only lookup. A hit is counted and returned; a miss
-    /// returns the disk path the caller should try (`None` inside the
-    /// `Err` when the cache has no disk tier) *without* counting a miss
-    /// yet — [`VerdictCache::admit_disk`] settles the statistics.
-    pub fn probe_memory(
-        &mut self,
-        key: ProgramHash,
-    ) -> Result<VerifierReport, Option<PathBuf>> {
         if self.entries.contains_key(&key) {
             self.touch(key);
             self.stats.memory_hits += 1;
-            return Ok(self
-                .entries
-                .get(&key)
-                .map(|(_, r)| r.clone())
-                .expect("entry just probed"));
+            return self.entries.get(&key).map(|(_, r)| r.clone());
         }
-        Err(self.verdict_path(key))
-    }
-
-    /// Completes a [`VerdictCache::probe_memory`] miss with the disk
-    /// file's content (`None` when the file was absent or unreadable):
-    /// a valid verdict is promoted to memory and counted as a disk hit,
-    /// anything else is counted as a miss (and a corrupt file deleted so
-    /// it cannot shadow a future store).
-    pub fn admit_disk(
-        &mut self,
-        key: ProgramHash,
-        text: Option<&str>,
-    ) -> Option<VerifierReport> {
-        if let Some(text) = text {
-            match read_verdict_entry(key, text) {
-                Some(report) => {
-                    self.stats.disk_hits += 1;
-                    self.insert_memory(key, report.clone());
-                    return Some(report);
-                }
-                None => {
-                    if let Some(path) = self.verdict_path(key) {
-                        let _ = fs::remove_file(&path);
-                    }
-                }
+        let loaded = self
+            .verdict_log
+            .as_mut()
+            .and_then(|log| log.load(key, |text| read_verdict_entry(key, text)));
+        match loaded {
+            Some((_, report)) => {
+                self.stats.disk_hits += 1;
+                self.insert_memory(key, report.clone());
+                Some(report)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
             }
         }
-        self.stats.misses += 1;
-        None
     }
 
     /// Stores a verdict in both tiers.
-    ///
-    /// Concurrent wrappers should [`VerdictCache::insert`] under their
-    /// lock and perform the [`write_verdict_file`] outside it.
     pub fn put(&mut self, key: ProgramHash, report: &VerifierReport) {
         let _span = commcsl_telemetry::span!("cache.put");
-        if let Some(path) = self.verdict_path(key) {
-            let _ = write_verdict_file(&path, key, report);
+        if let Some(log) = self.verdict_log.as_mut().filter(|log| !log.holds(key)) {
+            log.append(key, &verdict_entry(key, report));
         }
-        self.insert(key, report);
-    }
-
-    /// Stores a verdict in the memory tier only (counted as a store).
-    pub fn insert(&mut self, key: ProgramHash, report: &VerifierReport) {
         self.stats.stores += 1;
         self.insert_memory(key, report.clone());
-    }
-
-    /// The disk-tier file for `key`, if this cache has a disk tier.
-    pub fn disk_path(&self, key: ProgramHash) -> Option<PathBuf> {
-        self.verdict_path(key)
     }
 
     fn insert_memory(&mut self, key: ProgramHash, report: VerifierReport) {
@@ -430,9 +555,9 @@ impl VerdictCache {
 
     /// Looks up an obligation status: memory first, then disk (with
     /// promotion), then the remote tier when one is chained (remote hits
-    /// are promoted to both local tiers). Corrupt disk entries are
-    /// deleted and count as misses; invalid remote entries are rejected
-    /// — every tier is structurally validated, never trusted.
+    /// are promoted to both local tiers). Corrupt disk records and
+    /// invalid remote entries count as misses — every tier is
+    /// structurally validated, never trusted.
     pub fn get_obligation(&mut self, key: ObligationKey) -> Option<ObligationStatus> {
         let _span = commcsl_telemetry::span!("cache.obligation_get");
         if self.obligations.contains_key(&key) {
@@ -440,19 +565,14 @@ impl VerdictCache {
             self.stats.obligation_hits += 1;
             return self.obligations.get(&key).map(|(_, s)| s.clone());
         }
-        if let Some(path) = self.obligation_path(key) {
-            if let Ok(text) = fs::read_to_string(&path) {
-                match read_obligation_entry(key, &text) {
-                    Some(status) => {
-                        self.stats.obligation_hits += 1;
-                        self.insert_obligation_memory(key, status.clone());
-                        return Some(status);
-                    }
-                    None => {
-                        let _ = fs::remove_file(&path);
-                    }
-                }
-            }
+        let loaded = self
+            .obligation_log
+            .as_mut()
+            .and_then(|log| log.load(key, |text| read_obligation_entry(key, text)));
+        if let Some((_, status)) = loaded {
+            self.stats.obligation_hits += 1;
+            self.insert_obligation_memory(key, status.clone());
+            return Some(status);
         }
         if let Some(remote) = self.remote.as_mut() {
             let fetched = remote.fetch(key);
@@ -462,10 +582,10 @@ impl VerdictCache {
             {
                 self.stats.remote_hits += 1;
                 self.stats.obligation_hits += 1;
-                // Promote to both local tiers (the entry text *is* the
-                // disk format) so later lookups stay local.
-                if let Some(path) = self.obligation_path(key) {
-                    let _ = write_atomically(&path, fetched.as_deref().unwrap_or_default());
+                // Promote to both local tiers, re-encoded: the log holds
+                // only this encoder's one-line entries.
+                if let Some(log) = self.obligation_log.as_mut() {
+                    log.append(key, &obligation_entry(key, &status));
                 }
                 self.insert_obligation_memory(key, status.clone());
                 return Some(status);
@@ -481,8 +601,8 @@ impl VerdictCache {
     pub fn put_obligation(&mut self, key: ObligationKey, status: &ObligationStatus) {
         let _span = commcsl_telemetry::span!("cache.obligation_put");
         let entry = obligation_entry(key, status);
-        if let Some(path) = self.obligation_path(key) {
-            let _ = write_atomically(&path, &entry);
+        if let Some(log) = self.obligation_log.as_mut() {
+            log.append(key, &entry);
         }
         if let Some(remote) = self.remote.as_mut() {
             remote.publish(key, &entry);
@@ -508,9 +628,9 @@ impl VerdictCache {
         if let Some((_, status)) = self.obligations.get(&key) {
             return Some(obligation_entry(key, status));
         }
-        let path = self.obligation_path(key)?;
-        let text = fs::read_to_string(path).ok()?;
-        read_obligation_entry(key, &text).map(|_| text)
+        let log = self.obligation_log.as_mut()?;
+        log.load(key, |text| read_obligation_entry(key, text))
+            .map(|(text, _)| text)
     }
 
     /// Exports the raw self-validating entry for a verdict held in the
@@ -519,9 +639,9 @@ impl VerdictCache {
         if let Some((_, report)) = self.entries.get(&key) {
             return Some(verdict_entry(key, report));
         }
-        let path = self.verdict_path(key)?;
-        let text = fs::read_to_string(path).ok()?;
-        read_verdict_entry(key, &text).map(|_| text)
+        let log = self.verdict_log.as_mut()?;
+        log.load(key, |text| read_verdict_entry(key, text))
+            .map(|(text, _)| text)
     }
 
     /// Validates and admits a remote-published obligation entry into the
@@ -596,45 +716,11 @@ pub struct SharedObligationStore<'c>(pub &'c Mutex<VerdictCache>);
 
 impl ObligationStore for SharedObligationStore<'_> {
     fn get(&mut self, key: ObligationKey) -> Option<ObligationStatus> {
-        self.0.lock().expect("verdict cache poisoned").get_obligation(key)
+        lock_cache(self.0).get_obligation(key)
     }
 
     fn put(&mut self, key: ObligationKey, status: &ObligationStatus) {
-        self.0
-            .lock()
-            .expect("verdict cache poisoned")
-            .put_obligation(key, status);
-    }
-}
-
-/// Encodes and writes one verdict file atomically (temp file + rename).
-pub fn write_verdict_file(
-    path: &Path,
-    key: ProgramHash,
-    report: &VerifierReport,
-) -> std::io::Result<()> {
-    write_atomically(path, &verdict_entry(key, report))
-}
-
-/// Writes `content` to `path` atomically: the data lands under a unique
-/// temporary name first and is `rename`d into place, so readers (and
-/// crash recovery) only ever see complete files.
-fn write_atomically(path: &Path, content: &str) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    fs::create_dir_all(dir)?;
-    static UNIQUE: AtomicU64 = AtomicU64::new(0);
-    let tmp = dir.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        UNIQUE.fetch_add(1, Ordering::Relaxed)
-    ));
-    fs::write(&tmp, content)?;
-    match fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
+        lock_cache(self.0).put_obligation(key, status);
     }
 }
 
@@ -746,6 +832,39 @@ mod tests {
         assert_eq!(stats.memory_hits, 3);
     }
 
+    /// A log file of the current format version under `dir`.
+    fn log_path(dir: &Path, name: &str) -> PathBuf {
+        dir.join(format!("v{HASH_FORMAT_VERSION}")).join(name)
+    }
+
+    /// Breaks the body of `key`'s first record in place, keeping the
+    /// record's line, header and length (a bit flip on disk).
+    fn corrupt(log: &Path, key: impl ToString) {
+        let text = fs::read_to_string(log).unwrap();
+        let header = format!("\"key\":\"{}\",", key.to_string());
+        let body = text.find(&header).expect("record present") + header.len();
+        let file = OpenOptions::new().write(true).open(log).unwrap();
+        file.write_all_at(b"#", body as u64).unwrap();
+    }
+
+    fn tiny_report(program: &str) -> VerifierReport {
+        VerifierReport {
+            program: program.into(),
+            obligations: vec![],
+            errors: vec![],
+            hints: vec![],
+        }
+    }
+
+    #[test]
+    fn entries_start_with_the_prefix_a_scan_indexes_them_by() {
+        let verdict = verdict_entry(ProgramHash(1), &crate::report::tests::nasty_report());
+        assert!(verdict.starts_with(&entry_prefix(VERDICT_FORMAT)));
+        let obligation = obligation_entry(ObligationKey(2), &ObligationStatus::Proved);
+        assert!(obligation.starts_with(&entry_prefix(OBLIGATION_FORMAT)));
+        assert!(!verdict.contains('\n') && !obligation.contains('\n'));
+    }
+
     #[test]
     fn disk_tier_survives_a_fresh_cache() {
         let dir = temp_dir("disk");
@@ -767,13 +886,23 @@ mod tests {
         assert!(cache.get(key).is_some());
         assert_eq!(cache.stats().memory_hits, 1);
 
-        // Corrupt the file: the next fresh cache treats it as a miss and
-        // removes it.
-        let path = cache.verdict_path(key).unwrap();
-        fs::write(&path, "commcsl-verdict 999\nnot a verdict").unwrap();
+        // Corrupt the record: the next fresh cache treats it as a miss,
+        // and a later put of the key supersedes it.
+        let log = log_path(&dir, VERDICT_LOG);
+        corrupt(&log, key);
+        let corrupted = fs::metadata(&log).unwrap().len();
         let mut fresh = VerdictCache::new(CacheConfig::persistent(&dir));
         assert!(fresh.get(key).is_none());
-        assert!(!path.exists());
+        assert!(fresh.export_verdict(key).is_none());
+        fresh.put(key, &report);
+        assert!(
+            fs::metadata(&log).unwrap().len() > corrupted,
+            "appended, never rewritten"
+        );
+        let mut reopened = VerdictCache::new(CacheConfig::persistent(&dir));
+        let served = reopened.get(key).expect("the later record is served");
+        assert_eq!(served.to_json(), report.to_json());
+        assert_eq!(reopened.stats().disk_hits, 1);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -791,7 +920,8 @@ mod tests {
         let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
 
         let incremental_key = program_hash(&program, &incremental_config);
-        cache.put(incremental_key, &verify(&program, &incremental_config));
+        let report = verify(&program, &incremental_config);
+        cache.put(incremental_key, &report);
 
         // A different backend (or counterexample knob) is a different
         // address: the stored verdict is never served for it.
@@ -810,50 +940,62 @@ mod tests {
         assert_ne!(incremental_key, nocex_key);
         assert!(cache.get(nocex_key).is_none());
 
-        // An entry in the old line format where a JSON entry is expected
-        // is never served: it is a miss, and the file is deleted.
-        let path = cache.verdict_path(incremental_key).unwrap();
+        // Records that are not entries of this format version are never
+        // served: the line format of versions up to 5 (whatever version
+        // its header names), an entry of another format version, and an
+        // obligation entry at a verdict's key.
+        let foreign = temp_dir("backend-miss-foreign");
+        fs::create_dir_all(foreign.join(format!("v{HASH_FORMAT_VERSION}"))).unwrap();
+        let good = verdict_entry(incremental_key, &report);
+        let version = format!("\"version\":{HASH_FORMAT_VERSION}");
+        let mut records = String::new();
         for header in [
             "commcsl-verdict 5",
             &format!("commcsl-verdict {HASH_FORMAT_VERSION}"),
         ] {
-            let line_format =
-                format!("{header}\nkey {incremental_key}\nprogram backend-miss\nproved low-output\t-\tLow(x)\n");
-            fs::write(&path, line_format).unwrap();
-            let mut restarted = VerdictCache::new(CacheConfig::persistent(&dir));
-            assert!(
-                restarted.get(incremental_key).is_none(),
-                "must miss, never stale"
+            records += &format!(
+                "{header}\nkey {incremental_key}\nprogram backend-miss\nproved low-output\t-\tLow(x)\n"
             );
-            assert!(!path.exists(), "line-format file deleted");
         }
-        let obligation = cache.obligation_path(ObligationKey(3)).unwrap();
-        fs::create_dir_all(obligation.parent().unwrap()).unwrap();
+        records += &good.replace(
+            &version,
+            &format!("\"version\":{}", HASH_FORMAT_VERSION + 1),
+        );
+        records += "\n";
+        records += &obligation_entry(ObligationKey(incremental_key.0), &ObligationStatus::Proved);
+        records += "\n";
+        fs::write(log_path(&foreign, VERDICT_LOG), records).unwrap();
         fs::write(
-            &obligation,
+            log_path(&foreign, OBLIGATION_LOG),
             format!(
-                "commcsl-obligation {HASH_FORMAT_VERSION}\nkey {}\nproved\n",
-                ObligationKey(3)
+                "commcsl-obligation {HASH_FORMAT_VERSION}\nkey {}\nproved\n{}\n",
+                ObligationKey(3),
+                verdict_entry(ProgramHash(3), &report),
             ),
         )
         .unwrap();
-        let mut restarted = VerdictCache::new(CacheConfig::persistent(&dir));
+        let mut restarted = VerdictCache::new(CacheConfig::persistent(&foreign));
+        assert!(
+            restarted.get(incremental_key).is_none(),
+            "must miss, never stale"
+        );
         assert_eq!(restarted.get_obligation(ObligationKey(3)), None);
-        assert!(!obligation.exists(), "line-format obligation file deleted");
-        // Files of the previous format version live in their own
+        assert_eq!(
+            restarted.get_obligation(ObligationKey(incremental_key.0)),
+            None
+        );
+
+        // A log of the previous format version lives in its own
         // directory, which this version never reads.
-        let orphan = dir.join("v5").join(format!("{incremental_key}.verdict"));
+        let orphan = foreign.join("v5").join(VERDICT_LOG);
         fs::create_dir_all(orphan.parent().unwrap()).unwrap();
-        fs::write(
-            &orphan,
-            verdict_entry(incremental_key, &verify(&program, &incremental_config)),
-        )
-        .unwrap();
+        fs::write(&orphan, format!("{good}\n")).unwrap();
+        let mut restarted = VerdictCache::new(CacheConfig::persistent(&foreign));
         assert!(restarted.get(incremental_key).is_none());
         assert!(orphan.exists());
         fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&foreign).ok();
     }
-
     #[test]
     fn obligation_statuses_roundtrip_all_shapes_and_reject_mismatches() {
         let statuses = [
@@ -932,14 +1074,243 @@ mod tests {
             assert_eq!(stats.obligation_stores, 3);
             assert_eq!(stats.obligation_hits, 2);
         }
-        // A fresh cache (restart) hits via disk; a corrupt file is a miss
-        // and is deleted.
+        // A fresh cache (restart) hits via disk; a corrupt record is a
+        // miss, and a later put of its key supersedes it.
         let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
         assert_eq!(cache.get_obligation(ObligationKey(2)), Some(status));
-        let path = cache.obligation_path(ObligationKey(3)).unwrap();
-        fs::write(&path, "commcsl-obligation 999\ngarbage").unwrap();
+        corrupt(&log_path(&dir, OBLIGATION_LOG), ObligationKey(3));
         assert_eq!(cache.get_obligation(ObligationKey(3)), None);
-        assert!(!path.exists(), "corrupt obligation file deleted");
+        assert_eq!(cache.stats().obligation_misses, 1);
+        cache.put_obligation(ObligationKey(3), &ObligationStatus::Proved);
+        let mut reopened = VerdictCache::new(CacheConfig::persistent(&dir));
+        assert_eq!(
+            reopened.get_obligation(ObligationKey(3)),
+            Some(ObligationStatus::Proved)
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_tail_serves_every_complete_record_and_the_next_put_starts_a_line() {
+        let dir = temp_dir("torn");
+        let failed = ObligationStatus::Failed(Failure::new("torn"));
+        let status = |k: u128| {
+            if k.is_multiple_of(2) {
+                failed.clone()
+            } else {
+                ObligationStatus::Proved
+            }
+        };
+        {
+            let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
+            for k in 1..=3 {
+                cache.put_obligation(ObligationKey(k), &status(k));
+                cache.put(ProgramHash(k), &tiny_report("torn"));
+            }
+        }
+        // Cut both logs in the middle of their last record, as a writer
+        // that died mid-append leaves them.
+        let logs = [log_path(&dir, OBLIGATION_LOG), log_path(&dir, VERDICT_LOG)];
+        let mut cuts = Vec::new();
+        for log in &logs {
+            let full = fs::read(log).unwrap();
+            let cut = full[..full.len() - 1].to_vec();
+            let cut = cut[..cut.len() - 10].to_vec();
+            fs::write(log, &cut).unwrap();
+            cuts.push(cut);
+        }
+        let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
+        for k in 1..=2 {
+            assert_eq!(cache.get_obligation(ObligationKey(k)), Some(status(k)));
+            assert!(cache.get(ProgramHash(k)).is_some());
+        }
+        assert_eq!(
+            cache.get_obligation(ObligationKey(3)),
+            None,
+            "no partial record"
+        );
+        assert!(cache.get(ProgramHash(3)).is_none(), "no partial record");
+        assert!(cache.export_obligation(ObligationKey(3)).is_none());
+
+        // The next puts land on their own lines after the fragment.
+        for k in 3..=4 {
+            cache.put_obligation(ObligationKey(k), &status(k));
+            cache.put(ProgramHash(k), &tiny_report("torn"));
+        }
+        for (log, cut) in logs.iter().zip(&cuts) {
+            let after = fs::read(log).unwrap();
+            assert!(after.starts_with(cut), "the log is never truncated");
+            assert_eq!(after[cut.len()], b'\n', "not glued to the fragment");
+            assert!(after.ends_with(b"\n"));
+        }
+        drop(cache);
+        let mut reopened = VerdictCache::new(CacheConfig::persistent(&dir));
+        for k in 1..=4 {
+            assert_eq!(reopened.get_obligation(ObligationKey(k)), Some(status(k)));
+            assert!(reopened.get(ProgramHash(k)).is_some());
+        }
+        let stats = reopened.stats();
+        assert_eq!((stats.obligation_hits, stats.disk_hits), (4, 4));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_corrupted_mid_log_is_a_miss_until_put_again() {
+        let dir = temp_dir("mid");
+        let report = tiny_report("mid");
+        {
+            let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
+            for k in 1..=3 {
+                cache.put(ProgramHash(k), &report);
+                cache.put_obligation(ObligationKey(k), &ObligationStatus::Proved);
+            }
+        }
+        corrupt(&log_path(&dir, VERDICT_LOG), ProgramHash(2));
+        corrupt(&log_path(&dir, OBLIGATION_LOG), ObligationKey(2));
+        let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
+        assert!(cache.get(ProgramHash(2)).is_none());
+        assert_eq!(cache.get_obligation(ObligationKey(2)), None);
+        for k in [1, 3] {
+            assert!(cache.get(ProgramHash(k)).is_some());
+            assert!(cache.get_obligation(ObligationKey(k)).is_some());
+        }
+        cache.put(ProgramHash(2), &report);
+        cache.put_obligation(ObligationKey(2), &ObligationStatus::Proved);
+        drop(cache);
+        let mut reopened = VerdictCache::new(CacheConfig::persistent(&dir));
+        for k in 1..=3 {
+            let served = reopened.get(ProgramHash(k)).expect("served from disk");
+            assert_eq!(served.to_json(), report.to_json());
+            assert_eq!(
+                reopened.get_obligation(ObligationKey(k)),
+                Some(ObligationStatus::Proved)
+            );
+        }
+        assert_eq!(reopened.stats().disk_hits, 3);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn caches_sharing_a_directory_serve_each_others_puts() {
+        let dir = temp_dir("shared");
+        let report = tiny_report("shared");
+        let failed = ObligationStatus::Failed(Failure::new("shared"));
+        // Both open before either writes.
+        let mut a = VerdictCache::new(CacheConfig::persistent(&dir));
+        let mut b = VerdictCache::new(CacheConfig::persistent(&dir));
+        a.put(ProgramHash(1), &report);
+        a.put_obligation(ObligationKey(1), &ObligationStatus::Proved);
+        b.put(ProgramHash(2), &report);
+        b.put_obligation(ObligationKey(2), &failed);
+        assert!(a.get(ProgramHash(2)).is_some());
+        assert!(b.get(ProgramHash(1)).is_some());
+        assert_eq!(a.get_obligation(ObligationKey(2)), Some(failed.clone()));
+        assert_eq!(
+            b.get_obligation(ObligationKey(1)),
+            Some(ObligationStatus::Proved)
+        );
+        assert_eq!((a.stats().disk_hits, b.stats().disk_hits), (1, 1));
+        // Interleaved again, after each has indexed the other's records.
+        b.put(ProgramHash(3), &report);
+        a.put(ProgramHash(4), &report);
+        assert!(a.get(ProgramHash(3)).is_some() && b.get(ProgramHash(4)).is_some());
+        drop((a, b));
+        for _ in 0..2 {
+            let mut reopened = VerdictCache::new(CacheConfig::persistent(&dir));
+            for k in 1..=4 {
+                let served = reopened.get(ProgramHash(k)).expect("every record");
+                assert_eq!(served.to_json(), report.to_json());
+            }
+            assert_eq!(
+                reopened.get_obligation(ObligationKey(1)),
+                Some(ObligationStatus::Proved)
+            );
+            assert_eq!(
+                reopened.get_obligation(ObligationKey(2)),
+                Some(failed.clone())
+            );
+            assert_eq!(reopened.stats().disk_hits, 4);
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_appenders_leave_whole_records() {
+        let dir = temp_dir("appenders");
+        // Both caches are open before either appends, then append at once.
+        let opened = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for writer in 0..2u128 {
+                let (dir, opened) = (&dir, &opened);
+                scope.spawn(move || {
+                    let mut cache = VerdictCache::new(CacheConfig::persistent(dir));
+                    opened.wait();
+                    for k in 0..200 {
+                        let status = ObligationStatus::Failed(Failure::new(format!("w{writer}")));
+                        cache.put_obligation(ObligationKey(writer * 1000 + k), &status);
+                    }
+                });
+            }
+        });
+        let mut reopened = VerdictCache::new(CacheConfig::persistent(&dir));
+        for writer in 0..2u128 {
+            for k in 0..200 {
+                assert_eq!(
+                    reopened.get_obligation(ObligationKey(writer * 1000 + k)),
+                    Some(ObligationStatus::Failed(Failure::new(format!("w{writer}"))))
+                );
+            }
+        }
+        let log = fs::read_to_string(log_path(&dir, OBLIGATION_LOG)).unwrap();
+        assert_eq!(log.lines().count(), 400);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn records_across_scan_chunks_are_all_indexed() {
+        let dir = temp_dir("chunks");
+        // 24 records of ~100 KB: several cross a scan-chunk boundary.
+        let report = |k: u128| tiny_report(&format!("{k}{}", "x".repeat(100_000)));
+        {
+            let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
+            for k in 0..24 {
+                cache.put(ProgramHash(k), &report(k));
+            }
+        }
+        let log = fs::metadata(log_path(&dir, VERDICT_LOG)).unwrap().len();
+        assert!(log > 2 * SCAN_CHUNK);
+        let mut reopened = VerdictCache::new(CacheConfig::persistent(&dir));
+        for k in 0..24 {
+            let served = reopened.get(ProgramHash(k)).expect("indexed");
+            assert_eq!(served.to_json(), report(k).to_json());
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn re_putting_an_indexed_key_appends_nothing() {
+        let dir = temp_dir("reput");
+        let report = tiny_report("reput");
+        let lengths = || {
+            [VERDICT_LOG, OBLIGATION_LOG]
+                .map(|name| fs::metadata(log_path(&dir, name)).unwrap().len())
+        };
+        let mut cache = VerdictCache::new(CacheConfig::persistent(&dir));
+        cache.put(ProgramHash(1), &report);
+        cache.put_obligation(ObligationKey(1), &ObligationStatus::Proved);
+        let stored = lengths();
+        assert!(stored.iter().all(|&len| len > 0));
+        cache.put(ProgramHash(1), &report);
+        cache.put_obligation(ObligationKey(1), &ObligationStatus::Proved);
+        let verdict = cache.export_verdict(ProgramHash(1)).unwrap();
+        assert!(cache.import_verdict(ProgramHash(1), &verdict));
+        assert_eq!(lengths(), stored);
+        // A restarted cache knows the key from its scan.
+        let mut reopened = VerdictCache::new(CacheConfig::persistent(&dir));
+        reopened.put(ProgramHash(1), &report);
+        reopened.put_obligation(ObligationKey(1), &ObligationStatus::Proved);
+        assert_eq!(lengths(), stored);
+        assert_eq!(reopened.stats().stores, 1, "still counted as a store");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::cache::{CacheConfig, CacheStats, SharedObligationStore, VerdictCache};
+use crate::cache::{lock_cache, CacheConfig, CacheStats, SharedObligationStore, VerdictCache};
 use crate::hash::{program_hash, ProgramHash};
 use crate::obligation::{DischargeStats, ObligationVerdict};
 use crate::program::AnnotatedProgram;
@@ -183,7 +183,7 @@ impl Workspace {
 
     /// Cache counters of the backing [`VerdictCache`].
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("verdict cache poisoned").stats()
+        lock_cache(&self.cache).stats()
     }
 
     /// Opens (or reopens) a document and verifies it.
@@ -262,11 +262,7 @@ impl Workspace {
         });
 
         // Program tier: an unchanged program replays its whole report.
-        let cached_report = self
-            .cache
-            .lock()
-            .expect("verdict cache poisoned")
-            .get(key);
+        let cached_report = lock_cache(&self.cache).get(key);
         let (report, report_cached, obligations) = match cached_report {
             Some(report) => {
                 for (index, result) in report.obligations.iter().enumerate() {
@@ -303,10 +299,7 @@ impl Workspace {
                 };
                 let (report, stats) =
                     verify_incremental(program, &self.config, &mut store, &mut sink);
-                self.cache
-                    .lock()
-                    .expect("verdict cache poisoned")
-                    .put(key, &report);
+                lock_cache(&self.cache).put(key, &report);
                 (report, false, stats)
             }
         };

@@ -6,7 +6,9 @@
 # send one request line over the daemon's line cap and assert it is
 # answered with an error while the connection keeps serving, assert that
 # 20 fresh connections are accepted and answered without waiting, and
-# shut down cleanly.
+# shut down cleanly. Then restart on the same cache directory, assert one
+# pass over both corpora is served entirely from the on-disk tier, and
+# that the directory holds nothing but that tier's two logs.
 #
 # Usage: scripts/daemon_smoke.sh [path-to-commcsl-binary]
 set -euo pipefail
@@ -25,11 +27,15 @@ cleanup() {
 SERVE_PID=$!
 trap cleanup EXIT
 
-for _ in $(seq 1 200); do
-    [ -S "$SOCK" ] && break
-    sleep 0.05
-done
-[ -S "$SOCK" ] || { echo "daemon smoke: daemon never bound $SOCK" >&2; exit 1; }
+wait_for_socket() {
+    for _ in $(seq 1 200); do
+        [ -S "$SOCK" ] && return
+        sleep 0.05
+    done
+    echo "daemon smoke: daemon never bound $SOCK" >&2
+    exit 1
+}
+wait_for_socket
 
 run_client() {
     "$BIN" verify --daemon --no-start --socket "$SOCK" "$@"
@@ -98,7 +104,40 @@ print(f"daemon smoke: 20 fresh connections answered in {elapsed_ms:.1f} ms")
 assert elapsed_ms < 100, f"20 fresh connections took {elapsed_ms:.1f} ms (limit 100 ms)"
 EOF
 
-"$BIN" daemon stop --socket "$SOCK"
-wait "$SERVE_PID"
-[ ! -S "$SOCK" ] || { echo "daemon smoke: socket not removed" >&2; exit 1; }
-echo "daemon smoke: OK (clean shutdown)"
+stop_daemon() {
+    "$BIN" daemon stop --socket "$SOCK"
+    wait "$SERVE_PID"
+    [ ! -S "$SOCK" ] || { echo "daemon smoke: socket not removed" >&2; exit 1; }
+}
+stop_daemon
+
+# Restart on the same cache directory: one pass over both corpora is
+# served entirely from the on-disk logs.
+"$BIN" serve --socket "$SOCK" --cache-dir "$CACHE" &
+SERVE_PID=$!
+wait_for_socket
+run_client examples/programs > /dev/null
+run_client --expect rejected examples/rejected > /dev/null
+STATUS=$("$BIN" daemon status --socket "$SOCK" --json)
+echo "daemon smoke: status after restart = $STATUS"
+python3 - "$STATUS" <<'EOF'
+import json, sys
+s = json.loads(sys.argv[1])
+assert s["disk_hits"] == 23 and s["misses"] == 0, f"restart pass must come from disk: {s}"
+EOF
+stop_daemon
+
+# The disk tier is one append-only log per tier: no per-entry files
+# (`*.verdict`, `obl/`) and no temp files (`.tmp-*`).
+python3 - "$CACHE" <<'EOF'
+import os, re, sys
+root = sys.argv[1]
+files = sorted(
+    os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs
+)
+logs = re.compile(r"v[0-9]+/(verdicts|obligations)\.log")
+extra = [f for f in files if not logs.fullmatch(f)]
+assert files and not extra, f"{len(extra)} files besides the logs, e.g. {extra[:3]}"
+print(f"daemon smoke: cache directory holds {files}")
+EOF
+echo "daemon smoke: OK (clean shutdown; restart served from disk)"

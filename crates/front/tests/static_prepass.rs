@@ -11,6 +11,7 @@ use std::fs;
 use std::path::Path;
 
 use commcsl_front::compile;
+use commcsl_smt::SessionStats;
 use commcsl_verifier::obligation::MemoryObligationStore;
 use commcsl_verifier::program::AnnotatedProgram;
 use commcsl_verifier::report::VerifierConfig;
@@ -135,4 +136,23 @@ fn static_discharges_enter_the_obligation_store() {
         "{second_stats:?}: re-run should be served entirely from the store"
     );
     assert_eq!(second_stats.statically_proven, 0, "{second_stats:?}");
+}
+
+/// A program whose path obligations the pre-pass proves does no work on
+/// the program's solver session: its facts stay buffered, because no
+/// check ever needs them, and its spec-validity check runs in a session
+/// of its own.
+#[test]
+fn statically_proven_program_leaves_the_session_untouched() {
+    let path = corpus_dir("programs").join("04_figure1_constant.csl");
+    let program = compile(&fs::read_to_string(&path).unwrap()).unwrap();
+    let (report, stats, _, session) = verify_with_stats(&program, &VerifierConfig::default());
+    assert!(report.verified(), "{report}");
+    assert!(stats.statically_proven > 0, "{stats:?}");
+    assert_eq!(
+        stats.statically_proven + 1,
+        stats.total,
+        "{stats:?}: every obligation but the spec's validity is static"
+    );
+    assert_eq!(session, SessionStats::default());
 }

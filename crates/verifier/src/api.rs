@@ -189,16 +189,6 @@ impl Verifier {
         self
     }
 
-    /// Enables or disables the sound static low-ness pre-pass (on by
-    /// default). Verdicts and reports are byte-identical either way; the
-    /// knob only changes *how* obligations are discharged, and it is part
-    /// of the content hash so cached verdicts never cross the setting.
-    #[must_use]
-    pub fn with_static_prepass(mut self, enabled: bool) -> Self {
-        self.config.static_prepass = enabled;
-        self
-    }
-
     /// Enables delta-debugging minimization of counterexamples (off by
     /// default). When on, every falsified obligation's environment is
     /// shrunk to a minimal fact cone that still falsifies, so hovers and

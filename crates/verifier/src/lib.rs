@@ -78,10 +78,7 @@ pub use cache::{CacheConfig, CacheStats, VerdictCache};
 pub use diag::{CexBinding, Counterexample, DiagnosticCode, Failure, SourceSpan};
 pub use hash::{program_hash, ProgramHash, StableHash, StableHasher};
 pub use minimize::{minimize_counterexample, Minimized};
-pub use obligation::{
-    obligation_graph, DischargeStats, ObligationEvent, ObligationGraph, ObligationKey,
-    ObligationNode, ObligationStore,
-};
+pub use obligation::{DischargeStats, ObligationEvent, ObligationKey, ObligationStore};
 pub use program::{AnnotatedProgram, StmtPath, VStmt};
 pub use report::{
     CoreFact, Lint, LintCode, ObligationResult, ObligationStatus, Severity, VerifierConfig,

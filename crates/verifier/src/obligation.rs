@@ -26,19 +26,17 @@
 //! [`Workspace`](crate::workspace::Workspace) re-verify an edited program
 //! by re-discharging only the obligations whose cones the edit dirtied
 //! and replaying cached statuses for the rest, while keeping the final
-//! report byte-identical to a cold run.
-//!
-//! [`ObligationGraph`] exposes the same structure declaratively: one node
-//! per obligation, keyed, carrying the statement path that generated it
+//! report byte-identical to a cold run. Each settled obligation is
+//! reported as an [`ObligationEvent`] carrying its key, its proving site
 //! and the statement paths its fact cone depends on.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
 use crate::hash::StableHasher;
-use crate::program::{AnnotatedProgram, StmtPath};
-use crate::report::{ObligationResult, ObligationStatus, VerifierConfig};
+use crate::program::StmtPath;
+use crate::report::{ObligationResult, ObligationStatus};
 
 /// A 128-bit content hash of one proof obligation's dependency cone.
 ///
@@ -93,19 +91,6 @@ pub trait ObligationStore {
     fn put(&mut self, key: ObligationKey, status: &ObligationStatus);
 }
 
-/// An [`ObligationStore`] that never hits and never records: running the
-/// incremental verifier with it reproduces a cold run while still
-/// enumerating keys and events (used by [`obligation_graph`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObligationStore;
-
-impl ObligationStore for NullObligationStore {
-    fn get(&mut self, _key: ObligationKey) -> Option<ObligationStatus> {
-        None
-    }
-    fn put(&mut self, _key: ObligationKey, _status: &ObligationStatus) {}
-}
-
 /// A plain in-memory [`ObligationStore`] (unbounded; tests and the
 /// obligation benches use it — the production store is the obligation
 /// tier of [`VerdictCache`](crate::cache::VerdictCache)).
@@ -145,7 +130,8 @@ impl MemoryObligationStore {
     }
 }
 
-/// Per-run reuse counters of one incremental verification.
+/// Per-run discharge counters of one verification: how each obligation
+/// was settled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DischargeStats {
     /// Obligations the run produced
@@ -221,83 +207,14 @@ pub struct ObligationEvent<'a> {
     pub time: std::time::Duration,
 }
 
-impl ObligationEvent<'_> {
-    /// `true` when the status came from the obligation store.
-    pub fn reused(&self) -> bool {
-        self.verdict == ObligationVerdict::Reused
-    }
-}
-
-/// One node of an [`ObligationGraph`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObligationNode {
-    /// The obligation's dependency-cone key.
-    pub key: ObligationKey,
-    /// Human-readable description (as it appears in reports).
-    pub description: String,
-    /// Stable obligation kind.
-    pub code: crate::diag::DiagnosticCode,
-    /// Source position, when known.
-    pub span: Option<crate::diag::SourceSpan>,
-    /// Statement path of the proving site.
-    pub path: StmtPath,
-    /// Statement paths the obligation's fact cone depends on (sorted,
-    /// deduplicated; includes `path` itself).
-    pub cone: Vec<StmtPath>,
-}
-
-/// The per-program obligation DAG: one node per proof obligation, each
-/// keyed by the structural hash of its dependency cone. Edges are
-/// implicit — a node depends on every statement in its `cone` — so an
-/// edit dirties exactly the nodes whose cone contains an edited
-/// statement (plus any node whose own key changed).
-#[derive(Debug, Clone, Default)]
-pub struct ObligationGraph {
-    /// Nodes in report (generation) order.
-    pub nodes: Vec<ObligationNode>,
-}
-
-impl ObligationGraph {
-    /// Nodes whose dependency cone contains `path` (i.e. the obligations
-    /// an edit of the statement at `path` can dirty).
-    pub fn dependents_of(&self, path: &[u32]) -> impl Iterator<Item = &ObligationNode> {
-        let path = path.to_vec();
-        self.nodes
-            .iter()
-            .filter(move |n| n.cone.contains(&path))
-    }
-}
-
-/// Enumerates a program's obligation DAG by running the incremental
-/// symbolic execution against a [`NullObligationStore`] and collecting
-/// every obligation event. The returned nodes carry exactly the keys a
-/// [`Workspace`](crate::workspace::Workspace) would use, so the graph is
-/// the ground truth for "what does this edit dirty".
-pub fn obligation_graph(
-    program: &AnnotatedProgram,
-    config: &VerifierConfig,
-) -> ObligationGraph {
-    let mut nodes = Vec::new();
-    let mut store = NullObligationStore;
-    let _ = crate::symexec::verify_incremental(program, config, &mut store, &mut |e| {
-        let mut cone: BTreeSet<StmtPath> = e.cone.iter().cloned().collect();
-        cone.insert(e.path.to_vec());
-        nodes.push(ObligationNode {
-            key: e.key,
-            description: e.result.description.clone(),
-            code: e.result.code,
-            span: e.result.span,
-            path: e.path.to_vec(),
-            cone: cone.into_iter().collect(),
-        });
-    });
-    ObligationGraph { nodes }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::program::VStmt;
+    use crate::diag::DiagnosticCode;
+    use crate::program::{AnnotatedProgram, VStmt};
+    use crate::report::VerifierConfig;
     use commcsl_logic::spec::ResourceSpec;
     use commcsl_pure::{Sort, Term};
 
@@ -333,34 +250,54 @@ mod tests {
             ])
     }
 
-    #[test]
-    fn graph_enumerates_every_obligation_with_distinct_keys() {
-        let config = VerifierConfig::default();
-        let program = counter_program();
-        let graph = obligation_graph(&program, &config);
-        let report = crate::symexec::verify(&program, &config);
-        assert_eq!(graph.nodes.len(), report.obligations.len());
-        for (node, o) in graph.nodes.iter().zip(&report.obligations) {
-            assert_eq!(node.description, o.description);
-            assert_eq!(node.code, o.code);
-            assert!(node.cone.contains(&node.path));
-        }
-        let keys: BTreeSet<ObligationKey> =
-            graph.nodes.iter().map(|n| n.key).collect();
-        assert_eq!(keys.len(), graph.nodes.len(), "keys must be distinct here");
-        // The graph is deterministic.
-        let again = obligation_graph(&program, &config);
-        assert_eq!(graph.nodes, again.nodes);
+    /// One settled obligation as its event reports it.
+    #[derive(Debug, PartialEq)]
+    struct Settled {
+        key: ObligationKey,
+        description: String,
+        code: DiagnosticCode,
+        path: StmtPath,
+        cone: Vec<StmtPath>,
+    }
+
+    /// The events of one run against a fresh store, in report order.
+    fn settle_events(program: &AnnotatedProgram, config: &VerifierConfig) -> Vec<Settled> {
+        let mut settled = Vec::new();
+        let mut store = MemoryObligationStore::default();
+        crate::symexec::verify_incremental(program, config, &mut store, &mut |e| {
+            settled.push(Settled {
+                key: e.key,
+                description: e.result.description.clone(),
+                code: e.result.code,
+                path: e.path.to_vec(),
+                cone: e.cone.to_vec(),
+            });
+        });
+        settled
     }
 
     #[test]
-    fn output_obligation_depends_on_the_unshare() {
+    fn events_key_every_obligation_distinctly_and_deterministically() {
         let config = VerifierConfig::default();
-        let graph = obligation_graph(&counter_program(), &config);
-        let output = graph
-            .nodes
+        let program = counter_program();
+        let settled = settle_events(&program, &config);
+        let report = crate::symexec::verify(&program, &config);
+        assert_eq!(settled.len(), report.obligations.len());
+        for (event, o) in settled.iter().zip(&report.obligations) {
+            assert_eq!(event.description, o.description);
+            assert_eq!(event.code, o.code);
+        }
+        let keys: BTreeSet<ObligationKey> = settled.iter().map(|e| e.key).collect();
+        assert_eq!(keys.len(), settled.len(), "keys must be distinct here");
+        assert_eq!(settled, settle_events(&program, &config));
+    }
+
+    #[test]
+    fn output_obligation_cone_holds_the_unshare() {
+        let settled = settle_events(&counter_program(), &VerifierConfig::default());
+        let output = settled
             .iter()
-            .find(|n| n.code == crate::diag::DiagnosticCode::LowOutput)
+            .find(|e| e.code == DiagnosticCode::LowOutput)
             .expect("output obligation");
         // The unshare (path [3]) feeds the abstraction-equality fact the
         // output check relies on.
@@ -370,8 +307,5 @@ mod tests {
             output.cone
         );
         assert_eq!(output.path, vec![4]);
-        assert!(graph
-            .dependents_of(&[3])
-            .any(|n| n.code == crate::diag::DiagnosticCode::LowOutput));
     }
 }

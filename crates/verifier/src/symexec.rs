@@ -12,26 +12,25 @@
 //! with iteration `i` of execution 2 — the paper's Fig. 5 loop invariant).
 //!
 //! Obligations are discharged through a [`SolverSession`] opened from the
-//! configured backend: path facts are asserted once per control scope
-//! (mirrored into solver `push`/`pop`), so an incremental backend
-//! normalizes and asserts each fact a single time however many goals are
-//! checked under it. Failed obligations additionally run the falsifier
-//! over the collected facts to attach a concrete per-execution
-//! counterexample to the report.
+//! configured backend, driven **lazily**: path facts and control scopes
+//! are buffered and replayed into the session (mirrored into solver
+//! `push`/`pop`) only before a real solver check, so a scope that closes
+//! before any check never reaches the session, and a goal the static
+//! pre-pass proves costs no solver work. A skipped check buffers a
+//! [`SolverSession::sync`] in its place, so every replay reproduces the
+//! assertion batch boundaries of a run that checked each goal. Failed
+//! obligations additionally run the falsifier over the collected facts
+//! to attach a concrete per-execution counterexample to the report.
 //!
-//! Two discharge regimes share the execution engine:
-//!
-//! * [`verify`] — the cold regime: every obligation goes to the solver.
-//! * [`verify_incremental`] — the workspace regime: each obligation's
-//!   dependency-cone key ([`ObligationKey`]) is computed as the
-//!   execution reaches it, an [`ObligationStore`] is consulted, and only
-//!   *misses* touch the solver. Session work is **lazy**: facts and
-//!   scopes are buffered and replayed (with the cold run's exact batch
-//!   boundaries, via [`SolverSession::sync`]) only when a miss forces a
-//!   real check — a fully warm re-verification performs no solver work
-//!   at all. Reports are byte-identical to [`verify`] by construction:
-//!   descriptions, codes, and spans are recomputed each run, and cached
-//!   statuses are keyed by everything that can influence them.
+//! Every entry point runs this one engine. [`verify_incremental`] also
+//! hands it an [`ObligationStore`]: each obligation's dependency-cone key
+//! ([`ObligationKey`]) is computed as the execution reaches it, the store
+//! is consulted, and only *misses* are discharged — a fully warm
+//! re-verification performs no solver work at all. [`verify`],
+//! [`verify_with_stats`] and [`solver_trace`] pass no store and derive no
+//! keys. Reports are byte-identical either way by construction:
+//! descriptions, codes, and spans are recomputed each run, and cached
+//! statuses are keyed by everything that can influence them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -68,34 +67,34 @@ pub fn verify(program: &AnnotatedProgram, config: &VerifierConfig) -> VerifierRe
 /// [`verify`], plus the run's [`DischargeStats`] (how each obligation was
 /// discharged: solver check vs. static pre-pass), per-obligation
 /// wall-clock times in report order, and the solver session's cumulative
-/// [`SessionStats`] (the main program session only; spec-validity checks
-/// run their own sessions inside `commcsl-logic` and are not aggregated
-/// here). The report is the same value [`verify`] returns; the extras are
-/// diagnostic payload that never enters reports, hashes, or caches.
+/// [`SessionStats`]. The session counts only the work that reached it:
+/// facts and scopes are replayed into it before a real check, so a
+/// program whose path obligations the pre-pass proves reports none.
+/// Spec-validity checks run their own sessions inside `commcsl-logic`
+/// and are not aggregated here. The report is the same value [`verify`]
+/// returns; the extras are diagnostic payload that never enters reports,
+/// hashes, or caches.
 pub fn verify_with_stats(
     program: &AnnotatedProgram,
     config: &VerifierConfig,
 ) -> (VerifierReport, DischargeStats, Vec<Duration>, SessionStats) {
     let _span = commcsl_telemetry::span!("symexec.program", program = program.name);
-    let mut exec = Exec::new(program, config);
+    let mut exec = Exec::new(program, config, None);
     exec.run_body(&program.body);
     let report = exec.finish();
-    let stats = exec.direct_stats;
-    let session = exec.session.stats();
     (
         report,
-        stats,
+        exec.stats,
         std::mem::take(&mut exec.obligation_times),
-        session,
+        exec.session.inner.stats(),
     )
 }
 
 /// Verifies a program against an [`ObligationStore`]: obligations whose
 /// dependency-cone key hits the store replay their cached status without
-/// touching the solver; misses are discharged exactly as [`verify`] would
-/// (the buffered session work is replayed first, reproducing the cold
-/// run's solver state bit for bit) and recorded. `on_event` fires once
-/// per obligation, in report order, as it settles.
+/// touching the solver; misses are discharged exactly as [`verify`]
+/// discharges them and recorded. `on_event` fires once per obligation,
+/// in report order, as it settles.
 ///
 /// The returned report is **byte-identical** to `verify(program, config)`
 /// whatever mix of hits and misses served it — the property the
@@ -108,21 +107,18 @@ pub fn verify_incremental(
     on_event: &mut dyn FnMut(&ObligationEvent<'_>),
 ) -> (VerifierReport, DischargeStats) {
     let _span = commcsl_telemetry::span!("symexec.program", program = program.name);
-    let mut exec = Exec::new(program, config);
-    exec.discharge = Discharge::Cached(Box::new(CachedState::new(config, store, on_event)));
+    let keyed = Keyed::new(config, store, on_event);
+    let mut exec = Exec::new(program, config, Some(keyed));
     exec.run_body(&program.body);
     let report = exec.finish();
-    let stats = match &exec.discharge {
-        Discharge::Cached(state) => state.stats,
-        Discharge::Direct => DischargeStats::default(),
-    };
-    (report, stats)
+    (report, exec.stats)
 }
 
 /// One event of a program's solver-session interaction, as recorded by
 /// [`solver_trace`]. The stream is the exact sequence of calls the
-/// symbolic execution makes on its [`SolverSession`]: scoped path facts,
-/// and one `Check` per program proof obligation.
+/// symbolic execution makes on its [`SolverSession`]: the scoped path
+/// facts replayed before each check, and one `Check` per program proof
+/// obligation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolverEvent {
     /// A fact scope opened (effectful branch, loop body).
@@ -147,7 +143,10 @@ pub enum SolverEvent {
 /// `commcsl-bench` `incremental_solver` harness uses exactly this to
 /// compare backends on identical workloads. The static pre-pass is
 /// disabled during recording so the trace covers *every* obligation, not
-/// just the ones a normal run sends to the solver. (Specification-validity
+/// just the ones a normal run sends to the solver. Facts and scopes
+/// appear as the lazy session replays them before each check: at every
+/// `Check` the live facts are exactly the path facts in scope, and a
+/// scope no check ran inside is absent. (Specification-validity
 /// obligations run in their own session inside `commcsl-logic` and are
 /// not part of the stream.)
 pub fn solver_trace(program: &AnnotatedProgram, config: &VerifierConfig) -> Vec<SolverEvent> {
@@ -188,8 +187,9 @@ pub fn solver_trace(program: &AnnotatedProgram, config: &VerifierConfig) -> Vec<
             self.inner.check_assuming(assumptions, goal)
         }
         fn sync(&mut self) {
-            // Not an event of the cold workload (only obligation-cache
-            // replays call it), so it is forwarded without recording.
+            // Only a skipped check buffers a sync. With the pre-pass off
+            // and no store no check is skipped, so a recording never
+            // reaches this; it is forwarded without an event regardless.
             self.inner.sync();
         }
         fn depth(&self) -> usize {
@@ -210,11 +210,11 @@ pub fn solver_trace(program: &AnnotatedProgram, config: &VerifierConfig) -> Vec<
     config.counterexamples = false;
     config.static_prepass = false;
     let log = Rc::new(RefCell::new(Vec::new()));
-    let mut exec = Exec::new(program, &config);
-    exec.session = Box::new(Recorder {
+    let mut exec = Exec::new(program, &config, None);
+    exec.session = LazySession::new(Box::new(Recorder {
         inner: config.backend.open_session(config.solver.clone()),
         log: log.clone(),
-    });
+    }));
     exec.run_body(&program.body);
     let _ = exec.finish();
     drop(exec);
@@ -248,7 +248,7 @@ enum ResState {
 }
 
 /// The non-status half of an [`ObligationResult`] plus its proving site
-/// — what [`Exec::settle_cached`] needs besides the key and the status.
+/// — what [`Exec::settle`] needs besides the goal.
 struct ObligationMeta {
     description: String,
     code: DiagnosticCode,
@@ -256,19 +256,29 @@ struct ObligationMeta {
     path: StmtPath,
 }
 
-/// A queued retroactive obligation (description, code, span, site, goal).
+/// What an obligation proves.
+#[derive(Clone, Copy)]
+enum Goal<'g> {
+    /// A path obligation: the goal, checked against the live path facts.
+    Path(&'g Term),
+    /// A resource spec's validity (Def. 3.1). It never reads the path
+    /// condition, so it is session-free, its cone is empty, and the
+    /// pre-pass does not apply (it quantifies over action pairs, never a
+    /// single goal term).
+    SpecValidity(&'g ResourceSpec),
+}
+
+/// A queued retroactive obligation: its report half and its goal.
 struct Deferred {
-    description: String,
-    code: DiagnosticCode,
-    span: Option<SourceSpan>,
-    path: StmtPath,
+    meta: ObligationMeta,
     goal: Term,
 }
 
-/// A buffered session operation of the incremental regime, replayed into
-/// the real [`SolverSession`] only when an obligation-store miss forces a
-/// check. `Sync` stands where a *skipped* (cache-hit) check used to be,
-/// so replay reproduces the cold run's assertion batch boundaries.
+/// A buffered session operation, replayed into the real
+/// [`SolverSession`] only when a solver check needs it. `Sync` stands
+/// where a *skipped* check (a static discharge or a store hit) used to
+/// be, so replay reproduces the assertion batch boundaries of a run that
+/// checked it.
 enum PendingOp {
     Push,
     Pop,
@@ -276,8 +286,78 @@ enum PendingOp {
     Sync,
 }
 
-/// The incremental-discharge state carried by [`verify_incremental`].
-struct CachedState<'b> {
+/// The solver session behind the path condition, driven lazily: facts
+/// and scopes are buffered and reach the session only before a check.
+struct LazySession {
+    inner: Box<dyn SolverSession>,
+    /// Session operations not yet applied to the real session.
+    pending: Vec<PendingOp>,
+    /// `(replays, pending.len())` at each open scope: when nothing was
+    /// replayed since the scope opened, closing it simply truncates the
+    /// buffer; otherwise a real `Pop` must be buffered.
+    pending_marks: Vec<(u64, usize)>,
+    /// Number of times `pending` has been replayed into the session.
+    replays: u64,
+}
+
+impl LazySession {
+    fn new(inner: Box<dyn SolverSession>) -> Self {
+        LazySession {
+            inner,
+            pending: Vec::new(),
+            pending_marks: Vec::new(),
+            replays: 0,
+        }
+    }
+
+    fn assert(&mut self, fact: Term) {
+        self.pending.push(PendingOp::Assert(fact));
+    }
+
+    fn push(&mut self) {
+        self.pending_marks.push((self.replays, self.pending.len()));
+        self.pending.push(PendingOp::Push);
+    }
+
+    fn pop(&mut self) {
+        let (generation, mark) = self.pending_marks.pop().expect("pop without push");
+        if generation == self.replays {
+            // The whole scope is still buffered: cancel it without the
+            // session ever seeing it.
+            self.pending.truncate(mark);
+        } else {
+            // Part of the scope reached the session (a check ran
+            // inside): buffer the matching pop.
+            self.pending.push(PendingOp::Pop);
+        }
+    }
+
+    /// Stands in for a check that was skipped: it still closed an
+    /// assertion batch in a run that checked it (an incremental backend
+    /// saturates per batch), so later verdicts match bit for bit.
+    fn skip(&mut self) {
+        self.pending.push(PendingOp::Sync);
+    }
+
+    /// Replays every buffered operation, then checks `goal`.
+    fn check(&mut self, goal: &Term) -> Verdict {
+        for op in self.pending.drain(..) {
+            match op {
+                PendingOp::Push => self.inner.push(),
+                PendingOp::Pop => self.inner.pop(),
+                PendingOp::Assert(fact) => self.inner.assert(fact),
+                PendingOp::Sync => self.inner.sync(),
+            }
+        }
+        self.replays += 1;
+        self.inner.check(goal)
+    }
+}
+
+/// The obligation-store half of a run, present only when the caller
+/// passed a store ([`verify_incremental`]): the only place keys are
+/// derived.
+struct Keyed<'b> {
     store: &'b mut dyn ObligationStore,
     sink: &'b mut dyn FnMut(&ObligationEvent<'_>),
     /// One hasher per open fact scope, each extending its parent: the top
@@ -288,18 +368,9 @@ struct CachedState<'b> {
     /// Popping a scope discards its contribution entirely, mirroring the
     /// solver's exact rollback.
     ctx: Vec<StableHasher>,
-    /// Session operations not yet applied to the real session.
-    pending: Vec<PendingOp>,
-    /// `(replays, pending.len())` at each open scope: when nothing was
-    /// replayed since the scope opened, closing it simply truncates the
-    /// buffer; otherwise a real `Pop` must be buffered.
-    pending_marks: Vec<(u64, usize)>,
-    /// Number of times `pending` has been replayed into the session.
-    replays: u64,
-    stats: DischargeStats,
 }
 
-impl<'b> CachedState<'b> {
+impl<'b> Keyed<'b> {
     fn new(
         config: &VerifierConfig,
         store: &'b mut dyn ObligationStore,
@@ -308,20 +379,45 @@ impl<'b> CachedState<'b> {
         let mut root = StableHasher::new();
         root.tag("obligation-ctx");
         config.stable_hash(&mut root);
-        CachedState {
+        Keyed {
             store,
             sink,
             ctx: vec![root],
-            pending: Vec::new(),
-            pending_marks: Vec::new(),
-            replays: 0,
-            stats: DischargeStats::default(),
         }
     }
 
     /// The current context digest (top of the scope stack).
     fn top(&mut self) -> &mut StableHasher {
         self.ctx.last_mut().expect("root context never pops")
+    }
+
+    /// The dependency-cone key of `goal`: the live-context digest
+    /// (config, scoped facts, batch boundaries) plus the goal and the
+    /// sorts steering its falsification. A spec's validity never reads
+    /// the path condition, so its cone is just the specification and the
+    /// config — the same spec shared from anywhere (any document, any
+    /// edit) replays one cached status.
+    fn key(
+        &self,
+        goal: Goal<'_>,
+        config: &VerifierConfig,
+        var_sorts: &BTreeMap<Symbol, Sort>,
+    ) -> ObligationKey {
+        match goal {
+            Goal::Path(term) => {
+                let mut h = self.ctx.last().expect("root context").clone();
+                h.tag("goal");
+                feed_term(&mut h, term, var_sorts);
+                ObligationKey::from_hasher(&h)
+            }
+            Goal::SpecValidity(spec) => {
+                let mut h = StableHasher::new();
+                h.tag("obligation.spec-validity");
+                spec.stable_hash(&mut h);
+                config.stable_hash(&mut h);
+                ObligationKey::from_hasher(&h)
+            }
+        }
     }
 }
 
@@ -354,20 +450,17 @@ fn feed_term(h: &mut StableHasher, term: &Term, var_sorts: &BTreeMap<Symbol, Sor
     }
 }
 
-/// How obligations are settled: directly (cold), or against an
-/// obligation store with lazy session replay (incremental).
-enum Discharge<'b> {
-    Direct,
-    Cached(Box<CachedState<'b>>),
-}
-
 struct Exec<'a, 'b> {
     program: &'a AnnotatedProgram,
     config: &'a VerifierConfig,
-    discharge: Discharge<'b>,
-    /// The solver session mirroring the path condition. Facts are
-    /// asserted exactly once per scope; goals are checked against it.
-    session: Box<dyn SolverSession>,
+    /// The solver session mirroring the path condition; goals are
+    /// checked against it.
+    session: LazySession,
+    /// The obligation store and its key derivation, when the caller
+    /// passed a store.
+    keyed: Option<Keyed<'b>>,
+    /// How each obligation was discharged so far.
+    stats: DischargeStats,
     /// The raw relational hypotheses, kept in parallel with the session
     /// scopes for the falsifier (which replays them on ground values).
     facts: Vec<Term>,
@@ -403,21 +496,23 @@ struct Exec<'a, 'b> {
     /// Retroactive obligations, discharged at the end of the program with
     /// the final fact set.
     deferred: Vec<Deferred>,
-    /// Discharge counters of the direct (cold) regime; the incremental
-    /// regime accounts in [`CachedState::stats`] instead.
-    direct_stats: DischargeStats,
-    /// Wall-clock settle time per obligation, in report order (both
-    /// regimes). Diagnostic payload only — never in reports or keys.
+    /// Wall-clock settle time per obligation, in report order.
+    /// Diagnostic payload only — never in reports or keys.
     obligation_times: Vec<Duration>,
 }
 
 impl<'a, 'b> Exec<'a, 'b> {
-    fn new(program: &'a AnnotatedProgram, config: &'a VerifierConfig) -> Self {
+    fn new(
+        program: &'a AnnotatedProgram,
+        config: &'a VerifierConfig,
+        keyed: Option<Keyed<'b>>,
+    ) -> Self {
         Exec {
             program,
             config,
-            discharge: Discharge::Direct,
-            session: config.backend.open_session(config.solver.clone()),
+            session: LazySession::new(config.backend.open_session(config.solver.clone())),
+            keyed,
+            stats: DischargeStats::default(),
             facts: Vec::new(),
             fact_origins: Vec::new(),
             fact_vars: Vec::new(),
@@ -432,7 +527,6 @@ impl<'a, 'b> Exec<'a, 'b> {
             obligations: Vec::new(),
             errors: Vec::new(),
             deferred: Vec::new(),
-            direct_stats: DischargeStats::default(),
             obligation_times: Vec::new(),
         }
     }
@@ -442,7 +536,7 @@ impl<'a, 'b> Exec<'a, 'b> {
         // includes everything learned from later unshares.
         let deferred = std::mem::take(&mut self.deferred);
         for d in deferred {
-            self.prove_with_span(d.description, d.code, d.span, d.path, d.goal);
+            self.settle(d.meta, Goal::Path(&d.goal));
         }
         for (i, r) in self.resources.iter().enumerate() {
             if matches!(r, ResState::Shared { .. }) {
@@ -520,81 +614,43 @@ impl<'a, 'b> Exec<'a, 'b> {
         (Term::Var(n1), Term::Var(n2))
     }
 
-    /// Records a relational fact: into the raw list (for the falsifier)
-    /// and into the solver session (for proofs). In the incremental
-    /// regime the session work is buffered and the fact (with its
-    /// free-variable sorts and origin statement) is folded into the
-    /// context digest instead.
+    /// Records a relational fact: into the raw list (for the falsifier),
+    /// into the session's buffer (for proofs) and, when the run has a
+    /// store, into the context digest (with its free-variable sorts).
     fn push_fact(&mut self, fact: Term) {
         if self.config.proof_cores {
             self.fact_vars.push(fact.free_vars());
         }
+        if let Some(keyed) = &mut self.keyed {
+            let top = keyed.top();
+            top.tag("assert");
+            feed_term(top, &fact, &self.var_sorts);
+        }
         self.facts.push(fact.clone());
         self.fact_origins.push(self.path.clone());
-        match &mut self.discharge {
-            Discharge::Direct => self.session.assert(fact),
-            Discharge::Cached(state) => {
-                let top = state.ctx.last_mut().expect("root context");
-                top.tag("assert");
-                feed_term(top, &fact, &self.var_sorts);
-                state.pending.push(PendingOp::Assert(fact));
-            }
-        }
+        self.session.assert(fact);
     }
 
     /// Opens a fact scope (solver session + raw list mark).
     fn begin_scope(&mut self) -> usize {
-        match &mut self.discharge {
-            Discharge::Direct => self.session.push(),
-            Discharge::Cached(state) => {
-                let mut child = state.ctx.last().expect("root context").clone();
-                child.tag("push");
-                state.ctx.push(child);
-                state.pending_marks.push((state.replays, state.pending.len()));
-                state.pending.push(PendingOp::Push);
-            }
+        if let Some(keyed) = &mut self.keyed {
+            let mut child = keyed.top().clone();
+            child.tag("push");
+            keyed.ctx.push(child);
         }
+        self.session.push();
         self.facts.len()
     }
 
     /// Closes a fact scope opened by [`Exec::begin_scope`].
     fn end_scope(&mut self, mark: usize) {
-        match &mut self.discharge {
-            Discharge::Direct => self.session.pop(),
-            Discharge::Cached(state) => {
-                state.ctx.pop();
-                let (generation, pending_mark) = state
-                    .pending_marks
-                    .pop()
-                    .expect("end_scope without begin_scope");
-                if generation == state.replays {
-                    // The whole scope is still buffered: cancel it without
-                    // the session ever seeing it.
-                    state.pending.truncate(pending_mark);
-                } else {
-                    // Part of the scope reached the session (a miss
-                    // occurred inside): buffer the matching pop.
-                    state.pending.push(PendingOp::Pop);
-                }
-            }
+        if let Some(keyed) = &mut self.keyed {
+            keyed.ctx.pop();
         }
+        self.session.pop();
         self.facts.truncate(mark);
         self.fact_origins.truncate(mark);
         self.fact_vars.truncate(mark);
-    }
-
-    /// Applies every buffered session operation (incremental regime only;
-    /// called when an obligation-store miss needs the real session).
-    fn replay_pending(state: &mut CachedState<'_>, session: &mut dyn SolverSession) {
-        for op in state.pending.drain(..) {
-            match op {
-                PendingOp::Push => session.push(),
-                PendingOp::Pop => session.pop(),
-                PendingOp::Assert(fact) => session.assert(fact),
-                PendingOp::Sync => session.sync(),
-            }
-        }
-        state.replays += 1;
     }
 
     /// Evaluates a program expression to its per-side symbolic terms.
@@ -619,81 +675,20 @@ impl<'a, 'b> Exec<'a, 'b> {
         (e.subst(&bind1), e.subst(&bind2))
     }
 
-    fn prove(&mut self, description: impl Into<String>, code: DiagnosticCode, goal: Term) {
-        let span = self.program.span_at(&self.path);
-        let path = self.path.clone();
-        self.prove_with_span(description.into(), code, span, path, goal);
+    /// The report half of an obligation raised by the statement
+    /// currently executing.
+    fn meta_here(&self, description: String, code: DiagnosticCode) -> ObligationMeta {
+        ObligationMeta {
+            description,
+            code,
+            span: self.program.span_at(&self.path),
+            path: self.path.clone(),
+        }
     }
 
-    fn prove_with_span(
-        &mut self,
-        description: String,
-        code: DiagnosticCode,
-        span: Option<SourceSpan>,
-        path: StmtPath,
-        goal: Term,
-    ) {
-        let discharge = std::mem::replace(&mut self.discharge, Discharge::Direct);
-        match discharge {
-            Discharge::Direct => {
-                let _span =
-                    commcsl_telemetry::span!("symexec.obligation", index = self.obligations.len());
-                let started = Instant::now();
-                let status = if self.config.static_prepass && goal_statically_valid(&goal) {
-                    // Statically discharged: the solver never sees the
-                    // goal, but the skipped check still closes an
-                    // assertion batch (an incremental backend saturates
-                    // per batch), so later verdicts match a prepass-off
-                    // run bit for bit.
-                    self.session.sync();
-                    self.direct_stats.record(ObligationVerdict::StaticallyProven);
-                    ObligationStatus::Proved
-                } else {
-                    self.direct_stats.record(ObligationVerdict::SolverChecked);
-                    self.direct_status(&goal)
-                };
-                let core = matches!(status, ObligationStatus::Proved)
-                    .then(|| self.core_candidate(&goal))
-                    .flatten();
-                self.obligation_times.push(started.elapsed());
-                self.obligations.push(ObligationResult {
-                    description,
-                    code,
-                    span,
-                    status,
-                    core,
-                });
-            }
-            Discharge::Cached(state) => {
-                // The dependency-cone key: the live-context digest (config,
-                // scoped facts, batch boundaries) plus the goal and the
-                // sorts steering its falsification.
-                let mut h = state.ctx.last().expect("root context").clone();
-                h.tag("goal");
-                feed_term(&mut h, &goal, &self.var_sorts);
-                let key = ObligationKey::from_hasher(&h);
-                let meta = ObligationMeta {
-                    description,
-                    code,
-                    span,
-                    path,
-                };
-                // The core is purely syntactic (facts + goal), so it is
-                // computed up front, identically for hits, static
-                // discharges, and solver checks — cache routes cannot
-                // perturb report bytes.
-                let core = self.core_candidate(&goal);
-                self.settle_cached(
-                    state,
-                    key,
-                    meta,
-                    core,
-                    true,
-                    |exec| exec.config.static_prepass && goal_statically_valid(&goal),
-                    |exec| exec.direct_status(&goal),
-                );
-            }
-        }
+    fn prove(&mut self, description: impl Into<String>, code: DiagnosticCode, goal: Term) {
+        let meta = self.meta_here(description.into(), code);
+        self.settle(meta, Goal::Path(&goal));
     }
 
     /// The proof core of a goal about to be (or just) proved, when
@@ -721,72 +716,71 @@ impl<'a, 'b> Exec<'a, 'b> {
         )
     }
 
-    /// Settles one obligation in the incremental regime — the shared
-    /// tail of every cached discharge: consult the store, compute (and
-    /// record) on a miss, account, emit the event, push the result, and
-    /// restore the discharge state. `session_backed` is true for path
-    /// obligations, whose checks interact with the solver session (cone
-    /// = the live facts; hits buffer a `Sync`, misses replay the buffer,
-    /// and either way the check is a batch boundary for what follows);
-    /// spec-validity obligations pass false (their checker is
-    /// session-free and their cone is empty).
+    /// Settles one obligation — the one discharge path of every goal.
+    /// With a store, the goal's key is derived and looked up first; a
+    /// miss, or a run without a store, tries the static pre-pass before
+    /// the solver. Every status computed enters the store. Then the
+    /// obligation is accounted, its event emitted (with a store), and its
+    /// result pushed.
     ///
-    /// `statically` is the pre-pass test for the goal: on a store miss it
-    /// runs *before* the solver — a statically valid goal is proved
-    /// without replaying the buffered session (a `Sync` stands in for the
-    /// skipped check, exactly like a store hit) and its status enters the
-    /// store like any other.
-    #[allow(clippy::too_many_arguments)] // private discharge tail: the params are the obligation
-    fn settle_cached(
-        &mut self,
-        mut state: Box<CachedState<'b>>,
-        key: ObligationKey,
-        meta: ObligationMeta,
-        core: Option<Vec<CoreFact>>,
-        session_backed: bool,
-        statically: impl FnOnce(&mut Self) -> bool,
-        compute: impl FnOnce(&mut Self) -> ObligationStatus,
-    ) {
-        let _span =
-            commcsl_telemetry::span!("symexec.obligation", index = self.obligations.len());
+    /// A path goal interacts with the solver session: a skipped check
+    /// (store hit or static discharge) buffers a `Sync`, a real check
+    /// replays the buffer first, and either way the obligation is a batch
+    /// boundary for what follows. Its cone is the live facts.
+    fn settle(&mut self, meta: ObligationMeta, goal: Goal<'_>) {
+        let key = self
+            .keyed
+            .as_ref()
+            .map(|keyed| keyed.key(goal, self.config, &self.var_sorts));
+        let _span = commcsl_telemetry::span!("symexec.obligation", index = self.obligations.len());
         let started = Instant::now();
-        let (status, verdict) = match state.store.get(key) {
-            Some(status) => {
-                if session_backed {
-                    // The skipped check still closed an assertion batch
-                    // in the cold run; a `Sync` keeps any later replay
-                    // bit-identical.
-                    state.pending.push(PendingOp::Sync);
-                }
+        let reused = match (&mut self.keyed, key) {
+            (Some(keyed), Some(key)) => keyed.store.get(key),
+            _ => None,
+        };
+        let (status, verdict) = match (reused, goal) {
+            (Some(status), Goal::Path(_)) => {
+                self.session.skip();
                 (status, ObligationVerdict::Reused)
             }
-            None if session_backed && statically(self) => {
-                // Statically discharged: no session replay needed — the
-                // solver never sees this goal — but the skipped check is
-                // still a batch boundary, exactly like a store hit.
-                state.pending.push(PendingOp::Sync);
-                let status = ObligationStatus::Proved;
-                state.store.put(key, &status);
-                (status, ObligationVerdict::StaticallyProven)
+            (Some(status), Goal::SpecValidity(_)) => (status, ObligationVerdict::Reused),
+            (None, Goal::Path(term))
+                if self.config.static_prepass && goal_statically_valid(term) =>
+            {
+                // The solver never sees a statically valid goal.
+                self.session.skip();
+                (
+                    ObligationStatus::Proved,
+                    ObligationVerdict::StaticallyProven,
+                )
             }
-            None => {
-                if session_backed {
-                    Self::replay_pending(&mut state, self.session.as_mut());
-                }
-                let status = compute(self);
-                state.store.put(key, &status);
-                (status, ObligationVerdict::SolverChecked)
+            (None, Goal::Path(term)) => {
+                (self.solver_status(term), ObligationVerdict::SolverChecked)
             }
+            (None, Goal::SpecValidity(spec)) => (
+                self.spec_validity_status(spec),
+                ObligationVerdict::SolverChecked,
+            ),
         };
-        if session_backed {
-            // Whether skipped or checked, the obligation is a batch
-            // boundary for everything after it.
-            state.top().tag("flush");
+        if let (Some(keyed), Some(key)) = (&mut self.keyed, key) {
+            if verdict != ObligationVerdict::Reused {
+                keyed.store.put(key, &status);
+            }
+            if let Goal::Path(_) = goal {
+                keyed.top().tag("flush");
+            }
         }
-        state.stats.record(verdict);
-        let core = matches!(status, ObligationStatus::Proved)
-            .then_some(core)
-            .flatten();
+        self.stats.record(verdict);
+        // The core is purely syntactic (facts + goal), so every route
+        // computes the same one. Spec validity never reads the path
+        // condition: its core is the empty fact set.
+        let core = match (&status, goal) {
+            (ObligationStatus::Proved, Goal::Path(term)) => self.core_candidate(term),
+            (ObligationStatus::Proved, Goal::SpecValidity(_)) => {
+                self.config.proof_cores.then(Vec::new)
+            }
+            (ObligationStatus::Failed(_), _) => None,
+        };
         let result = ObligationResult {
             description: meta.description,
             code: meta.code,
@@ -794,29 +788,29 @@ impl<'a, 'b> Exec<'a, 'b> {
             status,
             core,
         };
-        let cone: &[StmtPath] = if session_backed {
-            &self.fact_origins
-        } else {
-            &[]
-        };
         let time = started.elapsed();
-        (state.sink)(&ObligationEvent {
-            index: self.obligations.len(),
-            key,
-            path: &meta.path,
-            cone,
-            result: &result,
-            verdict,
-            time,
-        });
+        if let (Some(keyed), Some(key)) = (&mut self.keyed, key) {
+            let cone: &[StmtPath] = match goal {
+                Goal::Path(_) => &self.fact_origins,
+                Goal::SpecValidity(_) => &[],
+            };
+            (keyed.sink)(&ObligationEvent {
+                index: self.obligations.len(),
+                key,
+                path: &meta.path,
+                cone,
+                result: &result,
+                verdict,
+                time,
+            });
+        }
         self.obligation_times.push(time);
         self.obligations.push(result);
-        self.discharge = Discharge::Cached(state);
     }
 
-    /// Discharges one goal against the real session (the cold path: a
-    /// solver check plus, on failure, the falsifier hunt).
-    fn direct_status(&mut self, goal: &Term) -> ObligationStatus {
+    /// Discharges one goal against the session: a solver check plus, on
+    /// failure, the falsifier hunt.
+    fn solver_status(&mut self, goal: &Term) -> ObligationStatus {
         match self.session.check(goal) {
             Verdict::Proved => ObligationStatus::Proved,
             _ => {
@@ -1146,59 +1140,12 @@ impl<'a, 'b> Exec<'a, 'b> {
     /// Discharges (or replays) the spec-validity obligation of a `share`.
     fn prove_spec_validity(&mut self, spec: &ResourceSpec) {
         let description = format!("resource spec `{}` is valid", spec.name);
-        let span = self.program.span_at(&self.path);
-        let path = self.path.clone();
-        let discharge = std::mem::replace(&mut self.discharge, Discharge::Direct);
-        match discharge {
-            Discharge::Direct => {
-                let _span =
-                    commcsl_telemetry::span!("symexec.obligation", index = self.obligations.len());
-                let started = Instant::now();
-                let status = self.spec_validity_status(spec);
-                self.direct_stats.record(ObligationVerdict::SolverChecked);
-                self.obligation_times.push(started.elapsed());
-                // Spec validity never reads the path condition: its core
-                // is the empty fact set (when tracking is on at all).
-                let core = (self.config.proof_cores
-                    && matches!(status, ObligationStatus::Proved))
-                .then(Vec::new);
-                self.obligations.push(ObligationResult {
-                    description,
-                    code: DiagnosticCode::SpecValidity,
-                    span,
-                    status,
-                    core,
-                });
-            }
-            Discharge::Cached(state) => {
-                // The validity check never reads the path condition, so
-                // its cone is just the specification and the config — the
-                // same spec shared from anywhere (any document, any edit)
-                // replays one cached status.
-                let mut h = StableHasher::new();
-                h.tag("obligation.spec-validity");
-                spec.stable_hash(&mut h);
-                self.config.stable_hash(&mut h);
-                let key = ObligationKey::from_hasher(&h);
-                let meta = ObligationMeta {
-                    description,
-                    code: DiagnosticCode::SpecValidity,
-                    span,
-                    path,
-                };
-                // Spec validity quantifies over action pairs — never a
-                // single goal term — so the pre-pass does not apply. Its
-                // core is the empty fact set when tracking is on.
-                let core = self.config.proof_cores.then(Vec::new);
-                self.settle_cached(state, key, meta, core, false, |_| false, |exec| {
-                    exec.spec_validity_status(spec)
-                });
-            }
-        }
+        let meta = self.meta_here(description, DiagnosticCode::SpecValidity);
+        self.settle(meta, Goal::SpecValidity(spec));
     }
 
     /// Runs the validity checker and shapes its outcome as an obligation
-    /// status (the cold path of [`Exec::prove_spec_validity`]).
+    /// status.
     fn spec_validity_status(&self, spec: &ResourceSpec) -> ObligationStatus {
         let report = check_validity(spec, &self.config.validity);
         if report.is_valid() {
@@ -1237,8 +1184,8 @@ impl<'a, 'b> Exec<'a, 'b> {
             return;
         }
         // Specification validity (Def. 3.1) — checked once per share, and
-        // in the incremental regime cached by (spec, config) alone: the
-        // check is independent of the path condition.
+        // with a store cached by (spec, config) alone: the check is
+        // independent of the path condition.
         self.prove_spec_validity(spec);
         // Property (1): Low(α(init)).
         let (v1, v2) = self.eval(init);
@@ -1362,13 +1309,11 @@ impl<'a, 'b> Exec<'a, 'b> {
         let description = format!("pre of `{action}`({arg:?})");
         let goal = act.pre_term(&a1, &a2);
         if defer_pre {
-            self.deferred.push(Deferred {
-                description: format!("{description} [retroactive]"),
-                code: DiagnosticCode::ActionPreRetro,
-                span: self.program.span_at(&self.path),
-                path: self.path.clone(),
-                goal,
-            });
+            let meta = self.meta_here(
+                format!("{description} [retroactive]"),
+                DiagnosticCode::ActionPreRetro,
+            );
+            self.deferred.push(Deferred { meta, goal });
         } else {
             self.prove(description, DiagnosticCode::ActionPre, goal);
         }

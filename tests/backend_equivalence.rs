@@ -9,14 +9,17 @@
 //! * the committed `.csl` corpus (span-carrying programs, so source
 //!   positions in diagnostics are covered too),
 //! * 64 random annotated programs from a proptest generator,
-//! * every fixture's recorded solver-event stream, replayed through both
-//!   backends (verdict-stream equality at the session seam).
+//! * every fixture's and rejected variant's recorded solver-event stream,
+//!   replayed through both backends (verdict-stream equality at the
+//!   session seam), with the live facts at each check pinned to the
+//!   incremental engine's obligation cones.
 
 use commcsl::front::compile;
 use commcsl::logic::spec::ResourceSpec;
 use commcsl::prelude::*;
-use commcsl::verifier::{solver_trace, SolverEvent, Verifier};
 use commcsl::verifier::cache::CacheConfig;
+use commcsl::verifier::obligation::MemoryObligationStore;
+use commcsl::verifier::{solver_trace, verify_incremental, DiagnosticCode, SolverEvent, Verifier};
 use proptest::prelude::*;
 
 fn config_for(backend: BackendKind) -> VerifierConfig {
@@ -100,15 +103,63 @@ fn compiled_csl_corpus_with_spans_is_byte_identical() {
     }
 }
 
+/// The live path facts at each `Check` of a recorded stream: a stack of
+/// fact counts, one per open scope.
+fn live_facts_at_checks(trace: &[SolverEvent]) -> Vec<usize> {
+    let mut live = 0;
+    let mut marks = Vec::new();
+    let mut at_checks = Vec::new();
+    for event in trace {
+        match event {
+            SolverEvent::Push => marks.push(live),
+            SolverEvent::Pop => live = marks.pop().expect("pop of an open scope"),
+            SolverEvent::Assert(_) => live += 1,
+            SolverEvent::Check { .. } => at_checks.push(live),
+        }
+    }
+    at_checks
+}
+
+/// The cone size of each path obligation, in report order, as the
+/// incremental engine reports it with the pre-pass off over a fresh
+/// store: the facts in scope at the check.
+fn cone_sizes(program: &AnnotatedProgram) -> Vec<usize> {
+    let config = VerifierConfig {
+        static_prepass: false,
+        ..VerifierConfig::default()
+    };
+    let mut sizes = Vec::new();
+    let mut store = MemoryObligationStore::default();
+    verify_incremental(program, &config, &mut store, &mut |event| {
+        if event.result.code != DiagnosticCode::SpecValidity {
+            sizes.push(event.cone.len());
+        }
+    });
+    sizes
+}
+
 #[test]
 fn solver_event_streams_replay_identically() {
     let config = VerifierConfig::default();
-    for fixture in commcsl::fixtures::all() {
-        let trace = solver_trace(&fixture.program, &config);
+    let fixtures = commcsl::fixtures::all()
+        .into_iter()
+        .map(|f| (f.name.to_owned(), f.program));
+    let rejected = commcsl::fixtures::rejected::all_programs()
+        .into_iter()
+        .map(|(name, program)| (name.to_owned(), program));
+    for (name, program) in fixtures.chain(rejected) {
+        let trace = solver_trace(&program, &config);
         assert!(
             trace.iter().any(|e| matches!(e, SolverEvent::Check { .. })),
-            "{} records obligations",
-            fixture.name
+            "{name} records obligations"
+        );
+        // The lazy session replays facts only before a check, so each
+        // check must still see exactly the path facts in scope — the
+        // list the falsifier and the obligation cone read.
+        assert_eq!(
+            live_facts_at_checks(&trace),
+            cone_sizes(&program),
+            "live facts at each check diverge from the cones on {name}"
         );
         let replay = |kind: BackendKind| -> Vec<Verdict> {
             let mut session = kind.open_session(config.solver.clone());
@@ -128,8 +179,7 @@ fn solver_event_streams_replay_identically() {
         assert_eq!(
             replay(BackendKind::Fresh),
             replay(BackendKind::Incremental),
-            "verdict streams diverge on {}",
-            fixture.name
+            "verdict streams diverge on {name}"
         );
     }
 }

@@ -3,9 +3,8 @@
 //! An [`AnnotatedProgram`] is the structured, specification-carrying form
 //! of a concurrent program — the analogue of a HyperViper source file
 //! (method bodies plus `share`/`with … performing`/`unshare` annotations,
-//! App. E of the paper). Fixtures in `commcsl-fixtures` provide both this
-//! form (for the verifier) and a plain `commcsl-lang` program (for the
-//! empirical non-interference harness).
+//! App. E of the paper). `commcsl-front` compiles `.csl` files into this
+//! form; the Table 1 corpus is such a set of files.
 
 use std::collections::BTreeMap;
 

@@ -14,8 +14,6 @@
 //! pass misses the cache, or the warm speedup falls below `--min-speedup`
 //! (default 10).
 
-use std::io::Write;
-
 use commcsl_bench::{cold_warm_bench, cold_warm_json};
 
 fn main() {
@@ -51,14 +49,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let snapshot = cold_warm_json(&run, threads);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
-        writeln!(file, "{snapshot}")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("\nappended snapshot to {path}");
+        commcsl_bench::append_snapshot(&path, &snapshot).unwrap_or_else(|e| die(&e));
     }
 
     if !run.identical || !run.fully_cached {

@@ -4,12 +4,12 @@
 //! cheap enough to leave on in an interactive session. This bin pins
 //! those promises on the checked-in workloads:
 //!
-//! 1. **Minimization slowdown**: best-of-N verification time of the rejected
+//! 1. **Minimization slowdown**: verification time of the rejected
 //!    fixture set with `minimize_counterexamples` on must stay within
 //!    `--max-slowdown` (default 3x) of the plain run. The ddmin loop
 //!    re-runs the falsifier per probe, so a multiplicative bound is the
 //!    honest shape — but it must not be unbounded.
-//! 2. **Core-tracking overhead**: best-of-N verification time of the
+//! 2. **Core-tracking overhead**: verification time of the
 //!    `scale-map-report-*` stress programs with `proof_cores` on must
 //!    stay within `--max-core-overhead` (default 5%) of the plain run —
 //!    core tracking is bookkeeping, not solving.
@@ -18,14 +18,24 @@
 //!    variables than the plain one; at least one rejected workload must
 //!    shrink strictly (the knob has to *do* something).
 //!
+//! The two timing gates are paired: each of `--runs N` rounds verifies a workload
+//! once with the knob off and once with it on, alternating which goes
+//! first, and yields the on/off time ratio. A workload's knob time is its
+//! median plain time scaled by its median ratio, and a gate compares the
+//! sums over the workloads. A drift of the host (frequency, steal, other
+//! tenants) lands on both halves of a round alike, and the medians drop
+//! the rounds that a stall inflated. Over the same 16 runs of 41 rounds
+//! on a noisy 2-vCPU host, comparing the two sides' medians read the
+//! core overhead from -2.0 % to +6.9 %, the paired estimate from -0.2 %
+//! to +3.2 %.
+//!
 //! Run with `cargo run -p commcsl-bench --release --bin
-//! counterexample_minimize -- [--runs N] [--max-slowdown X]
+//! counterexample_minimize -- [--runs N (default 41)] [--max-slowdown X]
 //! [--max-core-overhead X] [--json <path>]`.
 
-use std::io::Write;
 use std::time::Instant;
 
-use commcsl::fixtures::rejected;
+use commcsl::fixtures;
 use commcsl::server::json::Json;
 use commcsl::verifier::report::{ObligationStatus, VerifierConfig};
 use commcsl::verifier::{verify, AnnotatedProgram, VerifierReport};
@@ -55,9 +65,9 @@ fn main() {
     let mut min_total = 0.0;
     let mut strictly_smaller = 0usize;
     let mut min_rows: Vec<String> = Vec::new();
-    for (name, program) in rejected::all_programs() {
-        let (plain_ms, plain_report) = best_ms(&program, &plain, opts.runs);
-        let (min_ms, min_report) = best_ms(&program, &minimizing, opts.runs);
+    for (name, program) in fixtures::rejected() {
+        let [(plain_ms, plain_report), (min_ms, min_report)] =
+            paired_ms(&program, [&plain, &minimizing], opts.runs);
         check_verdicts(name, &plain_report, &min_report);
         let (before, after) = witness_sizes(name, &plain_report, &min_report);
         if after < before {
@@ -87,8 +97,8 @@ fn main() {
     let mut core_total = 0.0;
     let mut core_rows: Vec<String> = Vec::new();
     for program in commcsl_bench::reverify_programs() {
-        let (plain_ms, plain_report) = best_ms(&program, &plain, opts.runs);
-        let (core_ms, core_report) = best_ms(&program, &coring, opts.runs);
+        let [(plain_ms, plain_report), (core_ms, core_report)] =
+            paired_ms(&program, [&plain, &coring], opts.runs);
         check_verdicts(&program.name, &plain_report, &core_report);
         scale_plain_total += plain_ms;
         core_total += core_ms;
@@ -144,34 +154,41 @@ fn main() {
             min_rows.join(","),
             core_rows.join(","),
         );
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
-        writeln!(file, "{snapshot}")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("appended snapshot to {path}");
+        commcsl_bench::append_snapshot(path, &snapshot).unwrap_or_else(|e| die(&e));
     }
 }
 
-/// Best (minimum) wall-clock of `runs` verifications plus the last
-/// report. The minimum is the noise-robust estimator for an overhead
-/// ceiling: scheduler jitter only ever inflates a sample, so comparing
-/// minima compares the actual work added by a knob.
-fn best_ms(
+/// Times `program` with the knob off (`configs[0]`) and on over `runs`
+/// rounds, each verifying once per configuration with the first side
+/// alternating. Returns the median plain time and the plain time scaled
+/// by the median on/off ratio of the rounds, with each side's last
+/// report.
+fn paired_ms(
     program: &AnnotatedProgram,
-    config: &VerifierConfig,
+    configs: [&VerifierConfig; 2],
     runs: u32,
-) -> (f64, VerifierReport) {
-    let mut best = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..runs {
-        let start = Instant::now();
-        report = Some(verify(program, config));
-        best = best.min(start.elapsed().as_secs_f64() * 1000.0);
+) -> [(f64, VerifierReport); 2] {
+    let mut plain_ms = Vec::new();
+    let mut ratios = Vec::new();
+    let mut reports = [None, None];
+    for round in 0..runs as usize {
+        let mut ms = [0.0; 2];
+        for turn in 0..2 {
+            let side = (round + turn) % 2;
+            let start = Instant::now();
+            let report = verify(program, configs[side]);
+            ms[side] = start.elapsed().as_secs_f64() * 1000.0;
+            reports[side] = Some(report);
+        }
+        plain_ms.push(ms[0]);
+        ratios.push(ms[1] / ms[0]);
     }
-    (best, report.expect("runs > 0"))
+    let plain = commcsl_bench::median(&mut plain_ms);
+    let [plain_report, knobbed_report] = reports.map(|report| report.expect("runs > 0"));
+    [
+        (plain, plain_report),
+        (plain * commcsl_bench::median(&mut ratios), knobbed_report),
+    ]
 }
 
 /// Per-obligation statuses and failure reasons must match exactly — the
@@ -224,7 +241,7 @@ struct Opts {
 
 fn parse_args() -> Opts {
     let mut opts = Opts {
-        runs: 5,
+        runs: 41,
         max_slowdown: 3.0,
         max_core_overhead: 0.05,
         json_path: None,

@@ -21,8 +21,6 @@
 //! reports diverge or the median speedup falls below `--min-speedup`
 //! (default 5).
 
-use std::io::Write;
-
 use commcsl_bench::{reverify_bench, reverify_json};
 
 fn main() {
@@ -70,14 +68,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let snapshot = reverify_json(&run, edits);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
-        writeln!(file, "{snapshot}")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("appended snapshot to {path}");
+        commcsl_bench::append_snapshot(&path, &snapshot).unwrap_or_else(|e| die(&e));
     }
 }
 

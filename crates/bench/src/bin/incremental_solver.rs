@@ -19,8 +19,6 @@
 //! when verdicts diverge or the median speedup falls below
 //! `--min-speedup` (default 1.3).
 
-use std::io::Write;
-
 use commcsl_bench::{incremental_bench, incremental_json};
 
 fn main() {
@@ -67,14 +65,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let snapshot = incremental_json(&run, runs);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
-        writeln!(file, "{snapshot}")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("appended snapshot to {path}");
+        commcsl_bench::append_snapshot(&path, &snapshot).unwrap_or_else(|e| die(&e));
     }
 
 }

@@ -31,8 +31,6 @@
 //! a file — under `--threads 1 --deterministic` it is byte-identical
 //! across runs.
 
-use std::io::Write;
-
 use commcsl_bench::loadgen::{loadgen_json, loadgen_run, LoadgenConfig};
 
 fn main() {
@@ -141,14 +139,7 @@ fn main() {
     }
     if let Some(path) = json_path {
         let snapshot = loadgen_json(&run, &config);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
-        writeln!(file, "{snapshot}")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("appended snapshot to {path}");
+        commcsl_bench::append_snapshot(&path, &snapshot).unwrap_or_else(|e| die(&e));
     }
 }
 

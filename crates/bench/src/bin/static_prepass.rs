@@ -13,8 +13,6 @@
 //! diverge or any workload's statically-discharged fraction falls below
 //! `--min-discharge` (default 0.15).
 
-use std::io::Write;
-
 use commcsl_bench::{static_prepass_bench, static_prepass_json};
 
 fn main() {
@@ -61,14 +59,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let snapshot = static_prepass_json(&run, runs);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
-        writeln!(file, "{snapshot}")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("appended snapshot to {path}");
+        commcsl_bench::append_snapshot(&path, &snapshot).unwrap_or_else(|e| die(&e));
     }
 }
 

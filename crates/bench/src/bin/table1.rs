@@ -10,8 +10,6 @@
 //! Run with `cargo run -p commcsl-bench --release --bin table1 --
 //! [--runs N] [--threads N] [--json <path>]`.
 
-use std::io::Write;
-
 use commcsl::verifier::Verifier;
 use commcsl_bench::{render_table, table1_json, table1_rows_parallel};
 
@@ -41,14 +39,7 @@ fn main() {
     );
     if let Some(path) = json_path {
         let snapshot = table1_json(&rows, runs, threads);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
-        writeln!(file, "{snapshot}")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("appended snapshot to {path}");
+        commcsl_bench::append_snapshot(&path, &snapshot).unwrap_or_else(|e| die(&e));
     }
     std::process::exit(if all_ok { 0 } else { 1 });
 }

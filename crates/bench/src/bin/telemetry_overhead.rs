@@ -22,7 +22,6 @@
 //! Run with `cargo run -p commcsl-bench --release --bin telemetry_overhead
 //! -- [--runs N] [--max-overhead X] [--max-span-ns N] [--json <path>]`.
 
-use std::io::Write;
 use std::time::Instant;
 
 use commcsl::server::json::Json;
@@ -137,14 +136,7 @@ fn main() {
             opts.runs,
             row_json.join(","),
         );
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
-        writeln!(file, "{snapshot}")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("appended snapshot to {path}");
+        commcsl_bench::append_snapshot(path, &snapshot).unwrap_or_else(|e| die(&e));
     }
 }
 

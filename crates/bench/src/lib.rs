@@ -109,6 +109,49 @@ pub fn table1_json(rows: &[Table1Row], runs: u32, threads: usize) -> String {
     )
 }
 
+/// Appends one snapshot line (a single JSON object, as the `*_json`
+/// renderers here produce) to the trajectory file at `path`, stamped
+/// with where it came from: `commit` is `git rev-parse HEAD` of this
+/// source tree (`"unknown"` outside a git checkout), and `host` holds
+/// the host name and `available_parallelism`.
+///
+/// # Errors
+///
+/// A message naming `path` when the file cannot be opened or written.
+pub fn append_snapshot(path: &str, snapshot: &str) -> Result<(), String> {
+    use std::io::Write;
+
+    let fields = snapshot
+        .strip_suffix('}')
+        .ok_or_else(|| format!("snapshot for {path} is not a JSON object"))?;
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+        .unwrap_or_else(|| "unknown".to_owned());
+    let host = std::fs::read_to_string("/proc/sys/kernel/hostname")
+        .map(|name| name.trim().to_owned())
+        .unwrap_or_else(|_| "unknown".to_owned());
+    let line = format!(
+        "{fields},\"commit\":{},\"host\":{{\"name\":{},\"available_parallelism\":{}}}}}\n",
+        Json::str(&commit),
+        Json::str(&host),
+        std::thread::available_parallelism().map_or(0, usize::from),
+    );
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| format!("cannot open {path}: {e}"))?
+        .write_all(line.as_bytes())
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("appended snapshot to {path}");
+    Ok(())
+}
+
 // ----------------------------------------------------------- cold vs warm
 
 /// Results of the cold-vs-warm cache benchmark over the full corpus
@@ -151,7 +194,7 @@ pub fn cold_warm_bench(threads: usize, cache_dir: &std::path::Path) -> ColdWarm 
     use std::time::Instant;
 
     let fixtures = fixtures::all();
-    let rejected = fixtures::rejected::all_programs();
+    let rejected = fixtures::rejected();
     let programs: Vec<&commcsl::verifier::AnnotatedProgram> = fixtures
         .iter()
         .map(|f| &f.program)
@@ -260,7 +303,8 @@ pub struct IncrementalBench {
     pub identical: bool,
 }
 
-fn median(samples: &mut [f64]) -> f64 {
+/// The median of `samples` (sorting them in place); 0 for none.
+pub fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
     let n = samples.len();
     if n == 0 {
@@ -485,7 +529,7 @@ pub fn incremental_bench(runs: u32, top: usize) -> IncrementalBench {
 
     assert!(runs > 0, "need at least one run to take a median over");
     let fixtures = fixtures::all();
-    let rejected = fixtures::rejected::all_programs();
+    let rejected = fixtures::rejected();
     let stress = scale_programs();
 
     // Correctness first: byte-identical reports across backends and the
@@ -910,6 +954,33 @@ mod tests {
         assert_eq!(json.matches("\"example\":").count(), 18);
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(json.matches(open).count(), json.matches(close).count());
+        }
+    }
+
+    #[test]
+    fn snapshots_are_stamped_with_commit_and_host() {
+        let path = std::env::temp_dir().join(format!(
+            "commcsl-bench-snapshot-{}.json",
+            std::process::id()
+        ));
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        append_snapshot(path, "{\"bench\":\"a\",\"runs\":1}").unwrap();
+        append_snapshot(path, "{\"bench\":\"b\"}").unwrap();
+        assert!(append_snapshot(path, "not json").is_err());
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).ok();
+        let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0].get("bench").and_then(Json::as_str), Some("a"));
+        assert_eq!(lines[0].get("runs").and_then(Json::as_u64), Some(1));
+        for line in &lines {
+            let commit = line.get("commit").and_then(Json::as_str).unwrap();
+            assert!(!commit.is_empty());
+            let host = line.get("host").unwrap();
+            assert!(host.get("name").and_then(Json::as_str).is_some());
+            let cpus = host.get("available_parallelism").and_then(Json::as_u64);
+            assert!(cpus.is_some());
         }
     }
 

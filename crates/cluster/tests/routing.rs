@@ -243,9 +243,9 @@ fn transcript<E: Endpoint>(endpoint: &E, script: &str) -> Vec<String> {
 #[test]
 fn pool_and_single_daemon_answer_a_session_line_for_line() {
     // Every op gets its own program: shards share no cache, so two ops
-    // on one program (or on programs sharing a resource spec) could
-    // read `cached`/`reused` differently once they land on different
-    // shards.
+    // on one program (or on programs sharing a resource spec or an
+    // obligation, such as the two-worker rows' loop bounds) could read
+    // `cached`/`reused` differently once they land on different shards.
     let source = |file: &str| {
         let item = corpus_items()
             .into_iter()
@@ -258,8 +258,8 @@ fn pool_and_single_daemon_answer_a_session_line_for_line() {
         // Refused on a v1 session, then a v1 op served.
         r#"{"op":"metrics"}"#.to_owned(),
         format!(
-            r#"{{"op":"verify","name":"07.csl","source":{}}}"#,
-            source("07_patient_statistic.csl")
+            r#"{{"op":"verify","name":"12.csl","source":{}}}"#,
+            source("12_sales_by_region.csl")
         ),
         // Three decode errors: not JSON, an unknown op, one byte over
         // the line cap.

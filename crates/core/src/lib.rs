@@ -22,8 +22,8 @@
 //! | [`server`] | `commcsl-server` | the persistent verification daemon and its client |
 //! | [`cluster`] | `commcsl-cluster` | TCP shard pool, consistent-hash router, remote obligation cache |
 //! | [`lsp`] | `commcsl-lsp` | the editor language server (JSON-RPC over stdio, diagnostics, hover, progress) |
-//! | [`fixtures`] | `commcsl-fixtures` | the 18 evaluation examples of Table 1 |
 //! | [`front`] | `commcsl-front` | the `.csl` surface language, lowering, pretty-printer, and `commcsl` CLI |
+//! | [`fixtures`] | `commcsl-front` | the 18 Table 1 examples and 5 rejected variants, compiled from `examples/` |
 //!
 //! # Quickstart
 //!
@@ -60,8 +60,8 @@
 
 pub use commcsl_analysis as analysis;
 pub use commcsl_cluster as cluster;
-pub use commcsl_fixtures as fixtures;
 pub use commcsl_front as front;
+pub use commcsl_front::fixtures;
 pub use commcsl_lang as lang;
 pub use commcsl_logic as logic;
 pub use commcsl_lsp as lsp;

@@ -2183,8 +2183,8 @@ fn run_fixture(args: &[String], out: &mut String) -> i32 {
         let _ = writeln!(out, "commcsl: fixture needs a Table 1 row or program name\n{USAGE}");
         return EXIT_ERROR;
     };
-    let Some(fixture) = commcsl_fixtures::find(name) else {
-        let hint = commcsl_fixtures::suggest(name)
+    let Some(fixture) = crate::fixtures::find(name) else {
+        let hint = crate::fixtures::suggest(name)
             .map(|s| format!("; did you mean `{s}`?"))
             .unwrap_or_default();
         let _ = writeln!(out, "commcsl: unknown fixture `{name}`{hint}");
@@ -2425,7 +2425,7 @@ fn collect_files(paths: &[String]) -> Result<Vec<PathBuf>, String> {
         } else {
             // A bare non-path argument is often a misremembered fixture
             // name (`commcsl verify Figure 2`); point at the nearest one.
-            let hint = commcsl_fixtures::suggest(raw)
+            let hint = crate::fixtures::suggest(raw)
                 .map(|s| format!("; did you mean the fixture `{s}`? (try `commcsl fixture {s}`)"))
                 .unwrap_or_default();
             return Err(format!("no such file or directory: `{raw}`{hint}"));

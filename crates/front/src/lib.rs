@@ -17,6 +17,8 @@
 //!   [`AnnotatedProgram`].
 //! * [`pretty`] — the inverse printer; `compile(&pretty(p)) == p` for
 //!   surface-expressible programs (see its docs for the caveats).
+//! * [`fixtures`] — the evaluation corpus (Table 1 and the rejected
+//!   variants), compiled from the committed `.csl` files.
 //! * [`cli`] — the `commcsl` binary: batch-verifies files, directories,
 //!   and globs in parallel, with human-readable or `--json` reports;
 //!   `serve` / `verify --daemon` / `daemon status|stop` expose the
@@ -49,6 +51,7 @@
 
 pub mod ast;
 pub mod cli;
+pub mod fixtures;
 pub mod lower;
 pub mod parser;
 pub mod pretty;

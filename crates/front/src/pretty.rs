@@ -3,9 +3,8 @@
 //! [`pretty`] is the inverse of `parse` + `lower`: for any program built
 //! from surface-expressible pieces, `compile(&pretty(p)) == p` holds
 //! *structurally* (pinned by the frontend's round-trip tests over all 18
-//! Table 1 fixtures and by proptest-generated programs). The `.csl`
-//! fixture corpus under `examples/programs/` is generated through this
-//! printer (`cargo run --example export_csl`).
+//! Table 1 fixtures and by proptest-generated programs). `commcsl fmt`
+//! prints `.csl` files through it.
 //!
 //! Non-surface-expressible pieces degrade gracefully rather than panic:
 //!

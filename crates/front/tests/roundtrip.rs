@@ -6,7 +6,7 @@
 //!   specifications plus random statement trees — survive the same
 //!   round trip, with pretty-printing idempotent on the way.
 
-use commcsl_front::{compile, pretty::pretty};
+use commcsl_front::{compile, fixtures, pretty::pretty};
 use commcsl_logic::spec::{ActionDef, ActionKind, ResourceSpec};
 use commcsl_pure::{Sort, Term};
 use commcsl_verifier::program::{AnnotatedProgram, VStmt};
@@ -28,14 +28,14 @@ fn assert_roundtrip(program: &AnnotatedProgram) {
 
 #[test]
 fn all_table1_fixtures_roundtrip() {
-    for fixture in commcsl_fixtures::all() {
+    for fixture in fixtures::all() {
         assert_roundtrip(&fixture.program);
     }
 }
 
 #[test]
 fn all_rejected_variants_roundtrip() {
-    for (name, program) in commcsl_fixtures::rejected::all_programs() {
+    for (name, program) in fixtures::rejected() {
         let printed = pretty(&program);
         let reparsed = compile(&printed)
             .unwrap_or_else(|e| panic!("{name}: re-parsing failed: {e}\n{printed}"));

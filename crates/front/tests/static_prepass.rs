@@ -2,15 +2,12 @@
 //!
 //! The pre-pass is an *optimisation*, not a semantics change: with it on
 //! (the default) and off, `VerifierReport::to_json()` must be
-//! byte-identical over every program we ship — Table 1 fixtures, their
-//! rejected variants, and the committed `.csl` corpus. These pins are the
+//! byte-identical over every program we ship — the committed `.csl`
+//! corpus of Table 1 rows and rejected variants. These pins are the
 //! CLI-facing counterpart of the random differential harness in
 //! `crates/verifier/tests/prepass_soundness.rs`.
 
-use std::fs;
-use std::path::Path;
-
-use commcsl_front::compile;
+use commcsl_front::{compile, fixtures};
 use commcsl_smt::SessionStats;
 use commcsl_verifier::obligation::MemoryObligationStore;
 use commcsl_verifier::program::AnnotatedProgram;
@@ -39,10 +36,10 @@ fn assert_identical(program: &AnnotatedProgram, label: &str) -> (usize, usize) {
 }
 
 #[test]
-fn table1_fixtures_are_byte_identical() {
+fn example_corpus_is_byte_identical() {
     let mut statically = 0;
     let mut total = 0;
-    for fixture in commcsl_fixtures::all() {
+    for fixture in fixtures::all() {
         let (s, t) = assert_identical(&fixture.program, fixture.name);
         statically += s;
         total += t;
@@ -52,62 +49,17 @@ fn table1_fixtures_are_byte_identical() {
     // outputs, trivial preconditions); the pre-pass must find some.
     assert!(
         statically > 0,
-        "pre-pass discharged nothing over the Table 1 fixtures"
-    );
-}
-
-#[test]
-fn rejected_variants_are_byte_identical() {
-    let mut total = 0;
-    for (name, program) in commcsl_fixtures::rejected::all_programs() {
-        let (_, t) = assert_identical(&program, name);
-        total += t;
-    }
-    assert!(total > 0);
-}
-
-fn corpus_dir(sub: &str) -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../examples")
-        .join(sub)
-}
-
-fn pin_corpus(dir: &Path) -> (usize, usize) {
-    let mut statically = 0;
-    let mut total = 0;
-    let mut seen = 0;
-    let mut entries: Vec<_> = fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "csl"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let src = fs::read_to_string(&path).unwrap();
-        let program = compile(&src)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let (s, t) = assert_identical(&program, &path.display().to_string());
-        statically += s;
-        total += t;
-        seen += 1;
-    }
-    assert!(seen > 0, "no .csl files under {}", dir.display());
-    (statically, total)
-}
-
-#[test]
-fn example_corpus_is_byte_identical() {
-    let (statically, total) = pin_corpus(&corpus_dir("programs"));
-    assert!(total > 0);
-    assert!(
-        statically > 0,
         "pre-pass discharged nothing over examples/programs"
     );
 }
 
 #[test]
 fn rejected_corpus_is_byte_identical() {
-    let (_, total) = pin_corpus(&corpus_dir("rejected"));
+    let mut total = 0;
+    for (name, program) in fixtures::rejected() {
+        let (_, t) = assert_identical(&program, name);
+        total += t;
+    }
     assert!(total > 0);
 }
 
@@ -144,8 +96,7 @@ fn static_discharges_enter_the_obligation_store() {
 /// of its own.
 #[test]
 fn statically_proven_program_leaves_the_session_untouched() {
-    let path = corpus_dir("programs").join("04_figure1_constant.csl");
-    let program = compile(&fs::read_to_string(&path).unwrap()).unwrap();
+    let program = fixtures::find("Figure 1").unwrap().program;
     let (report, stats, _, session) = verify_with_stats(&program, &VerifierConfig::default());
     assert!(report.verified(), "{report}");
     assert!(stats.statically_proven > 0, "{stats:?}");

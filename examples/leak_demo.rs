@@ -6,25 +6,28 @@
 //!
 //! Run with `cargo run --example leak_demo`.
 
-use commcsl::fixtures::rejected;
+use commcsl::fixtures;
 use commcsl::prelude::*;
 
 fn main() {
     // 1. Verification rejects the identity-abstraction assignment spec:
     //    `Set` does not commute.
-    let program = rejected::figure1_assignments();
+    let (_, program) = fixtures::rejected()
+        .into_iter()
+        .find(|(name, _)| *name == "figure1-assignments")
+        .expect("the Fig. 1 variant is in the rejected corpus");
     let report = verify(&program, &VerifierConfig::default());
     println!("{report}");
     assert!(!report.verified());
 
     // 2. The leak is real: run the program under schedulers with the two
     //    high inputs and watch the output differ.
-    let (prog, low, high, outs) = rejected::figure1_assignments_executable();
+    let leak = fixtures::figure1_assignments_executable();
     let ni = check_non_interference(
-        &prog,
-        &low,
-        &high,
-        &outs,
+        &leak.program,
+        &leak.low_inputs,
+        &leak.high_inputs,
+        &leak.low_outputs,
         &NiConfig {
             random_seeds: 4,
             fuel: 100_000,

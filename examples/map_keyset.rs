@@ -10,7 +10,7 @@ use commcsl::prelude::*;
 
 fn main() {
     // The fixture bundles the annotated program and an executable variant.
-    let fixture = fixtures::rows::figure3();
+    let fixture = fixtures::find("Figure 3").expect("Table 1 has a Figure 3 row");
     println!(
         "{} — {} / {}",
         fixture.name, fixture.data_structure, fixture.abstraction

@@ -12,11 +12,12 @@ use commcsl::prelude::*;
 
 fn main() {
     // 1. Verify all three queue-based fixtures.
-    for fixture in [
-        fixtures::rows::producer_consumer_1x1(),
-        fixtures::rows::pipeline(),
-        fixtures::rows::producers_consumers_2x2(),
+    for name in [
+        "1-Producer-1-Consumer",
+        "Pipeline",
+        "2-Producers-2-Consumers",
     ] {
+        let fixture = fixtures::find(name).expect("Table 1 has the queue rows");
         let report = verify(&fixture.program, &VerifierConfig::default());
         println!("{report}");
         assert!(report.verified(), "{} failed", fixture.name);

@@ -10,7 +10,7 @@ use commcsl::logic::consistency::{interleaving_results, Record};
 use commcsl::prelude::*;
 
 fn main() {
-    let fixture = fixtures::rows::salary_histogram();
+    let fixture = fixtures::find("Salary-Histogram").expect("a Table 1 row");
     let report = verify(&fixture.program, &VerifierConfig::default());
     println!("{report}");
     assert!(report.verified());

@@ -5,16 +5,15 @@
 //!
 //! Pinned corpora:
 //!
-//! * the 18 Table 1 fixtures and the 5 rejected variants (builder form),
-//! * the committed `.csl` corpus (span-carrying programs, so source
-//!   positions in diagnostics are covered too),
+//! * the committed `.csl` corpus: the 18 Table 1 fixtures and, in a test
+//!   of their own, the 5 rejected variants (span-carrying programs, so
+//!   source positions in diagnostics are covered too),
 //! * 64 random annotated programs from a proptest generator,
 //! * every fixture's and rejected variant's recorded solver-event stream,
 //!   replayed through both backends (verdict-stream equality at the
 //!   session seam), with the live facts at each check pinned to the
 //!   incremental engine's obligation cones.
 
-use commcsl::front::compile;
 use commcsl::logic::spec::ResourceSpec;
 use commcsl::prelude::*;
 use commcsl::verifier::cache::CacheConfig;
@@ -61,45 +60,40 @@ fn assert_equivalent(program: &AnnotatedProgram) -> String {
     fresh
 }
 
+/// Checks one compiled corpus program: it carries statement spans, every
+/// route reports the same bytes, the report has source positions and
+/// the expected verdict.
+fn assert_corpus_program(name: &str, program: &AnnotatedProgram, must_verify: bool) {
+    assert!(
+        !program.spans.is_empty(),
+        "{name}: compiled programs carry statement spans"
+    );
+    let json = assert_equivalent(program);
+    assert!(
+        json.contains("\"span\":"),
+        "{name}: the report carries source positions"
+    );
+    assert!(
+        json.contains(&format!("\"verified\":{must_verify}")),
+        "{name} must have verified={must_verify}"
+    );
+}
+
+/// The 18 Table 1 rows; the rejected variants are the other test's, so
+/// each corpus program runs once.
 #[test]
 fn fixture_corpus_is_byte_identical_across_backends_and_routes() {
     for fixture in commcsl::fixtures::all() {
-        let json = assert_equivalent(&fixture.program);
-        assert!(
-            json.contains("\"verified\":true"),
-            "{} must verify",
-            fixture.name
-        );
-    }
-    for (name, program) in commcsl::fixtures::rejected::all_programs() {
-        let json = assert_equivalent(&program);
-        assert!(
-            json.contains("\"verified\":false"),
-            "{name} must stay rejected"
-        );
+        assert_corpus_program(fixture.name, &fixture.program, true);
     }
 }
 
+/// The 5 rejected variants, whose failing obligations put source
+/// positions into the diagnostics.
 #[test]
 fn compiled_csl_corpus_with_spans_is_byte_identical() {
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    for sub in ["examples/programs", "examples/rejected"] {
-        let mut files: Vec<_> = std::fs::read_dir(root.join(sub))
-            .expect("corpus dir")
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == "csl"))
-            .collect();
-        files.sort();
-        assert!(!files.is_empty(), "empty corpus {sub}");
-        for file in files {
-            let src = std::fs::read_to_string(&file).expect("read corpus file");
-            let program = compile(&src).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
-            assert!(
-                !program.spans.is_empty(),
-                "compiled programs carry statement spans"
-            );
-            assert_equivalent(&program);
-        }
+    for (name, program) in commcsl::fixtures::rejected() {
+        assert_corpus_program(name, &program, false);
     }
 }
 
@@ -144,7 +138,7 @@ fn solver_event_streams_replay_identically() {
     let fixtures = commcsl::fixtures::all()
         .into_iter()
         .map(|f| (f.name.to_owned(), f.program));
-    let rejected = commcsl::fixtures::rejected::all_programs()
+    let rejected = commcsl::fixtures::rejected()
         .into_iter()
         .map(|(name, program)| (name.to_owned(), program));
     for (name, program) in fixtures.chain(rejected) {

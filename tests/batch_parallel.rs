@@ -2,7 +2,7 @@
 //! every Table 1 fixture and every rejected variant, batch verdicts are
 //! identical to sequential `verify` verdicts regardless of thread count.
 
-use commcsl::fixtures::{self, rejected};
+use commcsl::fixtures;
 use commcsl::verifier::{verify, AnnotatedProgram, Verifier, VerifierConfig, VerifierReport};
 
 fn sequential(programs: &[&AnnotatedProgram]) -> Vec<VerifierReport> {
@@ -47,7 +47,7 @@ fn batch_matches_sequential_on_all_fixtures_for_any_thread_count() {
 
 #[test]
 fn batch_matches_sequential_on_rejected_programs() {
-    let rejected: Vec<(&str, AnnotatedProgram)> = rejected::all_programs();
+    let rejected: Vec<(&str, AnnotatedProgram)> = fixtures::rejected();
     let programs: Vec<&AnnotatedProgram> = rejected.iter().map(|(_, p)| p).collect();
     let expected = sequential(&programs);
 

@@ -1,7 +1,11 @@
 //! Cross-crate integration tests: the verifier's verdicts must agree with
-//! the ground truth established by the operational semantics.
+//! the ground truth established by the operational semantics, and the
+//! `commcsl` CLI reproduces them over the committed `.csl` corpus.
 
-use commcsl::fixtures::{self, rejected};
+use std::path::PathBuf;
+
+use commcsl::fixtures;
+use commcsl::front::cli;
 use commcsl::lang::nicheck::{check_non_interference, NiConfig};
 use commcsl::prelude::*;
 
@@ -35,6 +39,7 @@ fn verifier_and_harness_agree_on_secure_fixtures() {
             &config,
         );
         assert_eq!(report.aborted, 0, "{}: abort", fixture.name);
+        assert!(report.executions > 0, "{}: nothing ran", fixture.name);
         assert!(
             report.holds(),
             "{}: verified program leaked empirically: {:?}",
@@ -47,15 +52,18 @@ fn verifier_and_harness_agree_on_secure_fixtures() {
 #[test]
 fn verifier_and_harness_agree_on_the_insecure_program() {
     // Rejected by the verifier…
-    let annotated = rejected::figure1_assignments();
+    let (_, annotated) = fixtures::rejected()
+        .into_iter()
+        .find(|(name, _)| *name == "figure1-assignments")
+        .expect("the Fig. 1 variant is in the rejected corpus");
     assert!(!verify(&annotated, &VerifierConfig::default()).verified());
     // …and the leak is real.
-    let (prog, low, high, outs) = rejected::figure1_assignments_executable();
+    let ni = fixtures::figure1_assignments_executable();
     let report = check_non_interference(
-        &prog,
-        &low,
-        &high,
-        &outs,
+        &ni.program,
+        &ni.low_inputs,
+        &ni.high_inputs,
+        &ni.low_outputs,
         &NiConfig {
             random_seeds: 4,
             fuel: 100_000,
@@ -66,7 +74,7 @@ fn verifier_and_harness_agree_on_the_insecure_program() {
 
 #[test]
 fn all_rejected_variants_fail_with_reasons() {
-    for (name, program) in rejected::all_programs() {
+    for (name, program) in fixtures::rejected() {
         let report = verify(&program, &VerifierConfig::default());
         assert!(!report.verified(), "{name} must fail");
         assert!(
@@ -144,4 +152,42 @@ fn spec_library_round_trips_through_validity() {
         &ValidityConfig::default(),
     );
     assert!(report.is_invalid(), "literal mean must be refuted");
+}
+
+#[test]
+fn cli_verifies_both_corpora_end_to_end() {
+    let corpus_dir = |sub: &str| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(sub);
+    let programs = corpus_dir("examples/programs").display().to_string();
+    let mut out = String::new();
+    let code = cli::run(
+        &["verify".into(), "--threads".into(), "2".into(), programs],
+        &mut out,
+    );
+    assert_eq!(code, 0, "CLI must verify the Table 1 corpus:\n{out}");
+    assert!(out.contains("18/18 programs verified"), "{out}");
+
+    let rejected = corpus_dir("examples/rejected").display().to_string();
+    let mut out = String::new();
+    let code = cli::run(
+        &[
+            "verify".into(),
+            "--expect".into(),
+            "rejected".into(),
+            rejected,
+        ],
+        &mut out,
+    );
+    assert_eq!(code, 0, "CLI must reject the insecure corpus:\n{out}");
+    assert!(out.contains("5/5 programs rejected as required"), "{out}");
+
+    // Glob expansion + JSON mode over the same corpus.
+    let glob = corpus_dir("examples/programs")
+        .join("*.csl")
+        .display()
+        .to_string();
+    let mut out = String::new();
+    let code = cli::run(&["verify".into(), "--json".into(), glob], &mut out);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("\"as_expected\":18"), "{out}");
+    assert!(out.contains("\"ok\":true"), "{out}");
 }

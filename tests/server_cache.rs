@@ -42,7 +42,7 @@ fn corpus() -> Vec<AnnotatedProgram> {
     fixtures::all()
         .into_iter()
         .map(|f| f.program)
-        .chain(fixtures::rejected::all_programs().into_iter().map(|(_, p)| p))
+        .chain(fixtures::rejected().into_iter().map(|(_, p)| p))
         .collect()
 }
 

@@ -5,10 +5,10 @@
 //!
 //! Pinned corpora:
 //!
-//! * the 18 Table 1 fixtures and the 5 rejected variants (builder form,
-//!   failing reports with counterexamples included),
-//! * the committed `.csl` corpus (span-carrying programs compiled by
-//!   `commcsl-front`),
+//! * the 18 Table 1 fixtures and the 5 rejected variants (failing
+//!   reports with counterexamples included),
+//! * the committed `.csl` corpus read from disk (span-carrying programs
+//!   compiled by `commcsl-front`),
 //! * random proptest edit *sequences* over generated annotated programs
 //!   (every revision checked against a cold run),
 //!
@@ -88,7 +88,7 @@ fn fixture_corpus_is_byte_identical_and_edit_rechecks_only_the_cone() {
     for fixture in commcsl::fixtures::all() {
         assert_incremental(&mut ws, fixture.name, &fixture.program);
     }
-    for (name, program) in commcsl::fixtures::rejected::all_programs() {
+    for (name, program) in commcsl::fixtures::rejected() {
         // Failing programs too: failed statuses (counterexamples and all)
         // must replay byte-identically.
         assert_incremental(&mut ws, name, &program);

@@ -279,7 +279,7 @@ fn term_prec(term: &Term) -> u8 {
             Func::Or => 0,
             Func::And => 1,
             Func::Eq | Func::Lt | Func::Le => 2,
-            Func::Not if matches!(args.as_slice(), [Term::App(Func::Eq, _)]) => 2,
+            Func::Not if matches!(&args[..], [Term::App(Func::Eq, _)]) => 2,
             Func::Add | Func::Sub => 3,
             Func::Mul | Func::Div | Func::Mod => 4,
             Func::Neg | Func::Not => 5,
@@ -320,7 +320,7 @@ fn term_render(term: &Term, out: &mut String) {
             Func::Le => infix("<=", args, 3, 3, out),
             Func::Not => {
                 // `Term::neq` builds `Not(Eq(a, b))`; print it back as `!=`.
-                if let [Term::App(Func::Eq, eq_args)] = args.as_slice() {
+                if let [Term::App(Func::Eq, eq_args)] = &args[..] {
                     infix("!=", eq_args, 3, 3, out);
                 } else {
                     out.push('!');
@@ -484,10 +484,10 @@ mod tests {
             Term::not(Term::var("p")),
         ]));
         // Nested variadic connectives keep their grouping via parens.
-        roundtrip(&Term::App(
+        roundtrip(&Term::app(
             Func::And,
-            vec![
-                Term::App(Func::And, vec![Term::var("a"), Term::var("b")]),
+            [
+                Term::app(Func::And, [Term::var("a"), Term::var("b")]),
                 Term::var("c"),
             ],
         ));

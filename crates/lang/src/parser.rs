@@ -755,7 +755,7 @@ impl<'a> Parser<'a> {
                 args.len()
             ));
         }
-        Ok(Term::App(func, args))
+        Ok(Term::App(func, args.into()))
     }
 
     /// Parses a parenthesized, comma-separated argument list (possibly

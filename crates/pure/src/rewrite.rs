@@ -108,6 +108,10 @@ pub fn normalize(t: &Term, oracle: &dyn EqOracle) -> Term {
     cur
 }
 
+/// One bottom-up pass. A node whose rewrite is structurally equal to it
+/// comes back as the input node itself, so a pass over a normal form
+/// shares every subtree, and [`normalize`]'s fixpoint test is a pointer
+/// compare.
 fn rewrite_bottom_up(t: &Term, oracle: &dyn EqOracle) -> Term {
     match t {
         Term::Var(_) | Term::Lit(_) => t.clone(),
@@ -116,7 +120,12 @@ fn rewrite_bottom_up(t: &Term, oracle: &dyn EqOracle) -> Term {
                 .iter()
                 .map(|a| rewrite_bottom_up(a, oracle))
                 .collect();
-            rewrite_node(f.clone(), args, oracle)
+            let next = rewrite_node(f.clone(), args, oracle);
+            if next == *t {
+                t.clone()
+            } else {
+                next
+            }
         }
     }
 }
@@ -127,7 +136,7 @@ fn rewrite_node(f: Func, args: Vec<Term>, oracle: &dyn EqOracle) -> Term {
     // 1. Constant folding whenever all arguments are literals and the symbol
     //    is interpreted and total on them.
     if !matches!(f, Func::Uninterpreted(_)) && args.iter().all(|a| matches!(a, Term::Lit(_))) {
-        let probe = Term::App(f.clone(), args.clone());
+        let probe = Term::app(f.clone(), args.iter().cloned());
         if let Ok(v) = probe.eval(&BTreeMap::new()) {
             return Term::Lit(v);
         }
@@ -178,15 +187,15 @@ fn rewrite_node(f: Func, args: Vec<Term>, oracle: &dyn EqOracle) -> Term {
         Func::IsLeft => match &args[0] {
             Term::App(Func::MkLeft, _) => Term::tt(),
             Term::App(Func::MkRight, _) => Term::ff(),
-            _ => Term::App(Func::IsLeft, args),
+            _ => Term::App(Func::IsLeft, args.into()),
         },
         Func::FromLeft => match &args[0] {
             Term::App(Func::MkLeft, inner) => inner[0].clone(),
-            _ => Term::App(Func::FromLeft, args),
+            _ => Term::App(Func::FromLeft, args.into()),
         },
         Func::FromRight => match &args[0] {
             Term::App(Func::MkRight, inner) => inner[0].clone(),
-            _ => Term::App(Func::FromRight, args),
+            _ => Term::App(Func::FromRight, args.into()),
         },
         Func::SeqLen => rewrite_seq_observer(Func::SeqLen, args, oracle),
         Func::SeqSum => rewrite_seq_observer(Func::SeqSum, args, oracle),
@@ -214,25 +223,25 @@ fn rewrite_node(f: Func, args: Vec<Term>, oracle: &dyn EqOracle) -> Term {
             let ms = rewrite_node(Func::SeqToMultiset, args, oracle);
             rewrite_node(Func::MsToSortedSeq, vec![ms], oracle)
         }
-        Func::MsToSortedSeq => Term::App(Func::MsToSortedSeq, args),
+        Func::MsToSortedSeq => Term::App(Func::MsToSortedSeq, args.into()),
         Func::SetAdd => rewrite_chain_add(Func::SetAdd, args, /* idempotent */ true),
         Func::MsAdd => rewrite_chain_add(Func::MsAdd, args, false),
         Func::SetUnion | Func::MsUnion => rewrite_ac_union(f, args),
         Func::SetCard => match &args[0] {
-            Term::App(Func::SeqToSet, _) => Term::App(Func::SetCard, args),
-            _ => Term::App(Func::SetCard, args),
+            Term::App(Func::SeqToSet, _) => Term::App(Func::SetCard, args.into()),
+            _ => Term::App(Func::SetCard, args.into()),
         },
         Func::MsCard => match &args[0] {
             Term::App(Func::MsAdd, inner) => {
-                let base = Term::App(Func::MsCard, vec![inner[0].clone()]);
+                let base = Term::app(Func::MsCard, [inner[0].clone()]);
                 linear::normalize_linear(Func::Add, vec![base, Term::int(1)])
             }
             Term::App(Func::MsUnion, inner) => {
-                let a = Term::App(Func::MsCard, vec![inner[0].clone()]);
-                let b = Term::App(Func::MsCard, vec![inner[1].clone()]);
+                let a = Term::app(Func::MsCard, [inner[0].clone()]);
+                let b = Term::app(Func::MsCard, [inner[1].clone()]);
                 linear::normalize_linear(Func::Add, vec![a, b])
             }
-            _ => Term::App(Func::MsCard, args),
+            _ => Term::App(Func::MsCard, args.into()),
         },
         Func::SetContains => rewrite_member(Func::SetContains, Func::SetAdd, args, oracle),
         Func::MsContains => rewrite_member(Func::MsContains, Func::MsAdd, args, oracle),
@@ -243,7 +252,7 @@ fn rewrite_node(f: Func, args: Vec<Term>, oracle: &dyn EqOracle) -> Term {
                 let dom = rewrite_node(Func::MapDom, vec![inner[0].clone()], oracle);
                 rewrite_node(Func::SetAdd, vec![dom, inner[1].clone()], oracle)
             }
-            _ => Term::App(Func::MapDom, args),
+            _ => Term::App(Func::MapDom, args.into()),
         },
         Func::MapContains => {
             let [m, k] = two(args);
@@ -254,11 +263,11 @@ fn rewrite_node(f: Func, args: Vec<Term>, oracle: &dyn EqOracle) -> Term {
                         rewrite_node(Func::MapContains, vec![inner[0].clone(), k], oracle);
                     rewrite_ac_bool(Func::Or, vec![hit, rest])
                 }
-                _ => Term::App(Func::MapContains, vec![m, k]),
+                _ => Term::app(Func::MapContains, [m, k]),
             }
         }
-        Func::MapLen => Term::App(Func::MapLen, args),
-        _ => Term::App(f, args),
+        Func::MapLen => Term::App(Func::MapLen, args.into()),
+        _ => Term::App(f, args.into()),
     }
 }
 
@@ -329,7 +338,7 @@ fn oracle_truth(cond: &Term, oracle: &dyn EqOracle) -> Option<bool> {
 fn rewrite_not(args: Vec<Term>) -> Term {
     match args.into_iter().next().expect("not") {
         Term::Lit(Value::Bool(b)) => Term::bool(!b),
-        Term::App(Func::Not, inner) => inner.into_iter().next().expect("not not"),
+        Term::App(Func::Not, inner) => inner[0].clone(),
         other => Term::app(Func::Not, [other]),
     }
 }
@@ -371,7 +380,7 @@ fn rewrite_ac_bool(f: Func, args: Vec<Term>) -> Term {
     match flat.len() {
         0 => Term::bool(unit),
         1 => flat.into_iter().next().expect("len checked"),
-        _ => Term::App(f, flat),
+        _ => Term::App(f, flat.into()),
     }
 }
 
@@ -459,7 +468,7 @@ fn rewrite_cmp(f: Func, args: Vec<Term>) -> Term {
             _ => unreachable!("rewrite_cmp"),
         });
     }
-    Term::App(f, vec![a, b])
+    Term::app(f, [a, b])
 }
 
 /// `Mod(t, k)` for a literal positive modulus: summands of the linear form
@@ -481,7 +490,7 @@ fn rewrite_mod(args: Vec<Term>) -> Term {
     let mut stack = vec![lin];
     while let Some(part) = stack.pop() {
         match part {
-            Term::App(Func::Add, parts) => stack.extend(parts),
+            Term::App(Func::Add, parts) => stack.extend(parts.iter().cloned()),
             Term::Lit(Value::Int(n)) => constant = (constant + n.rem_euclid(k)).rem_euclid(k),
             Term::App(Func::Mul, ref m) => match (&m[0], &m[1]) {
                 (Term::Lit(Value::Int(c)), _) | (_, Term::Lit(Value::Int(c)))
@@ -497,10 +506,10 @@ fn rewrite_mod(args: Vec<Term>) -> Term {
     let mut sum = {
         let mut it = kept.into_iter();
         let first = it.next().expect("nonempty");
-        it.fold(first, |acc, x| Term::App(Func::Add, vec![acc, x]))
+        it.fold(first, |acc, x| Term::app(Func::Add, [acc, x]))
     };
     if constant != 0 {
-        sum = Term::App(Func::Add, vec![sum, Term::int(constant)]);
+        sum = Term::app(Func::Add, [sum, Term::int(constant)]);
     }
     Term::app(Func::Mod, [sum, Term::int(k)])
 }
@@ -541,7 +550,7 @@ fn rewrite_ac_minmax(f: Func, args: Vec<Term>) -> Term {
             // Rebuild a left-nested canonical chain.
             let mut it = rest.into_iter();
             let first = it.next().expect("nonempty");
-            it.fold(first, |acc, x| Term::App(f.clone(), vec![acc, x]))
+            it.fold(first, |acc, x| Term::app(f.clone(), [acc, x]))
         }
     }
 }
@@ -553,7 +562,7 @@ fn rewrite_proj(f: Func, args: Vec<Term>) -> Term {
             Func::Snd => inner[1].clone(),
             _ => unreachable!("rewrite_proj"),
         },
-        _ => Term::App(f, args),
+        _ => Term::App(f, args.into()),
     }
 }
 
@@ -617,7 +626,7 @@ fn rewrite_seq_observer(obs: Func, args: Vec<Term>, oracle: &dyn EqOracle) -> Te
         (Func::SeqToSet, Term::App(Func::SeqSorted, inner)) => {
             rewrite_seq_observer(Func::SeqToSet, vec![inner[0].clone()], oracle)
         }
-        _ => Term::App(obs, vec![s]),
+        _ => Term::app(obs, [s]),
     }
 }
 
@@ -673,7 +682,7 @@ fn rewrite_chain_add(f: Func, args: Vec<Term>, idempotent: bool) -> Term {
     elems
         .into_iter()
         .rev()
-        .fold(base, |acc, e| Term::App(f.clone(), vec![acc, e]))
+        .fold(base, |acc, e| Term::app(f.clone(), [acc, e]))
 }
 
 /// Flattens and sorts AC unions; folds literal neighbours.
@@ -699,7 +708,7 @@ fn rewrite_ac_union(f: Func, args: Vec<Term>) -> Term {
         _ => {
             let mut it = flat.into_iter();
             let first = it.next().expect("nonempty");
-            it.fold(first, |acc, x| Term::App(f.clone(), vec![acc, x]))
+            it.fold(first, |acc, x| Term::app(f.clone(), [acc, x]))
         }
     }
 }
@@ -725,9 +734,9 @@ fn rewrite_member(member: Func, adder: Func, args: Vec<Term>, oracle: &dyn EqOra
                     return Term::bool(b);
                 }
             }
-            Term::App(member, vec![s, x])
+            Term::app(member, [s, x])
         }
-        _ => Term::App(member, vec![s, x]),
+        _ => Term::app(member, [s, x]),
     }
 }
 
@@ -823,7 +832,7 @@ mod linear {
                     self.constant = self.constant.saturating_add(n.saturating_mul(scale));
                 }
                 Term::App(Func::Add, args) => {
-                    for a in args {
+                    for a in args.iter() {
                         self.add_term(a, scale);
                     }
                 }
@@ -855,10 +864,7 @@ mod linear {
                 match *coeff {
                     0 => {}
                     1 => parts.push(atom.clone()),
-                    c => parts.push(Term::App(
-                        Func::Mul,
-                        vec![Term::int(c), atom.clone()],
-                    )),
+                    c => parts.push(Term::app(Func::Mul, [Term::int(c), atom.clone()])),
                 }
             }
             if parts.is_empty() {
@@ -867,10 +873,10 @@ mod linear {
             let mut acc = {
                 let mut it = parts.into_iter();
                 let first = it.next().expect("nonempty");
-                it.fold(first, |acc, x| Term::App(Func::Add, vec![acc, x]))
+                it.fold(first, |acc, x| Term::app(Func::Add, [acc, x]))
             };
             if self.constant != 0 {
-                acc = Term::App(Func::Add, vec![acc, Term::int(self.constant)]);
+                acc = Term::app(Func::Add, [acc, Term::int(self.constant)]);
             }
             acc
         }
@@ -880,7 +886,7 @@ mod linear {
     /// linear form.
     pub(super) fn normalize_linear(f: Func, args: Vec<Term>) -> Term {
         let mut lin = Linear::default();
-        lin.add_term(&Term::App(f, args), 1);
+        lin.add_term(&Term::App(f, args.into()), 1);
         lin.to_term()
     }
 }

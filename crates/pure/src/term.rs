@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ops::{sort_mismatch, PureResult};
 use crate::symbol::Symbol;
@@ -184,7 +185,16 @@ pub enum Term {
     /// A literal value.
     Lit(Value),
     /// A function application.
-    App(Func, Vec<Term>),
+    ///
+    /// The arguments are a shared, immutable slice, so cloning or dropping
+    /// a term is a reference-count operation, never a deep copy. Order,
+    /// equality and hashes stay structural (an `Arc<[Term]>` orders and
+    /// hashes as its slice, and `==` tries pointer equality first): a term
+    /// compares, sorts and hashes as its tree does, however it was built.
+    /// The rewriter returns a node itself when its rewrite is structurally
+    /// equal to it. Build one with [`Term::app`], or from a `Vec<Term>` or
+    /// an array with `.into()`.
+    App(Func, Arc<[Term]>),
 }
 
 /// Environments bind variables to values for ground evaluation.
@@ -274,7 +284,7 @@ impl Term {
         match cs.len() {
             0 => Term::tt(),
             1 => cs.into_iter().next().expect("len checked"),
-            _ => Term::App(Func::And, cs),
+            _ => Term::App(Func::And, cs.into()),
         }
     }
 
@@ -284,7 +294,7 @@ impl Term {
         match ds.len() {
             0 => Term::ff(),
             1 => ds.into_iter().next().expect("len checked"),
-            _ => Term::App(Func::Or, ds),
+            _ => Term::App(Func::Or, ds.into()),
         }
     }
 
@@ -329,7 +339,7 @@ impl Term {
             }
             Term::Lit(_) => {}
             Term::App(_, args) => {
-                for a in args {
+                for a in args.iter() {
                     a.collect_vars(out);
                 }
             }
@@ -624,6 +634,21 @@ mod tests {
     fn empty_and_or_units() {
         assert_eq!(Term::and([]), Term::tt());
         assert_eq!(Term::or([]), Term::ff());
+    }
+
+    #[test]
+    fn clone_shares_the_argument_slice() {
+        let t = Term::add(Term::var("x"), Term::app(Func::SeqLen, [Term::var("s")]));
+        let copy = t.clone();
+        match (&t, &copy) {
+            (Term::App(_, a), Term::App(_, b)) => assert!(Arc::ptr_eq(a, b)),
+            _ => unreachable!("an addition is an application"),
+        }
+    }
+
+    #[test]
+    fn term_fits_in_five_words() {
+        assert!(std::mem::size_of::<Term>() <= 40);
     }
 
     #[test]

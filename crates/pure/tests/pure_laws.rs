@@ -3,6 +3,8 @@
 //! observers, rewriter semantics preservation on random terms, and
 //! multiset laws.
 
+use std::sync::Arc;
+
 use commcsl_pure::gen::{GenConfig, ValueGen};
 use commcsl_pure::rewrite::{normalize, SyntacticOracle};
 use commcsl_pure::term::Env;
@@ -11,6 +13,70 @@ use proptest::prelude::*;
 
 fn small_int() -> impl Strategy<Value = i64> {
     -5i64..=5
+}
+
+/// Well-sorted container terms over `s: Seq[Int]`, `m: Map[Int, Int]`
+/// and `x, y: Int`, one per family of observer-through-mutator rules.
+fn container_terms() -> [Term; 6] {
+    [
+        Term::app(
+            Func::SeqToMultiset,
+            [Term::app(Func::SeqAppend, [Term::var("s"), Term::var("x")])],
+        ),
+        Term::app(
+            Func::SeqSorted,
+            [Term::app(Func::SeqAppend, [Term::var("s"), Term::var("y")])],
+        ),
+        Term::app(Func::SeqMean, [Term::var("s")]),
+        Term::app(
+            Func::MapDom,
+            [Term::app(
+                Func::MapPut,
+                [Term::var("m"), Term::var("x"), Term::var("y")],
+            )],
+        ),
+        Term::app(
+            Func::MapGetOr,
+            [
+                Term::app(
+                    Func::MapPut,
+                    [Term::var("m"), Term::var("x"), Term::var("y")],
+                ),
+                Term::var("y"),
+                Term::int(0),
+            ],
+        ),
+        Term::app(
+            Func::Mod,
+            [
+                Term::add(Term::mul(Term::int(4), Term::var("x")), Term::var("y")),
+                Term::int(2),
+            ],
+        ),
+    ]
+}
+
+/// Normalization rebuilds no normal subterm: a rewrite pass returns a
+/// node whose rewrite is structurally equal to it as that node itself,
+/// down to its shared argument slice. So normalizing a normal form
+/// returns it, and a redex wrapped around one exposes the original.
+#[test]
+fn normalization_shares_normal_subterms() {
+    for t in container_terms() {
+        let n = normalize(&t, &SyntacticOracle);
+        let again = normalize(&n, &SyntacticOracle);
+        let redex = Term::fst(Term::pair(n.clone(), Term::int(0)));
+        let exposed = normalize(&redex, &SyntacticOracle);
+        for m in [again, exposed] {
+            match (&n, &m) {
+                (Term::App(_, args), Term::App(_, m_args)) => assert!(
+                    Arc::ptr_eq(args, m_args),
+                    "normalizing around {n:?} rebuilt its arguments"
+                ),
+                _ => panic!("{t:?} should normalize to an application, got {n:?} and {m:?}"),
+            }
+        }
+    }
 }
 
 proptest! {
@@ -89,28 +155,7 @@ proptest! {
             ("x".into(), g.value(&Sort::Int)),
             ("y".into(), g.value(&Sort::Int)),
         ].into_iter().collect();
-        let terms = [
-            Term::app(Func::SeqToMultiset, [Term::app(
-                Func::SeqAppend, [Term::var("s"), Term::var("x")],
-            )]),
-            Term::app(Func::SeqSorted, [Term::app(
-                Func::SeqAppend, [Term::var("s"), Term::var("y")],
-            )]),
-            Term::app(Func::SeqMean, [Term::var("s")]),
-            Term::app(Func::MapDom, [Term::app(
-                Func::MapPut, [Term::var("m"), Term::var("x"), Term::var("y")],
-            )]),
-            Term::app(Func::MapGetOr, [
-                Term::app(Func::MapPut, [Term::var("m"), Term::var("x"), Term::var("y")]),
-                Term::var("y"),
-                Term::int(0),
-            ]),
-            Term::app(Func::Mod, [
-                Term::add(Term::mul(Term::int(4), Term::var("x")), Term::var("y")),
-                Term::int(2),
-            ]),
-        ];
-        for t in terms {
+        for t in container_terms() {
             let n = normalize(&t, &SyntacticOracle);
             prop_assert_eq!(
                 t.eval(&env).unwrap(), n.eval(&env).unwrap(),

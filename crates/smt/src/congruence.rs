@@ -25,7 +25,6 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
 
 use commcsl_pure::rewrite::{decide_eq_syntactic, EqOracle};
 use commcsl_pure::{Func, Term, Value};
@@ -62,9 +61,11 @@ enum TrailOp {
 struct Inner {
     uf: UnionFind,
     nodes: Vec<Node>,
-    intern: BTreeMap<Rc<Term>, usize>,
+    /// Interned terms. A key shares its subterms with the term it was
+    /// interned from, so interning copies no tree.
+    intern: BTreeMap<Term, usize>,
     /// Interned terms in creation order (rollback removes a suffix).
-    intern_order: Vec<Rc<Term>>,
+    intern_order: Vec<Term>,
     /// Signature table: canonical `(f, child classes)` → node id.
     /// Insert-only while live — stale entries are unreachable, never
     /// overwritten — so rollback removes a suffix of `sig_order`.
@@ -211,7 +212,7 @@ impl Congruence {
         }
         while inner.intern_order.len() > snap.interned {
             let key = inner.intern_order.pop().expect("length checked");
-            inner.intern.remove(&*key);
+            inner.intern.remove(&key);
         }
         while inner.sig_order.len() > snap.sigs {
             let key = inner.sig_order.pop().expect("length checked");
@@ -325,9 +326,8 @@ impl Inner {
             Term::Lit(v) => Some(v.clone()),
             _ => None,
         });
-        let key = Rc::new(t.clone());
-        self.intern_order.push(key.clone());
-        self.intern.insert(key, id);
+        self.intern_order.push(t.clone());
+        self.intern.insert(t.clone(), id);
         id
     }
 

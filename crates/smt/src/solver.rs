@@ -11,7 +11,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-
+use std::sync::Arc;
 
 use commcsl_pure::rewrite::normalize;
 use commcsl_pure::{Func, Term, Value};
@@ -118,11 +118,11 @@ impl Solver {
     /// `base` literals are already saturated and asserted into `cc` (the
     /// session's backtrackable per-scope closure — the caller rolls back
     /// the goal-local mutations afterwards), so only the `extra` (goal)
-    /// literals are normalized at the top level. The base literals are
-    /// not copied unless the query survives to the case-split phase.
-    /// Case splits below the top level re-run the full fixpoint per
-    /// branch exactly as [`Solver::refute`] does, with quiescent rounds
-    /// skipped.
+    /// literals are normalized at the top level. Terms share their
+    /// subtrees, so listing the base literals again costs one
+    /// reference-count bump each. Case splits below the top level re-run
+    /// the full fixpoint per branch exactly as [`Solver::refute`] does,
+    /// with quiescent rounds skipped.
     pub(crate) fn refute_seeded(&self, cc: &Congruence, base: &[Term], extra: Vec<Term>) -> bool {
         if self.config.max_branches == 0 {
             return false;
@@ -132,15 +132,15 @@ impl Solver {
             Saturation::Refuted => return true,
             Saturation::Open(lits) => lits,
         };
-        if self.lia_refutes_parts(cc, &[base, &extra]) {
+        let mut lits = Vec::with_capacity(base.len() + extra.len());
+        lits.extend_from_slice(base);
+        lits.extend(extra);
+        if self.lia_refutes(cc, &lits) {
             return true;
         }
         if self.config.max_depth == 0 {
             return false;
         }
-        let mut lits = Vec::with_capacity(base.len() + extra.len());
-        lits.extend_from_slice(base);
-        lits.extend(extra);
         self.split(cc, lits, self.config.max_depth, &branches, true)
     }
 
@@ -249,9 +249,9 @@ impl Solver {
         quiescence_skip: bool,
     ) -> bool {
         if let Some((idx, disjuncts)) = find_disjunction(&lits) {
-            for d in disjuncts {
+            for d in disjuncts.iter() {
                 let mut branch = lits.clone();
-                branch[idx] = d;
+                branch[idx] = d.clone();
                 if !self.refute_rec(branch, depth - 1, branches, quiescence_skip) {
                     return false;
                 }
@@ -328,14 +328,6 @@ impl Solver {
     /// identical. Traversal order is a pure function of the literals, so
     /// both backends run the identical elimination sequence.
     pub(crate) fn lia_refutes(&self, cc: &Congruence, lits: &[Term]) -> bool {
-        self.lia_refutes_parts(cc, &[lits])
-    }
-
-    /// [`Solver::lia_refutes`] over a literal list split into consecutive
-    /// parts (the incremental path passes `[base, goal]` without
-    /// concatenating — constraint and atom order match the concatenation
-    /// exactly).
-    pub(crate) fn lia_refutes_parts(&self, cc: &Congruence, parts: &[&[Term]]) -> bool {
         let mut constraints: Vec<LinConstraint> = Vec::new();
         let mut seen_atoms: Vec<(usize, Term)> = Vec::new();
 
@@ -350,7 +342,7 @@ impl Solver {
             constraints.push(LinConstraint::new(coeffs, constant));
         };
 
-        for lit in parts.iter().flat_map(|part| part.iter()) {
+        for lit in lits {
             match lit {
                 Term::App(Func::Le, args) => {
                     add_le(&args[0], &args[1], 0, &mut constraints, &mut seen_atoms)
@@ -467,13 +459,13 @@ fn split_constructor_eq(a: &Term, b: &Term) -> Option<Vec<(Term, Term)>> {
 fn flatten_literal(lit: Term, out: &mut Vec<Term>) {
     match lit {
         Term::App(Func::And, args) => {
-            for a in args {
-                flatten_literal(a, out);
+            for a in args.iter() {
+                flatten_literal(a.clone(), out);
             }
         }
         Term::App(Func::Not, inner) => match &inner[0] {
             Term::App(Func::Or, args) => {
-                for a in args {
+                for a in args.iter() {
                     flatten_literal(Term::not(a.clone()), out);
                 }
             }
@@ -562,7 +554,7 @@ fn decompose(
     match t {
         Term::Lit(Value::Int(n)) => *constant += scale * (*n as i128),
         Term::App(Func::Add, args) => {
-            for a in args {
+            for a in args.iter() {
                 decompose(a, scale, cc, coeffs, constant, seen);
             }
         }
@@ -621,8 +613,8 @@ fn is_int_like(t: &Term) -> bool {
     }
 }
 
-fn find_disjunction(lits: &[Term]) -> Option<(usize, Vec<Term>)> {
-    let mut best: Option<(usize, Vec<Term>)> = None;
+fn find_disjunction(lits: &[Term]) -> Option<(usize, Arc<[Term]>)> {
+    let mut best: Option<(usize, Arc<[Term]>)> = None;
     for (i, lit) in lits.iter().enumerate() {
         if let Term::App(Func::Or, args) = lit {
             let candidate = (i, args.clone());
@@ -645,7 +637,7 @@ fn find_ite(lits: &[Term]) -> Option<Term> {
             return Some(t.clone());
         }
         if let Term::App(_, args) = t {
-            for a in args {
+            for a in args.iter() {
                 if let Some(found) = walk(a) {
                     return Some(found);
                 }
@@ -669,7 +661,7 @@ fn find_put_key_split(lits: &[Term], cc: &Congruence) -> Option<(Term, Term)> {
             }
         }
         if let Term::App(_, args) = t {
-            for a in args {
+            for a in args.iter() {
                 if let Some(found) = walk(a, cc) {
                     return Some(found);
                 }

@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// One structured event, as appended by a service and read back through
 /// the `logs` protocol op.
@@ -104,7 +104,7 @@ impl EventLog {
     ) -> u64 {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let shard = &self.shards[(seq as usize) % SHARDS];
-        let mut queue = shard.lock().expect("event log shard poisoned");
+        let mut queue = shard.lock().unwrap_or_else(PoisonError::into_inner);
         if queue.len() == self.shard_capacity {
             queue.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -125,7 +125,7 @@ impl EventLog {
     pub fn since(&self, after: u64) -> Vec<EventRecord> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let queue = shard.lock().expect("event log shard poisoned");
+            let queue = shard.lock().unwrap_or_else(PoisonError::into_inner);
             out.extend(queue.iter().filter(|r| r.seq > after).cloned());
         }
         out.sort_by_key(|r| r.seq);
@@ -146,7 +146,7 @@ impl EventLog {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("event log shard poisoned").len())
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
             .sum()
     }
 
@@ -224,6 +224,20 @@ mod tests {
         assert_eq!(all.len(), 200);
         assert!(all.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(log.dropped(), 0);
+    }
+
+    #[test]
+    fn a_poisoned_shard_still_records() {
+        let log = EventLog::new(64);
+        // The first record lands in shard 1.
+        let _ = std::panic::catch_unwind(|| {
+            let _held = log.shards[1].lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning an event log shard");
+        });
+        assert!(log.shards[1].is_poisoned());
+        assert_eq!(log.push("verify", "req-1", 5, "ok", ""), 1);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.since(0)[0].request_id, "req-1");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! processes and ad-hoc instrumentation.)
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::json::Json;
@@ -359,7 +359,7 @@ static HISTOGRAMS: Mutex<BTreeMap<String, Histogram>> = Mutex::new(BTreeMap::new
 
 /// Records one sample into the process-global histogram `name`.
 pub fn histogram_record(name: &str, value: u64) {
-    let mut map = HISTOGRAMS.lock().expect("histogram registry poisoned");
+    let mut map = HISTOGRAMS.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(h) = map.get_mut(name) {
         h.record(value);
     } else {
@@ -381,7 +381,7 @@ pub fn histogram_record_duration(name: &str, elapsed: Duration) {
 /// A point-in-time copy of every process-global histogram, sorted by
 /// name.
 pub fn histogram_snapshot() -> Vec<(String, Histogram)> {
-    let map = HISTOGRAMS.lock().expect("histogram registry poisoned");
+    let map = HISTOGRAMS.lock().unwrap_or_else(PoisonError::into_inner);
     map.iter().map(|(n, h)| (n.clone(), h.clone())).collect()
 }
 
@@ -389,7 +389,7 @@ pub fn histogram_snapshot() -> Vec<(String, Histogram)> {
 pub fn histogram_reset() {
     HISTOGRAMS
         .lock()
-        .expect("histogram registry poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .clear();
 }
 
@@ -572,8 +572,13 @@ mod tests {
         );
     }
 
+    // The registry is process-global, so tests that touch it must not run
+    // concurrently with each other.
+    static GLOBAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn global_registry_records_and_resets() {
+        let _guard = GLOBAL.lock().unwrap();
         // Use a name no other test touches; the registry is process-global.
         histogram_reset();
         histogram_record("test.hist.registry", 10);
@@ -588,5 +593,24 @@ mod tests {
         assert_eq!(h.sum(), 30);
         histogram_reset();
         assert!(histogram_snapshot().is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_records() {
+        let _guard = GLOBAL.lock().unwrap();
+        let _ = std::panic::catch_unwind(|| {
+            let _held = HISTOGRAMS.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning the histogram registry");
+        });
+        assert!(HISTOGRAMS.is_poisoned());
+        histogram_reset();
+        histogram_record("test.hist.poisoned", 7);
+        let snap = histogram_snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(
+            (snap[0].0.as_str(), snap[0].1.count()),
+            ("test.hist.poisoned", 1)
+        );
+        histogram_reset();
     }
 }

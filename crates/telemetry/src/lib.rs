@@ -97,7 +97,7 @@ pub use json::Json;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Global arm/disarm flag. Read on every instrumented call site, so it
@@ -215,7 +215,7 @@ impl SpanGuard {
                 None => true,
             };
             if stale {
-                let mut registry = REGISTRY.lock().expect("telemetry registry poisoned");
+                let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
                 // The capture may have been disarmed between the
                 // `enabled()` check and here; record nothing then.
                 let Some(epoch) = registry.start else {
@@ -273,7 +273,7 @@ impl Drop for SpanGuard {
             state
                 .sink
                 .lock()
-                .expect("telemetry thread buffer poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .push(SpanRecord {
                     path,
                     fields: frame.fields,
@@ -314,7 +314,7 @@ pub fn counter_add(name: &'static str, delta: u64) {
     if !enabled() {
         return;
     }
-    let mut registry = REGISTRY.lock().expect("telemetry registry poisoned");
+    let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
     *registry.counters.entry(name).or_insert(0) += delta;
 }
 
@@ -351,7 +351,7 @@ impl Capture {
 /// (the later `start_capture` wins and the earlier capture's records are
 /// discarded).
 pub fn start_capture() {
-    let mut registry = REGISTRY.lock().expect("telemetry registry poisoned");
+    let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
     GENERATION.fetch_add(1, Ordering::Relaxed);
     registry.start = Some(Instant::now());
     registry.buffers.clear();
@@ -364,7 +364,7 @@ pub fn start_capture() {
 /// are lost (finish a capture only after joining the work it measures).
 pub fn finish_capture() -> Capture {
     ENABLED.store(false, Ordering::Release);
-    let mut registry = REGISTRY.lock().expect("telemetry registry poisoned");
+    let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
     GENERATION.fetch_add(1, Ordering::Relaxed);
     let wall_ns = registry
         .start
@@ -373,7 +373,7 @@ pub fn finish_capture() -> Capture {
         .unwrap_or(0);
     let mut spans = Vec::new();
     for buffer in registry.buffers.drain(..) {
-        spans.append(&mut buffer.lock().expect("telemetry thread buffer poisoned"));
+        spans.append(&mut buffer.lock().unwrap_or_else(PoisonError::into_inner));
     }
     spans.sort_by_key(|span| (span.thread, span.start_ns));
     let counters = registry
@@ -575,6 +575,24 @@ mod tests {
         let second = finish_capture();
         assert_eq!(second.spans.len(), 1);
         assert_eq!(second.spans[0].label(), "test.second");
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_records() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        let _ = std::panic::catch_unwind(|| {
+            let _held = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning the telemetry registry");
+        });
+        assert!(REGISTRY.is_poisoned());
+        start_capture();
+        {
+            let _span = span!("test.poisoned");
+        }
+        counter_add("test.poisoned", 1);
+        let capture = finish_capture();
+        assert_eq!(capture.spans.len(), 1);
+        assert_eq!(capture.counters, vec![("test.poisoned".to_owned(), 1)]);
     }
 
     #[test]

@@ -443,7 +443,7 @@ fn feed_term(h: &mut StableHasher, term: &Term, var_sorts: &BTreeMap<Symbol, Sor
             h.tag("term.app");
             f.stable_hash(h);
             h.write_usize(args.len());
-            for arg in args {
+            for arg in args.iter() {
                 feed_term(h, arg, var_sorts);
             }
         }

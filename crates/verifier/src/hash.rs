@@ -75,19 +75,6 @@ pub const HASH_FORMAT_VERSION: u32 = 6;
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 
-/// `FNV128_PRIME` to the powers 0 through 8. FNV-1a mixes a zero byte
-/// as a bare multiply (`state ^ 0 == state`), so the `k` zero high bytes
-/// of a little-endian integer are one multiply by the prime to the `k`.
-const FNV128_PRIME_POWERS: [u128; 9] = {
-    let mut powers = [1u128; 9];
-    let mut k = 1;
-    while k < powers.len() {
-        powers[k] = powers[k - 1].wrapping_mul(FNV128_PRIME);
-        k += 1;
-    }
-    powers
-};
-
 /// A 128-bit content hash of a verification input.
 ///
 /// Displayed (and parsed) as 32 lowercase hex digits; used as the cache
@@ -141,30 +128,19 @@ impl StableHasher {
         }
     }
 
-    /// Feeds the little-endian bytes of an integer: the same state as
-    /// [`StableHasher::write`], with the zero high bytes folded into one
-    /// multiply. Lengths, counts and small literals are mostly zero bytes.
-    fn write_le(&mut self, bytes: &[u8]) {
-        let significant = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-        self.write(&bytes[..significant]);
-        self.state = self
-            .state
-            .wrapping_mul(FNV128_PRIME_POWERS[bytes.len() - significant]);
-    }
-
     /// Feeds a `u32` (little-endian).
     pub fn write_u32(&mut self, n: u32) {
-        self.write_le(&n.to_le_bytes());
+        self.write(&n.to_le_bytes());
     }
 
     /// Feeds a `u64` (little-endian).
     pub fn write_u64(&mut self, n: u64) {
-        self.write_le(&n.to_le_bytes());
+        self.write(&n.to_le_bytes());
     }
 
     /// Feeds an `i64` (little-endian two's complement).
     pub fn write_i64(&mut self, n: i64) {
-        self.write_le(&n.to_le_bytes());
+        self.write(&n.to_le_bytes());
     }
 
     /// Feeds a `usize` widened to `u64` so 32- and 64-bit platforms agree.
@@ -516,24 +492,38 @@ impl StableHash for VStmt {
 
 impl StableHash for AnnotatedProgram {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.tag("program");
-        h.write_str(&self.name);
-        hash_slice(&self.resources, h);
-        hash_slice(&self.body, h);
-        // Source spans are report payload (failed obligations embed them),
-        // so they address the verdict even though program *equality*
-        // ignores them: a reformatted source must not replay a cached
-        // report carrying the old positions.
-        h.tag("spans");
-        h.write_usize(self.spans.len());
-        for (path, span) in &self.spans {
-            h.write_usize(path.len());
-            for component in path {
-                h.write_u32(*component);
-            }
-            h.write_u32(span.line);
-            h.write_u32(span.col);
+        hash_program(self, h, |_| {});
+    }
+}
+
+/// The [`AnnotatedProgram`] encoding, calling `after_statement` with the
+/// hasher after each top-level statement.
+fn hash_program(
+    program: &AnnotatedProgram,
+    h: &mut StableHasher,
+    mut after_statement: impl FnMut(&StableHasher),
+) {
+    h.tag("program");
+    h.write_str(&program.name);
+    hash_slice(&program.resources, h);
+    h.write_usize(program.body.len());
+    for stmt in &program.body {
+        stmt.stable_hash(h);
+        after_statement(h);
+    }
+    // Source spans are report payload (failed obligations embed them),
+    // so they address the verdict even though program *equality*
+    // ignores them: a reformatted source must not replay a cached
+    // report carrying the old positions.
+    h.tag("spans");
+    h.write_usize(program.spans.len());
+    for (path, span) in &program.spans {
+        h.write_usize(path.len());
+        for component in path {
+            h.write_u32(*component);
         }
+        h.write_u32(span.line);
+        h.write_u32(span.col);
     }
 }
 
@@ -587,6 +577,22 @@ pub fn program_hash(program: &AnnotatedProgram, config: &VerifierConfig) -> Prog
     h.finish()
 }
 
+/// [`program_hash`], plus the hasher's state after each top-level
+/// statement. The encoding feeds the program's name, resources and
+/// statement count before the statements, so two programs whose states
+/// agree at statement `i` agree, as far as a 128-bit hash tells, on all
+/// of those and on statements `0..=i`.
+pub(crate) fn program_hash_by_statement(
+    program: &AnnotatedProgram,
+    config: &VerifierConfig,
+) -> (ProgramHash, Vec<ProgramHash>) {
+    let mut h = StableHasher::new();
+    let mut states = Vec::with_capacity(program.body.len());
+    hash_program(program, &mut h, |h| states.push(h.finish()));
+    config.stable_hash(&mut h);
+    (h.finish(), states)
+}
+
 #[cfg(test)]
 mod tests {
     use commcsl_logic::spec::ResourceSpec;
@@ -609,30 +615,6 @@ mod tests {
                 VStmt::Unshare { resource: 0, into: "c".into() },
                 VStmt::Output(Term::var("c")),
             ])
-    }
-
-    #[test]
-    fn integer_writes_match_the_byte_loop() {
-        let byte_loop = |bytes: &[u8]| {
-            let mut h = StableHasher::new();
-            h.write(bytes);
-            h.finish()
-        };
-        for n in [0u64, 1, 0xff, 0x100, 0xdead_beef, 1 << 56, u64::MAX] {
-            let mut h = StableHasher::new();
-            h.write_u64(n);
-            assert_eq!(h.finish(), byte_loop(&n.to_le_bytes()), "{n:#x}");
-        }
-        for n in [i64::MIN, -256, -1, 0, 7, i64::MAX] {
-            let mut h = StableHasher::new();
-            h.write_i64(n);
-            assert_eq!(h.finish(), byte_loop(&n.to_le_bytes()), "{n}");
-        }
-        for n in [0u32, 6, 0x1_0000, u32::MAX] {
-            let mut h = StableHasher::new();
-            h.write_u32(n);
-            assert_eq!(h.finish(), byte_loop(&n.to_le_bytes()), "{n:#x}");
-        }
     }
 
     #[test]

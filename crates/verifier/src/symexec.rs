@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use commcsl_analysis::prepass::goal_statically_valid;
 use commcsl_logic::spec::{ActionKind, ResourceSpec};
 use commcsl_logic::validity::check_validity;
-use commcsl_pure::{Sort, Symbol, Term};
+use commcsl_pure::{Func, Sort, Symbol, Term};
 use commcsl_smt::falsify::find_counterexample;
 use commcsl_smt::{assumption_core, SessionStats, SolverSession, Verdict};
 
@@ -106,12 +106,36 @@ pub fn verify_incremental(
     store: &mut dyn ObligationStore,
     on_event: &mut dyn FnMut(&ObligationEvent<'_>),
 ) -> (VerifierReport, DischargeStats) {
+    let (report, stats, _) = verify_incremental_reusing(program, config, store, on_event, &[]);
+    (report, stats)
+}
+
+/// The key of each obligation a run settled, in settle order, with the
+/// index of the top-level statement executing when it settled (`None`
+/// for the retroactive obligations settled after the body).
+pub(crate) type SettledKeys = Vec<(Option<u32>, ObligationKey)>;
+
+/// [`verify_incremental`] that takes the keys of its first `reuse.len()`
+/// obligations from `reuse` instead of deriving them, and returns every
+/// key it settled. A run's obligations are settled in execution order
+/// and the execution never reads ahead, so the keys settled during the
+/// top-level statements before the first one that differs from a
+/// previous run's program (same resources, same configuration) are that
+/// run's keys.
+pub(crate) fn verify_incremental_reusing(
+    program: &AnnotatedProgram,
+    config: &VerifierConfig,
+    store: &mut dyn ObligationStore,
+    on_event: &mut dyn FnMut(&ObligationEvent<'_>),
+    reuse: &[(Option<u32>, ObligationKey)],
+) -> (VerifierReport, DischargeStats, SettledKeys) {
     let _span = commcsl_telemetry::span!("symexec.program", program = program.name);
-    let keyed = Keyed::new(config, store, on_event);
+    let keyed = Keyed::new(config, store, on_event, reuse);
     let mut exec = Exec::new(program, config, Some(keyed));
     exec.run_body(&program.body);
     let report = exec.finish();
-    (report, exec.stats)
+    let settled = exec.keyed.take().map(|k| k.settled).unwrap_or_default();
+    (report, exec.stats, settled)
 }
 
 /// One event of a program's solver-session interaction, as recorded by
@@ -261,12 +285,19 @@ struct ObligationMeta {
 enum Goal<'g> {
     /// A path obligation: the goal, checked against the live path facts.
     Path(&'g Term),
+    /// `Low(e)` as a path obligation: the goal `e[σ₁] = e[σ₂]` under each
+    /// execution's bindings. [`Exec::settle`] builds it only to discharge
+    /// it (or to take its proof core); a store hit needs just its key.
+    Low(&'g Term, &'g (Bindings, Bindings)),
     /// A resource spec's validity (Def. 3.1). It never reads the path
     /// condition, so it is session-free, its cone is empty, and the
     /// pre-pass does not apply (it quantifies over action pairs, never a
     /// single goal term).
     SpecValidity(&'g ResourceSpec),
 }
+
+/// One execution's substitution of symbolic terms for program variables.
+type Bindings = BTreeMap<Symbol, Term>;
 
 /// A queued retroactive obligation: its report half and its goal.
 struct Deferred {
@@ -368,6 +399,10 @@ struct Keyed<'b> {
     /// Popping a scope discards its contribution entirely, mirroring the
     /// solver's exact rollback.
     ctx: Vec<StableHasher>,
+    /// Keys of the first obligations, known from a previous run.
+    reuse: &'b [(Option<u32>, ObligationKey)],
+    /// Every key settled so far.
+    settled: SettledKeys,
 }
 
 impl<'b> Keyed<'b> {
@@ -375,6 +410,7 @@ impl<'b> Keyed<'b> {
         config: &VerifierConfig,
         store: &'b mut dyn ObligationStore,
         sink: &'b mut dyn FnMut(&ObligationEvent<'_>),
+        reuse: &'b [(Option<u32>, ObligationKey)],
     ) -> Self {
         let mut root = StableHasher::new();
         root.tag("obligation-ctx");
@@ -383,6 +419,8 @@ impl<'b> Keyed<'b> {
             store,
             sink,
             ctx: vec![root],
+            reuse,
+            settled: Vec::new(),
         }
     }
 
@@ -407,7 +445,16 @@ impl<'b> Keyed<'b> {
             Goal::Path(term) => {
                 let mut h = self.ctx.last().expect("root context").clone();
                 h.tag("goal");
-                feed_term(&mut h, term, var_sorts);
+                feed_term(&mut h, term, &Bindings::new(), var_sorts);
+                ObligationKey::from_hasher(&h)
+            }
+            Goal::Low(e, (side1, side2)) => {
+                // The bytes of the `Path` key of `Term::eq(e[σ₁], e[σ₂])`.
+                let mut h = self.ctx.last().expect("root context").clone();
+                h.tag("goal");
+                feed_app(&mut h, &Func::Eq, 2);
+                feed_term(&mut h, e, side1, var_sorts);
+                feed_term(&mut h, e, side2, var_sorts);
                 ObligationKey::from_hasher(&h)
             }
             Goal::SpecValidity(spec) => {
@@ -421,33 +468,47 @@ impl<'b> Keyed<'b> {
     }
 }
 
-/// Feeds a term into an obligation-key hasher in one traversal,
-/// annotating every variable occurrence with its registered sort (the
-/// falsifier's steering inputs). Equivalent to hashing the term and its
-/// free-variable sort map, without materializing the variable set.
-fn feed_term(h: &mut StableHasher, term: &Term, var_sorts: &BTreeMap<Symbol, Sort>) {
+/// Feeds `term.subst(bindings)` into an obligation-key hasher in one
+/// traversal, without building it, annotating every variable occurrence
+/// with its registered sort (the falsifier's steering inputs). Equivalent
+/// to hashing the term and its free-variable sort map, without
+/// materializing the variable set.
+fn feed_term(
+    h: &mut StableHasher,
+    term: &Term,
+    bindings: &Bindings,
+    var_sorts: &BTreeMap<Symbol, Sort>,
+) {
     match term {
-        Term::Var(x) => {
-            h.tag("term.var");
-            x.stable_hash(h);
-            match var_sorts.get(x) {
-                Some(sort) => sort.stable_hash(h),
-                None => h.tag("sort.absent"),
+        Term::Var(x) => match bindings.get(x) {
+            Some(bound) => feed_term(h, bound, &Bindings::new(), var_sorts),
+            None => {
+                h.tag("term.var");
+                x.stable_hash(h);
+                match var_sorts.get(x) {
+                    Some(sort) => sort.stable_hash(h),
+                    None => h.tag("sort.absent"),
+                }
             }
-        }
+        },
         Term::Lit(v) => {
             h.tag("term.lit");
             v.stable_hash(h);
         }
         Term::App(f, args) => {
-            h.tag("term.app");
-            f.stable_hash(h);
-            h.write_usize(args.len());
+            feed_app(h, f, args.len());
             for arg in args.iter() {
-                feed_term(h, arg, var_sorts);
+                feed_term(h, arg, bindings, var_sorts);
             }
         }
     }
+}
+
+/// Feeds the head of an application node, before its arguments.
+fn feed_app(h: &mut StableHasher, f: &Func, arity: usize) {
+    h.tag("term.app");
+    f.stable_hash(h);
+    h.write_usize(arity);
 }
 
 struct Exec<'a, 'b> {
@@ -624,7 +685,7 @@ impl<'a, 'b> Exec<'a, 'b> {
         if let Some(keyed) = &mut self.keyed {
             let top = keyed.top();
             top.tag("assert");
-            feed_term(top, &fact, &self.var_sorts);
+            feed_term(top, &fact, &Bindings::new(), &self.var_sorts);
         }
         self.facts.push(fact.clone());
         self.fact_origins.push(self.path.clone());
@@ -655,6 +716,14 @@ impl<'a, 'b> Exec<'a, 'b> {
 
     /// Evaluates a program expression to its per-side symbolic terms.
     fn eval(&mut self, e: &Term) -> (Term, Term) {
+        let (bind1, bind2) = self.bindings(e);
+        (e.subst(&bind1), e.subst(&bind2))
+    }
+
+    /// The per-side bindings [`Exec::eval`] substitutes into `e`: each
+    /// free program variable's symbolic terms, or a fresh pair (and an
+    /// error) for an unbound one.
+    fn bindings(&mut self, e: &Term) -> (Bindings, Bindings) {
         let mut bind1 = BTreeMap::new();
         let mut bind2 = BTreeMap::new();
         for x in e.free_vars() {
@@ -672,7 +741,7 @@ impl<'a, 'b> Exec<'a, 'b> {
                 }
             }
         }
-        (e.subst(&bind1), e.subst(&bind2))
+        (bind1, bind2)
     }
 
     /// The report half of an obligation raised by the statement
@@ -728,18 +797,32 @@ impl<'a, 'b> Exec<'a, 'b> {
     /// replays the buffer first, and either way the obligation is a batch
     /// boundary for what follows. Its cone is the live facts.
     fn settle(&mut self, meta: ObligationMeta, goal: Goal<'_>) {
-        let key = self
-            .keyed
-            .as_ref()
-            .map(|keyed| keyed.key(goal, self.config, &self.var_sorts));
+        let index = self.obligations.len();
+        let key = self.keyed.as_mut().map(|keyed| {
+            let key = match keyed.reuse.get(index) {
+                Some(&(_, key)) => key,
+                None => keyed.key(goal, self.config, &self.var_sorts),
+            };
+            keyed.settled.push((self.path.first().copied(), key));
+            key
+        });
         let _span = commcsl_telemetry::span!("symexec.obligation", index = self.obligations.len());
         let started = Instant::now();
         let reused = match (&mut self.keyed, key) {
             (Some(keyed), Some(key)) => keyed.store.get(key),
             _ => None,
         };
+        // A `Low` goal is built only when something reads the term: a
+        // discharge, or a proof core.
+        let built = match goal {
+            Goal::Low(e, (side1, side2)) if reused.is_none() || self.config.proof_cores => {
+                Some(Term::eq(e.subst(side1), e.subst(side2)))
+            }
+            _ => None,
+        };
+        let goal = built.as_ref().map_or(goal, Goal::Path);
         let (status, verdict) = match (reused, goal) {
-            (Some(status), Goal::Path(_)) => {
+            (Some(status), Goal::Path(_) | Goal::Low(..)) => {
                 self.session.skip();
                 (status, ObligationVerdict::Reused)
             }
@@ -761,12 +844,13 @@ impl<'a, 'b> Exec<'a, 'b> {
                 self.spec_validity_status(spec),
                 ObligationVerdict::SolverChecked,
             ),
+            (None, Goal::Low(..)) => unreachable!("a discharged Low goal is built"),
         };
         if let (Some(keyed), Some(key)) = (&mut self.keyed, key) {
             if verdict != ObligationVerdict::Reused {
                 keyed.store.put(key, &status);
             }
-            if let Goal::Path(_) = goal {
+            if !matches!(goal, Goal::SpecValidity(_)) {
                 keyed.top().tag("flush");
             }
         }
@@ -776,6 +860,8 @@ impl<'a, 'b> Exec<'a, 'b> {
         // condition: its core is the empty fact set.
         let core = match (&status, goal) {
             (ObligationStatus::Proved, Goal::Path(term)) => self.core_candidate(term),
+            // Unbuilt, so proof cores are off.
+            (ObligationStatus::Proved, Goal::Low(..)) => None,
             (ObligationStatus::Proved, Goal::SpecValidity(_)) => {
                 self.config.proof_cores.then(Vec::new)
             }
@@ -791,7 +877,7 @@ impl<'a, 'b> Exec<'a, 'b> {
         let time = started.elapsed();
         if let (Some(keyed), Some(key)) = (&mut self.keyed, key) {
             let cone: &[StmtPath] = match goal {
-                Goal::Path(_) => &self.fact_origins,
+                Goal::Path(_) | Goal::Low(..) => &self.fact_origins,
                 Goal::SpecValidity(_) => &[],
             };
             (keyed.sink)(&ObligationEvent {
@@ -866,9 +952,10 @@ impl<'a, 'b> Exec<'a, 'b> {
         )
     }
 
-    fn prove_low(&mut self, description: impl Into<String>, code: DiagnosticCode, e: &Term) {
-        let (e1, e2) = self.eval(e);
-        self.prove(description, code, Term::eq(e1, e2));
+    fn prove_low(&mut self, description: String, code: DiagnosticCode, e: &Term) {
+        let bindings = self.bindings(e);
+        let meta = self.meta_here(description, code);
+        self.settle(meta, Goal::Low(e, &bindings));
     }
 
     /// The per-side repetition count of an action performed at the current

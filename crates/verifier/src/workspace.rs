@@ -12,12 +12,18 @@
 //! living in one (shareable) [`VerdictCache`]:
 //!
 //! * the **program tier** answers unchanged programs with their whole
-//!   cached report ([`program_hash`] address), and
+//!   cached report ([`program_hash`](crate::hash::program_hash)
+//!   address), and
 //! * the **obligation tier** answers changed programs obligation by
-//!   obligation: [`verify_incremental`] re-discharges only the obligations whose dependency cone the edit
+//!   obligation: [`verify_incremental`](crate::symexec::verify_incremental)
+//!   re-discharges only the obligations whose dependency cone the edit
 //!   dirtied and replays cached statuses for the rest. A
 //!   single-statement edit near the end of a document re-checks one
-//!   obligation; everything before it is a key hit.
+//!   obligation; everything before it is a key hit. The keys of the
+//!   obligations that the unchanged leading statements settle are the
+//!   previous revision's (told apart by the program hash's state after
+//!   each top-level statement), so they are taken from its run instead
+//!   of being hashed again.
 //!
 //! Workspaces share their cache freely: the `commcsl-server` daemon
 //! gives every connection its own `Workspace` over one shared cache, so
@@ -34,11 +40,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cache::{lock_cache, CacheConfig, CacheStats, SharedObligationStore, VerdictCache};
-use crate::hash::{program_hash, ProgramHash};
-use crate::obligation::{DischargeStats, ObligationVerdict};
+use crate::hash::{program_hash_by_statement, ProgramHash};
+use crate::obligation::{DischargeStats, ObligationKey, ObligationVerdict};
 use crate::program::AnnotatedProgram;
 use crate::report::{ObligationResult, VerifierConfig, VerifierReport};
-use crate::symexec::verify_incremental;
+use crate::symexec::{verify_incremental_reusing, SettledKeys};
 
 /// Configuration of a standalone [`Workspace`].
 #[derive(Debug, Clone, Default)]
@@ -120,6 +126,39 @@ pub struct WorkspaceStats {
 struct DocState {
     key: ProgramHash,
     revision: u64,
+    /// The last revision that ran through the obligation tier.
+    last_run: Option<LastRun>,
+}
+
+/// A revision's program-hash state after each top-level statement, and
+/// the obligation keys its run settled: the next revision takes the keys
+/// of its unchanged leading statements from here instead of hashing
+/// their goals again.
+#[derive(Debug)]
+struct LastRun {
+    statements: Vec<ProgramHash>,
+    keys: SettledKeys,
+}
+
+impl LastRun {
+    /// The keys a program whose states are `statements` settles before
+    /// its first top-level statement that differs from this run's
+    /// program. Equal states mean an equal name, resources, statement
+    /// count and leading statements (see [`program_hash_by_statement`]).
+    fn reusable(&self, statements: &[ProgramHash]) -> &[(Option<u32>, ObligationKey)] {
+        let same = self
+            .statements
+            .iter()
+            .zip(statements)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let n = self
+            .keys
+            .iter()
+            .take_while(|(stmt, _)| stmt.is_some_and(|i| (i as usize) < same))
+            .count();
+        &self.keys[..n]
+    }
 }
 
 /// A long-lived verification session over a set of open documents. See
@@ -253,7 +292,7 @@ impl Workspace {
         on_event: &mut dyn FnMut(WorkspaceEvent<'_>),
     ) -> DocOutcome {
         let start = Instant::now();
-        let key = program_hash(program, &self.config);
+        let (key, statements) = program_hash_by_statement(program, &self.config);
         self.stats.revisions += 1;
         on_event(WorkspaceEvent::Started {
             doc: &doc,
@@ -263,6 +302,7 @@ impl Workspace {
 
         // Program tier: an unchanged program replays its whole report.
         let cached_report = lock_cache(&self.cache).get(key);
+        let mut last_run = self.docs.remove(&doc).and_then(|d| d.last_run);
         let (report, report_cached, obligations) = match cached_report {
             Some(report) => {
                 for (index, result) in report.obligations.iter().enumerate() {
@@ -297,8 +337,17 @@ impl Workspace {
                         time: e.time,
                     });
                 };
-                let (report, stats) =
-                    verify_incremental(program, &self.config, &mut store, &mut sink);
+                let reuse = last_run
+                    .as_ref()
+                    .map_or(&[][..], |run| run.reusable(&statements));
+                let (report, stats, keys) = verify_incremental_reusing(
+                    program,
+                    &self.config,
+                    &mut store,
+                    &mut sink,
+                    reuse,
+                );
+                last_run = Some(LastRun { statements, keys });
                 lock_cache(&self.cache).put(key, &report);
                 (report, false, stats)
             }
@@ -308,7 +357,14 @@ impl Workspace {
         self.stats.obligations.reused += obligations.reused;
         self.stats.obligations.checked += obligations.checked;
         self.stats.obligations.statically_proven += obligations.statically_proven;
-        self.docs.insert(doc.clone(), DocState { key, revision });
+        self.docs.insert(
+            doc.clone(),
+            DocState {
+                key,
+                revision,
+                last_run,
+            },
+        );
 
         let outcome = DocOutcome {
             doc,
@@ -517,5 +573,51 @@ mod tests {
             verify(&renamed, ws.config()).to_json()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reused_key_prefix_is_the_prefix_a_fresh_run_derives() {
+        let config = VerifierConfig::default();
+        let keys = |program: &AnnotatedProgram, reuse: &[(Option<u32>, ObligationKey)]| {
+            let mut store = VerdictCache::new(CacheConfig::default());
+            verify_incremental_reusing(program, &config, &mut store, &mut |_| {}, reuse).2
+        };
+        let states = |program: &AnnotatedProgram| {
+            let (key, states) = program_hash_by_statement(program, &config);
+            assert_eq!(key, crate::hash::program_hash(program, &config));
+            states
+        };
+        let before = counter_program(2);
+        let last = LastRun {
+            statements: states(&before),
+            keys: keys(&before, &[]),
+        };
+        // Settle order: spec validity and the low init (statement 1), one
+        // precondition per worker (2), the output (4).
+        assert_eq!(last.keys.len(), 5, "{:?}", last.keys);
+
+        let mut output = before.clone();
+        *output.body.last_mut().unwrap() = VStmt::Output(Term::int(0));
+        let mut appended = before.clone();
+        appended.body.push(VStmt::AssertLow(Term::var("a")));
+        let mut first = before.clone();
+        first.body[0] = VStmt::input("a", Sort::Int, false);
+        let mut spec = before.clone();
+        spec.resources[0] = ResourceSpec::keyset_map();
+        // (edited revision, keys taken from the last run)
+        let edits = [
+            (before.clone(), 5),
+            (output, 4),
+            (counter_program(3), 2),
+            (first, 0),
+            (spec, 0),
+            // The statement count is hashed before the statements.
+            (appended, 0),
+        ];
+        for (i, (after, reused)) in edits.iter().enumerate() {
+            let reuse = last.reusable(&states(after));
+            assert_eq!(reuse.len(), *reused, "edit {i}");
+            assert_eq!(keys(after, reuse), keys(after, &[]), "edit {i}");
+        }
     }
 }

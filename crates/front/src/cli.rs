@@ -1,26 +1,9 @@
 //! The `commcsl` command-line driver.
 //!
-//! ```text
-//! commcsl verify [--threads N] [--json] [--expect verified|rejected]
-//!                [--fail-fast] [--backend fresh|incremental] [--trace-out F]
-//!                [--explain] [--daemon] [--no-start] [--socket PATH]
-//!                [--cache-dir DIR] PATH...
-//! commcsl profile [--threads N] [--json] [--backend fresh|incremental]
-//!                 [--trace-out F] [--folded-out F] [--deterministic] PATH...
-//! commcsl watch  [--json] [--interval MS] [--once]
-//!                [--backend fresh|incremental] [--cache-dir DIR] PATH...
-//! commcsl serve  [--socket PATH | --tcp ADDR] [--shards N]
-//!                [--remote-cache ADDR] [--cache-dir DIR] [--threads N] [--stdio]
-//! commcsl lsp    [--stdio] [--backend fresh|incremental] [--cache-dir DIR]
-//!                [--no-minimize] [--no-hints]
-//! commcsl daemon status|metrics|stop [--socket PATH | --tcp ADDR] [--json]
-//! commcsl daemon top  [--once] [--json] [--interval MS] [--socket PATH | --tcp ADDR]
-//! commcsl daemon logs [--follow] [--json] [--since N] [--socket PATH | --tcp ADDR]
-//! commcsl fixture NAME [--json]
-//! commcsl lint   [--json] [--deny warnings] PATH...
-//! commcsl fmt PATH...
-//! commcsl help
-//! ```
+//! `commcsl help` lists the commands and each command's options. The
+//! parser and that text read the same option table (`OPTIONS`), so the
+//! flags a command accepts and the flags its help shows cannot drift
+//! apart.
 //!
 //! `watch` is the edit-loop mode: files are opened as documents of a
 //! [`commcsl_verifier::workspace::Workspace`] and re-verified on change
@@ -59,30 +42,32 @@
 //! `serve`, which streams protocol responses to its peers directly and
 //! only reports startup/shutdown through the sink.
 
-use std::fmt::Write as _;
+use std::collections::HashMap;
+use std::fmt::{Display, Write as _};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
-
 use std::sync::Arc;
+use std::time::Duration;
 
 use commcsl_analysis::lint::{lint_program, Lint, Severity};
 use commcsl_cluster::{RemoteCacheClient, ShardPool};
 use commcsl_server::client::{connect_or_start, Client};
 use commcsl_server::daemon::{Server, ServerConfig};
-use commcsl_server::json::Json as WireJson;
+use commcsl_server::json::Json;
 use commcsl_server::protocol::{StatusInfo, VerifyItem};
-use commcsl_telemetry::{Histogram, MetricsSnapshot};
 use commcsl_smt::{BackendKind, SessionStats};
 use commcsl_telemetry::export::{
     attributed_ns, by_label, chrome_trace, folded_stacks, FoldedWeight,
 };
-use commcsl_telemetry::{counter_add, finish_capture, start_capture, Capture};
+use commcsl_telemetry::{
+    counter_add, finish_capture, start_capture, Capture, EventRecord, Histogram, MetricsSnapshot,
+};
 use commcsl_verifier::api::Verifier;
 use commcsl_verifier::cache::CacheConfig;
 use commcsl_verifier::obligation::DischargeStats;
 use commcsl_verifier::program::AnnotatedProgram;
 use commcsl_verifier::report::{VerifierConfig, VerifierReport};
+use commcsl_verifier::workspace::{DocOutcome, Workspace, WorkspaceConfig};
 
 use crate::compile;
 
@@ -105,186 +90,410 @@ pub const EXIT_MISMATCH: i32 = 1;
 pub const EXIT_ERROR: i32 = 2;
 
 /// What `verify` expects of every program in the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Expect {
     /// Every program must verify (the default).
+    #[default]
     Verified,
     /// Every program must *fail* verification (for known-insecure
     /// corpora such as `examples/rejected/`).
     Rejected,
 }
 
-const USAGE: &str = "\
-usage: commcsl <command> [options] <path>...
-
-commands:
-  verify    parse, lower, and verify annotated programs
-  profile   verify with the telemetry capture armed; export a Chrome
-            trace (--trace-out) and/or folded flamegraph stacks
-            (--folded-out), and summarize spans and counters
-  watch     re-verify files on change, incrementally (workspace session)
-  lsp       run the editor language server on stdin/stdout (JSON-RPC;
-            diagnostics, hover with minimized counterexamples and proof
-            cores, incremental re-verification on edit)
-  serve     run the persistent verification daemon (foreground)
-  daemon    control a running daemon: `daemon status`, `daemon metrics`,
-            `daemon top` (live per-op latency dashboard), `daemon logs`
-            (request event log), `daemon stop`
-  fixture   verify a built-in Table 1 fixture by name
-  lint      run static lints (no solver): unused resources/actions/vars,
-            share discipline, redundant annotations
-  fmt       parse and pretty-print programs to stdout (canonical form)
-  help      show this message
-
-options (verify):
-  --threads N                  worker threads (0 = one per CPU, default)
-  --json                       emit one JSON document instead of text
-  --expect verified|rejected   required verdict for exit code 0
-                               (default: verified)
-  --fail-fast                  stop dispatching programs after the first
-                               failing one; the rest report as skipped
-  --backend fresh|incremental  solver backend for in-process verification
-                               (default: incremental; both are sound and
-                               pinned verdict-identical on the corpus)
-  --daemon                     verify through the persistent daemon
-                               (starts one on demand; falls back to
-                               in-process verification on failure)
-  --no-start                   with --daemon: never start a daemon, only
-                               use one that is already running
-  --socket PATH                daemon socket (default: <cache-dir>/commcsl.sock)
-  --tcp ADDR                   connect to a daemon on host:port instead of
-                               the Unix socket (never starts one)
-  --cache-dir DIR              verdict-cache directory (default: .commcsl-cache)
-  --trace-out F                write a Chrome trace-event JSON of the run
-                               (in-process only; incompatible with --daemon)
-  --explain                    enable proof-core tracking and counterexample
-                               minimization: per-obligation `core` lines in
-                               the text output (and `core`/`hints` fields in
-                               --json reports), minimized counterexamples on
-                               failures (in-process only)
-
-options (profile):
-  --threads N / --json / --backend fresh|incremental   as for verify
-  --trace-out F                write Chrome trace-event JSON (Perfetto)
-  --folded-out F               write folded flamegraph stacks
-  --deterministic              weight folded stacks by span counts instead
-                               of self-time nanoseconds; with --threads 1
-                               the file is byte-identical across runs
-
-options (watch):
-  --json                       one NDJSON event per line instead of text
-  --interval MS                poll interval in milliseconds (default 200)
-  --once                       single pass over all files, then exit
-  --backend fresh|incremental  solver backend (default: incremental)
-  --cache-dir DIR              persist the verdict/obligation cache under
-                               DIR (default: in-memory only)
-
-options (lsp):
-  --stdio                      serve LSP on stdin/stdout (the default and
-                               only transport; accepted for editor compat)
-  --backend fresh|incremental  solver backend (default: incremental)
-  --cache-dir DIR              persist the verdict/obligation cache under
-                               DIR (default: in-memory only)
-  --no-minimize                do not minimize counterexamples on failures
-  --no-hints                   do not track proof cores / emit
-                               unneeded-annotation hints
-
-options (serve):
-  --socket PATH / --cache-dir DIR / --threads N   as above
-  --tcp ADDR                   listen on host:port instead of the Unix
-                               socket (port 0 picks a free port; the
-                               readiness line names the actual address)
-  --shards N                   with --tcp: run N shared-nothing verifier
-                               shards behind one consistent-hash router
-                               (each shard caches under <cache-dir>/shardI)
-  --remote-cache ADDR          chain a remote daemon's obligation cache
-                               behind memory and disk (cache_get/cache_put)
-  --memory N                   in-memory cache capacity (default 4096)
-  --stdio                      serve one NDJSON session on stdin/stdout
-                               instead of listening on the socket
-
-options (daemon top):
-  --once                       render one dashboard frame and exit
-  --json                       with --once: one JSON document combining
-                               status, per-op latency histograms, and
-                               counters (for scripting)
-  --interval MS                refresh interval (default 1000)
-
-options (daemon logs):
-  --follow                     poll for new events until interrupted
-  --since N                    only events with seq > N
-  --json                       one JSON object per event (NDJSON)
-  --interval MS                poll interval with --follow (default 1000)
-
-options (lint):
-  --json                       emit one JSON document instead of text
-  --deny warnings              exit 1 when any warning-severity lint fires
-                               (notes never affect the exit code)
-
-exit codes: 0 = all programs matched the expectation, 1 = at least one
-verdict mismatch, 2 = parse/lower/IO/usage error
-
-paths may be .csl files, directories (searched recursively), or simple
-*-globs in the final component (e.g. examples/programs/*.csl)";
+/// A command's exit code. `Err` means the command stopped at an error it
+/// has already printed.
+type Run = Result<i32, i32>;
 
 /// Runs the CLI. Returns the process exit code; all output goes to `out`
 /// (except `serve`, which talks to its peers directly).
 pub fn run(args: &[String], out: &mut String) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("verify") => run_verify(&args[1..], out),
-        Some("profile") => run_profile(&args[1..], out),
-        Some("watch") => run_watch(&args[1..], out),
-        Some("lsp") => run_lsp(&args[1..], out),
-        Some("serve") => run_serve(&args[1..], out),
-        Some("daemon") => run_daemon(&args[1..], out),
-        Some("fixture") => run_fixture(&args[1..], out),
-        Some("lint") => run_lint(&args[1..], out),
-        Some("fmt") => run_fmt(&args[1..], out),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            let _ = writeln!(out, "{USAGE}");
-            if args.is_empty() {
-                EXIT_ERROR
-            } else {
-                EXIT_OK
-            }
+    let Some(command) = args.first().map(String::as_str) else {
+        let _ = writeln!(out, "{}", usage());
+        return EXIT_ERROR;
+    };
+    let run: fn(Opts, &mut String) -> Run = match command {
+        "verify" => run_verify,
+        "profile" => run_profile,
+        "watch" => run_watch,
+        "lsp" => run_lsp,
+        "serve" => run_serve,
+        "daemon" => run_daemon,
+        "fixture" => run_fixture,
+        "lint" => run_lint,
+        "fmt" => run_fmt,
+        "help" | "--help" | "-h" => {
+            let _ = writeln!(out, "{}", usage());
+            return EXIT_OK;
         }
-        Some(other) => {
-            let _ = writeln!(out, "commcsl: unknown command `{other}`\n{USAGE}");
-            EXIT_ERROR
-        }
+        other => return usage_error(out, format_args!("unknown command `{other}`")),
+    };
+    parse(command, &args[1..], out)
+        .and_then(|opts| run(opts, out))
+        .unwrap_or_else(|code| code)
+}
+
+/// Prints `commcsl: {msg}` and returns [`EXIT_ERROR`].
+fn fail(out: &mut String, msg: impl Display) -> i32 {
+    let _ = writeln!(out, "commcsl: {msg}");
+    EXIT_ERROR
+}
+
+/// [`fail`], followed by the usage.
+fn usage_error(out: &mut String, msg: impl Display) -> i32 {
+    fail(out, format_args!("{msg}\n{}", usage()))
+}
+
+// ----------------------------------------------------------------- options
+
+/// Every command and its `help` summary, in `help` order.
+const COMMANDS: &[(&str, &str)] = &[
+    ("verify", "parse, lower, and verify annotated programs"),
+    (
+        "profile",
+        "verify with the telemetry capture armed; export a Chrome\n\
+         trace (--trace-out) and/or folded flamegraph stacks\n\
+         (--folded-out), and summarize spans and counters",
+    ),
+    (
+        "watch",
+        "re-verify files on change, incrementally (workspace session)",
+    ),
+    (
+        "lsp",
+        "run the editor language server on stdin/stdout (JSON-RPC;\n\
+         diagnostics, hover with minimized counterexamples and proof\n\
+         cores, incremental re-verification on edit)",
+    ),
+    (
+        "serve",
+        "run the persistent verification daemon (foreground)",
+    ),
+    (
+        "daemon",
+        "control a running daemon: `daemon status`, `daemon metrics`,\n\
+         `daemon top` (live per-op latency dashboard), `daemon logs`\n\
+         (request event log), `daemon stop`",
+    ),
+    ("fixture", "verify a built-in Table 1 fixture by name"),
+    (
+        "lint",
+        "run static lints (no solver): unused resources/actions/vars,\n\
+         share discipline, redundant annotations",
+    ),
+    (
+        "fmt",
+        "parse and pretty-print programs to stdout (canonical form)",
+    ),
+    ("help", "show this message"),
+];
+
+/// One row of the option table: a flag, its value, the commands that
+/// accept it and its `help` text. A flag may have several rows, for
+/// commands that describe it differently; its value is the same in each.
+struct Opt {
+    flag: &'static str,
+    value: Value,
+    commands: &'static [&'static str],
+    help: &'static str,
+}
+
+/// What follows a flag, and the [`Opts`] field it sets.
+#[derive(Clone, Copy)]
+enum Value {
+    /// Nothing: the flag is a switch.
+    Absent(fn(&mut Opts)),
+    /// A whole number of at least `min`: (help name, min, what errors say
+    /// it needs, setter).
+    Number(&'static str, u64, &'static str, fn(&mut Opts, u64)),
+    /// A file or directory: (help name, setter).
+    Path(&'static str, fn(&mut Opts, PathBuf)),
+    /// A `host:port` address.
+    Addr(fn(&mut Opts, String)),
+    /// One of a fixed set of words.
+    Word(&'static [&'static str], fn(&mut Opts, &str)),
+}
+
+#[rustfmt::skip]
+const OPTIONS: &[Opt] = &[
+    Opt { flag: "--threads", value: Value::Number("N", 0, "a number", |o, n| o.threads = n as usize),
+          commands: &["verify", "profile", "serve"],
+          help: "worker threads (0 = one per CPU, default)" },
+    Opt { flag: "--json", value: Value::Absent(|o| o.json = true),
+          commands: &["verify", "profile", "lint", "fixture"],
+          help: "emit one JSON document instead of text" },
+    Opt { flag: "--json", value: Value::Absent(|o| o.json = true), commands: &["watch"],
+          help: "one NDJSON event per line instead of text" },
+    Opt { flag: "--json", value: Value::Absent(|o| o.json = true), commands: &["daemon"],
+          help: "status, metrics: one JSON document;\n\
+                 top --once: status, latency histograms and\n\
+                 counters in one document; logs: one JSON\n\
+                 object per event (NDJSON)" },
+    Opt { flag: "--expect", value: Value::Word(&["verified", "rejected"], |o, w| {
+              o.expect = if w == "rejected" { Expect::Rejected } else { Expect::Verified }
+          }),
+          commands: &["verify"],
+          help: "required verdict for exit code 0\n(default: verified)" },
+    Opt { flag: "--fail-fast", value: Value::Absent(|o| o.fail_fast = true), commands: &["verify"],
+          help: "stop dispatching programs after the first\n\
+                 failing one; the rest report as skipped" },
+    Opt { flag: "--backend", value: Value::Word(&["fresh", "incremental"], |o, w| {
+              o.backend = BackendKind::from_name(w).expect("the row lists backend names")
+          }),
+          commands: &["verify", "profile", "watch", "lsp"],
+          help: "solver backend of program obligations and\n\
+                 spec validity (default: incremental; both\n\
+                 are sound and pinned verdict-identical on\n\
+                 the corpus)" },
+    Opt { flag: "--daemon", value: Value::Absent(|o| o.daemon = true), commands: &["verify"],
+          help: "verify through the persistent daemon\n\
+                 (starts one on demand; falls back to\n\
+                 in-process verification on failure)" },
+    Opt { flag: "--no-start", value: Value::Absent(|o| o.no_start = true), commands: &["verify"],
+          help: "with --daemon: never start a daemon, only\n\
+                 use one that is already running" },
+    Opt { flag: "--socket", value: Value::Path("PATH", |o, p| o.socket = Some(p)),
+          commands: &["verify", "serve", "daemon"],
+          help: "daemon socket (default: <cache-dir>/commcsl.sock)" },
+    Opt { flag: "--tcp", value: Value::Addr(|o, a| o.tcp = Some(a)), commands: &["verify", "daemon"],
+          help: "connect to a daemon on host:port instead of\n\
+                 the Unix socket (never starts one)" },
+    Opt { flag: "--tcp", value: Value::Addr(|o, a| o.tcp = Some(a)), commands: &["serve"],
+          help: "listen on host:port instead of the Unix\n\
+                 socket (port 0 picks a free port; the\n\
+                 readiness line names the actual address)" },
+    Opt { flag: "--cache-dir", value: Value::Path("DIR", |o, p| o.cache_dir = Some(p)),
+          commands: &["verify", "serve", "daemon"],
+          help: "verdict-cache directory (default: .commcsl-cache)" },
+    Opt { flag: "--cache-dir", value: Value::Path("DIR", |o, p| o.cache_dir = Some(p)),
+          commands: &["watch", "lsp"],
+          help: "persist the verdict/obligation cache under\n\
+                 DIR (default: in-memory only)" },
+    Opt { flag: "--trace-out", value: Value::Path("F", |o, p| o.trace_out = Some(p)),
+          commands: &["verify"],
+          help: "write a Chrome trace-event JSON of the run\n\
+                 (in-process only; incompatible with --daemon)" },
+    Opt { flag: "--explain", value: Value::Absent(|o| o.explain = true), commands: &["verify"],
+          help: "enable proof-core tracking and counterexample\n\
+                 minimization: per-obligation `core` lines in\n\
+                 the text output (and `core`/`hints` fields in\n\
+                 --json reports), minimized counterexamples on\n\
+                 failures (in-process only)" },
+    Opt { flag: "--trace-out", value: Value::Path("F", |o, p| o.trace_out = Some(p)),
+          commands: &["profile"],
+          help: "write Chrome trace-event JSON (Perfetto)" },
+    Opt { flag: "--folded-out", value: Value::Path("F", |o, p| o.folded_out = Some(p)),
+          commands: &["profile"],
+          help: "write folded flamegraph stacks" },
+    Opt { flag: "--deterministic", value: Value::Absent(|o| o.deterministic = true),
+          commands: &["profile"],
+          help: "weight folded stacks by span counts instead\n\
+                 of self-time nanoseconds; with --threads 1\n\
+                 the file is byte-identical across runs" },
+    Opt { flag: "--interval", value: Value::Number("MS", 0, "milliseconds", |o, n| o.interval_ms = Some(n)),
+          commands: &["watch"],
+          help: "poll interval in milliseconds (default 200)" },
+    Opt { flag: "--once", value: Value::Absent(|o| o.once = true), commands: &["watch"],
+          help: "single pass over all files, then exit" },
+    Opt { flag: "--stdio", value: Value::Absent(|o| o.stdio = true), commands: &["lsp"],
+          help: "serve LSP on stdin/stdout (the default and\n\
+                 only transport; accepted for editor compat)" },
+    Opt { flag: "--no-minimize", value: Value::Absent(|o| o.no_minimize = true), commands: &["lsp"],
+          help: "do not minimize counterexamples on failures" },
+    Opt { flag: "--no-hints", value: Value::Absent(|o| o.no_hints = true), commands: &["lsp"],
+          help: "do not track proof cores / emit\n\
+                 unneeded-annotation hints" },
+    Opt { flag: "--shards", value: Value::Number("N", 1, "a number >= 1", |o, n| o.shards = Some(n as usize)),
+          commands: &["serve"],
+          help: "with --tcp: run N shared-nothing verifier\n\
+                 shards behind one consistent-hash router\n\
+                 (each shard caches under <cache-dir>/shardI)" },
+    Opt { flag: "--remote-cache", value: Value::Addr(|o, a| o.remote_cache = Some(a)),
+          commands: &["serve"],
+          help: "chain a remote daemon's obligation cache\n\
+                 behind memory and disk (cache_get/cache_put)" },
+    Opt { flag: "--memory", value: Value::Number("N", 0, "a number", |o, n| o.memory = Some(n as usize)),
+          commands: &["serve"],
+          help: "in-memory cache capacity (default 4096)" },
+    Opt { flag: "--stdio", value: Value::Absent(|o| o.stdio = true), commands: &["serve"],
+          help: "serve one NDJSON session on stdin/stdout\n\
+                 instead of listening on the socket" },
+    Opt { flag: "--once", value: Value::Absent(|o| o.once = true), commands: &["daemon"],
+          help: "top: render one dashboard frame and exit" },
+    Opt { flag: "--interval", value: Value::Number("MS", 0, "milliseconds", |o, n| o.interval_ms = Some(n)),
+          commands: &["daemon"],
+          help: "top: refresh interval; logs --follow: poll\n\
+                 interval (default 1000)" },
+    Opt { flag: "--follow", value: Value::Absent(|o| o.follow = true), commands: &["daemon"],
+          help: "logs: poll for new events until interrupted" },
+    Opt { flag: "--since", value: Value::Number("N", 0, "a sequence number", |o, n| o.since = Some(n)),
+          commands: &["daemon"],
+          help: "logs: only events with seq > N" },
+    Opt { flag: "--deny", value: Value::Word(&["warnings"], |o, _| o.deny_warnings = true),
+          commands: &["lint"],
+          help: "exit 1 when any warning-severity lint fires\n\
+                 (notes never affect the exit code)" },
+];
+
+impl Opt {
+    /// The flag and the name of its value, as `help` shows them.
+    fn synopsis(&self) -> String {
+        let value = match self.value {
+            Value::Absent(_) => return self.flag.to_owned(),
+            Value::Number(name, ..) | Value::Path(name, _) => name.to_owned(),
+            Value::Addr(_) => "ADDR".to_owned(),
+            Value::Word(words, _) => words.join("|"),
+        };
+        format!("{} {value}", self.flag)
     }
 }
 
-// ------------------------------------------------------------------ verify
-
-/// The `--socket` / `--tcp` / `--cache-dir` endpoint flags shared by
-/// every daemon-facing command (`verify --daemon`, `serve`,
-/// `daemon status|stop`), with the one place that knows the default
-/// socket location.
-#[derive(Debug)]
-struct DaemonPaths {
-    socket: Option<PathBuf>,
-    /// `Some(host:port)` switches the endpoint from the Unix socket to
-    /// TCP (and disables daemon auto-start: remote lifecycles are not
-    /// ours to manage).
-    tcp: Option<String>,
-    cache_dir: PathBuf,
+impl Value {
+    /// Stores the flag's value, `given` (`None` when the arguments ran
+    /// out), into `opts`; `Err` says what the flag needs instead.
+    fn store(self, given: Option<&String>, opts: &mut Opts) -> Result<(), String> {
+        match self {
+            Value::Absent(set) => set(opts),
+            Value::Number(_, min, what, set) => match given.and_then(|v| v.parse().ok()) {
+                Some(n) if n >= min => set(opts, n),
+                _ => return Err(what.to_owned()),
+            },
+            Value::Path(_, set) => set(opts, PathBuf::from(given.ok_or("a path")?)),
+            Value::Addr(set) => set(opts, given.ok_or("host:port")?.clone()),
+            Value::Word(words, set) => match given.filter(|v| words.contains(&v.as_str())) {
+                Some(word) => set(opts, word),
+                None => {
+                    let wanted: Vec<String> = words.iter().map(|w| format!("`{w}`")).collect();
+                    let got = given.map(|v| format!(", got `{v}`")).unwrap_or_default();
+                    return Err(format!("{}{got}", wanted.join(" or ")));
+                }
+            },
+        }
+        Ok(())
+    }
 }
 
-impl DaemonPaths {
-    fn new() -> Self {
-        DaemonPaths {
-            socket: None,
-            tcp: None,
-            cache_dir: PathBuf::from(".commcsl-cache"),
+/// The options of one command line. A command reads the fields its rows
+/// of `OPTIONS` set; an unset `Option` takes the default of the command
+/// that reads it.
+#[derive(Debug, Default)]
+struct Opts {
+    threads: usize,
+    json: bool,
+    expect: Expect,
+    fail_fast: bool,
+    backend: BackendKind,
+    daemon: bool,
+    no_start: bool,
+    /// The daemon's Unix socket; `<cache-dir>/commcsl.sock` when unset.
+    socket: Option<PathBuf>,
+    /// `host:port` of a TCP daemon, in place of the Unix socket. A daemon
+    /// there is never started: remote lifecycles are not ours to manage.
+    tcp: Option<String>,
+    /// `.commcsl-cache` for `verify`, `serve` and `daemon` when unset;
+    /// memory only for `watch` and `lsp`.
+    cache_dir: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+    folded_out: Option<PathBuf>,
+    explain: bool,
+    deterministic: bool,
+    /// 200 ms for `watch` and 1000 ms for `daemon` when unset.
+    interval_ms: Option<u64>,
+    once: bool,
+    stdio: bool,
+    no_minimize: bool,
+    no_hints: bool,
+    shards: Option<usize>,
+    remote_cache: Option<String>,
+    memory: Option<usize>,
+    follow: bool,
+    since: Option<u64>,
+    deny_warnings: bool,
+    /// The arguments that are not flags: paths, `daemon`'s action, or
+    /// `fixture`'s name.
+    operands: Vec<String>,
+}
+
+/// Parses the arguments of `command` with the rows of `OPTIONS` that name
+/// it. Flags may come before or after operands; `lsp` and `serve` take
+/// no operands.
+fn parse(command: &str, args: &[String], out: &mut String) -> Result<Opts, i32> {
+    let mut opts = Opts::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") && !matches!(command, "lsp" | "serve") {
+            opts.operands.push(arg.clone());
+            continue;
         }
+        let Some(opt) = OPTIONS
+            .iter()
+            .find(|o| o.flag == arg && o.commands.contains(&command))
+        else {
+            return Err(usage_error(
+                out,
+                format_args!("unknown {command} option `{arg}`"),
+            ));
+        };
+        let given = match opt.value {
+            Value::Absent(_) => None,
+            _ => args.next(),
+        };
+        if let Err(what) = opt.value.store(given, &mut opts) {
+            return Err(fail(out, format_args!("{arg} needs {what}")));
+        }
+    }
+    Ok(opts)
+}
+
+/// The `help` text: the commands, then each command's options, rendered
+/// from its rows of `OPTIONS`.
+fn usage() -> String {
+    let mut text = String::from("usage: commcsl <command> [options] <path>...\n\ncommands:\n");
+    for (command, summary) in COMMANDS {
+        write_entry(&mut text, 10, command, summary);
+    }
+    for (command, _) in COMMANDS {
+        let rows: Vec<&Opt> = OPTIONS
+            .iter()
+            .filter(|o| o.commands.contains(command))
+            .collect();
+        if !rows.is_empty() {
+            let _ = write!(text, "\noptions ({command}):\n");
+        }
+        for opt in rows {
+            write_entry(&mut text, 29, &opt.synopsis(), opt.help);
+        }
+    }
+    text.push_str(
+        "\nexit codes: 0 = all programs matched the expectation, 1 = at least one\n\
+         verdict mismatch, 2 = parse/lower/IO/usage error\n\n\
+         paths may be .csl files, directories (searched recursively), or simple\n\
+         *-globs in the final component (e.g. examples/programs/*.csl)",
+    );
+    text
+}
+
+/// Writes `name` in a column `width` wide, then `help`, whose later lines
+/// are indented under its first.
+fn write_entry(text: &mut String, width: usize, name: &str, help: &str) {
+    for (i, line) in help.lines().enumerate() {
+        let name = if i == 0 { name } else { "" };
+        let _ = writeln!(text, "  {name:<width$}{line}");
+    }
+}
+
+impl Opts {
+    /// The cache directory of the daemon-facing commands.
+    fn daemon_cache_dir(&self) -> PathBuf {
+        self.cache_dir
+            .clone()
+            .unwrap_or_else(|| PathBuf::from(".commcsl-cache"))
     }
 
     /// The effective socket: explicit, or `<cache-dir>/commcsl.sock`.
     fn socket_path(&self) -> PathBuf {
         self.socket
             .clone()
-            .unwrap_or_else(|| self.cache_dir.join("commcsl.sock"))
+            .unwrap_or_else(|| self.daemon_cache_dir().join("commcsl.sock"))
     }
 
     /// The endpoint as shown to humans: `tcp://host:port` or the socket
@@ -303,159 +512,45 @@ impl DaemonPaths {
             None => Client::connect(&self.socket_path()),
         }
     }
-
-    /// Consumes `arg` if it is one of the shared flags. `Ok(true)` when
-    /// handled, `Ok(false)` when the caller should match it, `Err` with
-    /// the exit code on a missing value.
-    fn take_flag(
-        &mut self,
-        arg: &str,
-        it: &mut std::slice::Iter<'_, String>,
-        out: &mut String,
-    ) -> Result<bool, i32> {
-        match arg {
-            "--socket" => {
-                self.socket = Some(take_path_value(it, "--socket", out)?);
-                Ok(true)
-            }
-            "--tcp" => match it.next() {
-                Some(addr) => {
-                    self.tcp = Some(addr.clone());
-                    Ok(true)
-                }
-                None => {
-                    let _ = writeln!(out, "commcsl: --tcp needs host:port");
-                    Err(EXIT_ERROR)
-                }
-            },
-            "--cache-dir" => {
-                self.cache_dir = take_path_value(it, "--cache-dir", out)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
 }
 
-fn take_path_value(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-    out: &mut String,
-) -> Result<PathBuf, i32> {
-    match it.next() {
-        Some(v) => Ok(PathBuf::from(v)),
-        None => {
-            let _ = writeln!(out, "commcsl: {flag} needs a path");
-            Err(EXIT_ERROR)
-        }
-    }
-}
-
-#[derive(Debug)]
-struct VerifyFlags {
-    threads: usize,
-    json: bool,
-    expect: Expect,
-    fail_fast: bool,
-    backend: BackendKind,
-    daemon: bool,
-    no_start: bool,
-    /// Write a Chrome trace-event JSON of the run here (in-process only).
-    trace_out: Option<PathBuf>,
-    /// Verify with proof-core tracking and counterexample minimization,
-    /// and render per-obligation cores (in-process only).
-    explain: bool,
-    locations: DaemonPaths,
-    paths: Vec<String>,
-}
-
-fn parse_verify_flags(args: &[String], out: &mut String) -> Result<VerifyFlags, i32> {
-    let mut flags = VerifyFlags {
-        threads: 0,
-        json: false,
-        expect: Expect::Verified,
-        fail_fast: false,
-        backend: BackendKind::default(),
-        daemon: false,
-        no_start: false,
-        trace_out: None,
-        explain: false,
-        locations: DaemonPaths::new(),
-        paths: Vec::new(),
+/// The verifier configuration of `verify`, `profile`, `watch` and `lsp`:
+/// `--backend` selects the solver backend of program obligations and of
+/// spec validity alike, and `--explain` turns on both explanation knobs.
+fn verifier_config(opts: &Opts) -> VerifierConfig {
+    let mut config = VerifierConfig {
+        backend: opts.backend,
+        minimize_counterexamples: opts.explain,
+        proof_cores: opts.explain,
+        ..VerifierConfig::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if flags.locations.take_flag(arg, &mut it, out)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    let _ = writeln!(out, "commcsl: --threads needs a number");
-                    return Err(EXIT_ERROR);
-                };
-                flags.threads = n;
-            }
-            "--json" => flags.json = true,
-            "--fail-fast" => flags.fail_fast = true,
-            "--backend" => match it.next().and_then(|v| BackendKind::from_name(v)) {
-                Some(backend) => flags.backend = backend,
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "commcsl: --backend needs `fresh` or `incremental`"
-                    );
-                    return Err(EXIT_ERROR);
-                }
-            },
-            "--daemon" => flags.daemon = true,
-            "--no-start" => flags.no_start = true,
-            "--explain" => flags.explain = true,
-            "--trace-out" => {
-                flags.trace_out = Some(take_path_value(&mut it, "--trace-out", out)?);
-            }
-            "--expect" => match it.next().map(String::as_str) {
-                Some("verified") => flags.expect = Expect::Verified,
-                Some("rejected") => flags.expect = Expect::Rejected,
-                other => {
-                    let _ = writeln!(
-                        out,
-                        "commcsl: --expect needs `verified` or `rejected`, got {other:?}"
-                    );
-                    return Err(EXIT_ERROR);
-                }
-            },
-            flag if flag.starts_with("--") => {
-                let _ = writeln!(out, "commcsl: unknown option `{flag}`\n{USAGE}");
-                return Err(EXIT_ERROR);
-            }
-            path => flags.paths.push(path.to_owned()),
-        }
-    }
-    if flags.paths.is_empty() {
-        let _ = writeln!(out, "commcsl: verify needs at least one path\n{USAGE}");
-        return Err(EXIT_ERROR);
-    }
-    if flags.trace_out.is_some() && flags.daemon {
-        let _ = writeln!(
-            out,
-            "commcsl: --trace-out traces the in-process pipeline and cannot \
-             be combined with --daemon; for daemon-side latency use \
-             `commcsl daemon top` (or the `histograms` protocol op)"
-        );
-        return Err(EXIT_ERROR);
-    }
-    if flags.explain && flags.daemon {
-        let _ = writeln!(
-            out,
-            "commcsl: --explain toggles in-process verifier knobs (proof \
-             cores, counterexample minimization) and cannot be combined \
-             with --daemon: the daemon verifies under its own configuration"
-        );
-        return Err(EXIT_ERROR);
-    }
-    Ok(flags)
+    config.validity.backend = opts.backend;
+    config
 }
+
+/// The workspace session of `watch`: [`verifier_config`], cached in
+/// memory, and on disk too under `--cache-dir`.
+fn workspace_config(opts: &Opts) -> WorkspaceConfig {
+    WorkspaceConfig {
+        verifier: verifier_config(opts),
+        cache: match &opts.cache_dir {
+            Some(dir) => CacheConfig::persistent(dir),
+            None => CacheConfig::default(),
+        },
+    }
+}
+
+/// The workspace session of `lsp`: as `watch`'s, but counterexample
+/// minimization and proof-core hints are *on* unless switched off — an
+/// editor session is exactly where their extra cost buys the most.
+fn lsp_config(opts: &Opts) -> WorkspaceConfig {
+    let mut config = workspace_config(opts);
+    config.verifier.minimize_counterexamples = !opts.no_minimize;
+    config.verifier.proof_cores = !opts.no_hints;
+    config
+}
+
+// ------------------------------------------------------------------ verify
 
 /// Per-file read/parse/lower failures (path, message).
 type FileErrors = Vec<(PathBuf, String)>;
@@ -500,37 +595,30 @@ impl Engine {
     }
 }
 
-fn run_verify(args: &[String], out: &mut String) -> i32 {
-    let flags = match parse_verify_flags(args, out) {
-        Ok(flags) => flags,
-        Err(code) => return code,
-    };
-    let files = match collect_files(&flags.paths) {
-        Ok(files) if files.is_empty() => {
-            let _ = writeln!(out, "commcsl: no .csl files found");
-            return EXIT_ERROR;
-        }
-        Ok(files) => files,
-        Err(msg) => {
-            let _ = writeln!(out, "commcsl: {msg}");
-            return EXIT_ERROR;
-        }
-    };
-
-    // Read every file up front; unreadable files are hard errors either way.
-    let mut sources: Vec<(PathBuf, String)> = Vec::new();
-    let mut file_errors: FileErrors = Vec::new();
-    for file in files {
-        match fs::read_to_string(&file) {
-            Ok(src) => sources.push((file, src)),
-            Err(e) => file_errors.push((file, format!("cannot read file: {e}"))),
-        }
+fn run_verify(opts: Opts, out: &mut String) -> Run {
+    if opts.daemon && opts.trace_out.is_some() {
+        return Err(fail(
+            out,
+            "--trace-out traces the in-process pipeline and cannot \
+             be combined with --daemon; for daemon-side latency use \
+             `commcsl daemon top` (or the `histograms` protocol op)",
+        ));
     }
+    if opts.daemon && opts.explain {
+        return Err(fail(
+            out,
+            "--explain toggles in-process verifier knobs (proof \
+             cores, counterexample minimization) and cannot be combined \
+             with --daemon: the daemon verifies under its own configuration",
+        ));
+    }
+    // Every file is read up front; unreadable files are hard errors either way.
+    let (sources, mut file_errors) = read_sources("verify", &opts, out)?;
 
     let mut engine = Engine::InProcess;
     let mut results: Vec<FileResult> = Vec::new();
-    if flags.daemon {
-        match verify_via_daemon(&flags, &sources) {
+    if opts.daemon {
+        match verify_via_daemon(&opts, &sources) {
             Ok((daemon_results, daemon_errors)) => {
                 engine = Engine::Daemon;
                 results = daemon_results;
@@ -538,7 +626,7 @@ fn run_verify(args: &[String], out: &mut String) -> i32 {
             }
             Err(why) => {
                 engine = Engine::Fallback;
-                if !flags.json {
+                if !opts.json {
                     let _ = writeln!(
                         out,
                         "commcsl: daemon unavailable ({why}); verifying in-process"
@@ -548,42 +636,33 @@ fn run_verify(args: &[String], out: &mut String) -> i32 {
         }
     }
     if engine != Engine::Daemon {
-        let tracing = flags.trace_out.is_some();
+        let tracing = opts.trace_out.is_some();
         if tracing {
             start_capture();
         }
-        let (local_results, local_errors) = verify_in_process(&flags, &sources);
+        let (local_results, local_errors) = verify_in_process(&opts, &sources);
         if tracing {
             let capture = finish_capture();
-            if let Err(code) =
-                write_export(flags.trace_out.as_deref(), &chrome_trace(&capture), out)
-            {
-                return code;
-            }
+            write_export(opts.trace_out.as_deref(), &chrome_trace(&capture), out)?;
         }
         results = local_results;
         file_errors.extend(local_errors);
     }
 
-    render_verify(&flags, engine, &file_errors, &results, out)
+    Ok(render_verify(&opts, engine, &file_errors, &results, out))
 }
 
 /// Writes one exporter output to `path` (no-op when `None`), reporting
 /// I/O failures as usage-style errors.
 fn write_export(path: Option<&Path>, content: &str, out: &mut String) -> Result<(), i32> {
     let Some(path) = path else { return Ok(()) };
-    fs::write(path, content).map_err(|e| {
-        let _ = writeln!(out, "commcsl: cannot write {}: {e}", path.display());
-        EXIT_ERROR
-    })
+    fs::write(path, content)
+        .map_err(|e| fail(out, format_args!("cannot write {}: {e}", path.display())))
 }
 
 /// In-process engine: compile, then push the survivors through the
 /// unified [`Verifier`] pipeline.
-fn verify_in_process(
-    flags: &VerifyFlags,
-    sources: &[(PathBuf, String)],
-) -> (Vec<FileResult>, FileErrors) {
+fn verify_in_process(opts: &Opts, sources: &[(PathBuf, String)]) -> (Vec<FileResult>, FileErrors) {
     let mut programs: Vec<(usize, AnnotatedProgram)> = Vec::new();
     let mut errors: FileErrors = Vec::new();
     for (i, (file, src)) in sources.iter().enumerate() {
@@ -594,11 +673,9 @@ fn verify_in_process(
     }
     let refs: Vec<&AnnotatedProgram> = programs.iter().map(|(_, p)| p).collect();
     let verifier = Verifier::new()
-        .with_threads(flags.threads)
-        .with_backend(flags.backend)
-        .with_fail_fast(flags.fail_fast)
-        .with_minimized_counterexamples(flags.explain)
-        .with_proof_cores(flags.explain);
+        .with_config(verifier_config(opts))
+        .with_threads(opts.threads)
+        .with_fail_fast(opts.fail_fast);
     let outcomes = verifier.verify_batch(&refs);
     let results = programs
         .iter()
@@ -623,23 +700,23 @@ fn verify_in_process(
 
 /// Daemon engine: ship sources to the verification service.
 fn verify_via_daemon(
-    flags: &VerifyFlags,
+    opts: &Opts,
     sources: &[(PathBuf, String)],
 ) -> Result<(Vec<FileResult>, FileErrors), String> {
-    let mut client = match &flags.locations.tcp {
+    let mut client = match &opts.tcp {
         // TCP daemons are never auto-started: the address usually names
         // another machine, and lifecycle belongs to whoever runs it.
         Some(addr) => Client::connect_tcp(addr).map_err(|e| e.to_string())?,
         None => {
-            let socket = flags.locations.socket_path();
+            let socket = opts.socket_path();
             connect_or_start(&socket, Duration::from_secs(5), || {
-                if flags.no_start {
+                if opts.no_start {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::ConnectionRefused,
                         "no daemon running and --no-start given",
                     ));
                 }
-                spawn_daemon(flags, &socket)
+                spawn_daemon(opts, &socket)
             })
             .map_err(|e| e.to_string())?
         }
@@ -655,9 +732,9 @@ fn verify_via_daemon(
     if status.format_version != u64::from(commcsl_verifier::hash::HASH_FORMAT_VERSION)
         || status.version != env!("CARGO_PKG_VERSION")
     {
-        let action = if flags.locations.tcp.is_some() {
+        let action = if opts.tcp.is_some() {
             "left running (remote daemon)"
-        } else if flags.no_start {
+        } else if opts.no_start {
             "left running (--no-start)"
         } else {
             let _ = client.shutdown();
@@ -680,7 +757,7 @@ fn verify_via_daemon(
         })
         .collect();
     let outcomes = client
-        .verify_batch_opts(items, flags.fail_fast)
+        .verify_batch_opts(items, opts.fail_fast)
         .map_err(|e| e.to_string())?;
 
     let mut results = Vec::new();
@@ -705,16 +782,16 @@ fn verify_via_daemon(
 
 /// Starts a background daemon process (the `serve` subcommand of this
 /// very binary) for transparent `--daemon` mode.
-fn spawn_daemon(flags: &VerifyFlags, socket: &Path) -> std::io::Result<()> {
+fn spawn_daemon(opts: &Opts, socket: &Path) -> std::io::Result<()> {
     let exe = std::env::current_exe()?;
     std::process::Command::new(exe)
         .arg("serve")
         .arg("--socket")
         .arg(socket)
         .arg("--cache-dir")
-        .arg(&flags.locations.cache_dir)
+        .arg(opts.daemon_cache_dir())
         .arg("--threads")
-        .arg(flags.threads.to_string())
+        .arg(opts.threads.to_string())
         .stdin(std::process::Stdio::null())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -723,13 +800,13 @@ fn spawn_daemon(flags: &VerifyFlags, socket: &Path) -> std::io::Result<()> {
 }
 
 fn render_verify(
-    flags: &VerifyFlags,
+    opts: &Opts,
     engine: Engine,
     file_errors: &[(PathBuf, String)],
     results: &[FileResult],
     out: &mut String,
 ) -> i32 {
-    let as_expected = |verified: bool| match flags.expect {
+    let as_expected = |verified: bool| match opts.expect {
         Expect::Verified => verified,
         Expect::Rejected => !verified,
     };
@@ -747,78 +824,34 @@ fn render_verify(
         EXIT_OK
     };
 
-    if flags.json {
-        let mut entries: Vec<String> = file_errors
+    if opts.json {
+        let entries = file_errors
             .iter()
-            .map(|(file, e)| {
-                format!(
-                    "{{\"file\":{},\"error\":{}}}",
-                    WireJson::str(file.display().to_string()),
-                    WireJson::str(e)
-                )
-            })
+            .map(|(file, e)| error_entry(file, e))
+            .chain(results.iter().map(result_entry))
             .collect();
-        entries.extend(results.iter().map(|r| {
-            let cached = r
-                .cached
-                .map(|c| format!("\"cached\":{c},"))
-                .unwrap_or_default();
-            let skipped = if r.skipped { "\"skipped\":true," } else { "" };
-            // Schema v2: discharge counters + per-obligation timing, when
-            // the engine surfaced them (in-process, non-cached route).
-            let stats = r
-                .stats
-                .map(|s| {
-                    format!(
-                        "\"statically_proven\":{},\"solver_checked\":{},",
-                        s.statically_proven, s.checked
-                    )
-                })
-                .unwrap_or_default();
-            let times = if r.obligation_times_ms.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    "\"obligation_times_ms\":[{}],",
-                    r.obligation_times_ms
-                        .iter()
-                        .map(|t| format!("{t:.3}"))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )
-            };
-            // Schema v3: per-file solver session counters, when the
-            // engine surfaced them (in-process, non-cached route).
-            let session = r
-                .session
-                .map(|s| format!("\"session\":{},", session_json(&s)))
-                .unwrap_or_default();
-            format!(
-                "{{\"file\":{},\"time_ms\":{:.3},{cached}{skipped}{stats}{times}{session}\"report\":{}}}",
-                WireJson::str(r.file.display().to_string()),
-                r.time_ms,
-                r.report.to_json()
-            )
-        }));
-        let _ = writeln!(
-            out,
-            "{{\"schema_version\":{},\"results\":[{}],\"summary\":{{\"total\":{},\"as_expected\":{},\
-             \"errors\":{},\"expect\":{},\"engine\":{},\"session_totals\":{},\"ok\":{},\
-             \"exit_code\":{}}}}}",
-            CLI_SCHEMA_VERSION,
-            entries.join(","),
-            results.len() + file_errors.len(),
-            matching,
-            file_errors.len(),
-            WireJson::str(match flags.expect {
-                Expect::Verified => "verified",
-                Expect::Rejected => "rejected",
-            }),
-            WireJson::str(engine.as_str()),
-            session_json(&session_totals(results)),
-            code == EXIT_OK,
-            code
-        );
+        let summary = Json::obj([
+            ("total", count(results.len() + file_errors.len())),
+            ("as_expected", count(matching)),
+            ("errors", count(file_errors.len())),
+            (
+                "expect",
+                Json::str(match opts.expect {
+                    Expect::Verified => "verified",
+                    Expect::Rejected => "rejected",
+                }),
+            ),
+            ("engine", Json::str(engine.as_str())),
+            ("session_totals", session_entry(&session_totals(results))),
+            ("ok", Json::Bool(code == EXIT_OK)),
+            ("exit_code", Json::Num(f64::from(code))),
+        ]);
+        let doc = Json::obj([
+            ("schema_version", Json::Num(f64::from(CLI_SCHEMA_VERSION))),
+            ("results", Json::Arr(entries)),
+            ("summary", summary),
+        ]);
+        let _ = writeln!(out, "{doc}");
     } else {
         for (file, e) in file_errors {
             let _ = writeln!(out, "{}: {e}", file.display());
@@ -844,7 +877,7 @@ fn render_verify(
                 r.time_ms,
                 r.report
             );
-            if flags.explain {
+            if opts.explain {
                 for o in &r.report.obligations {
                     let Some(core) = &o.core else { continue };
                     let at = o.span.map(|s| format!(" at {s}")).unwrap_or_default();
@@ -900,7 +933,7 @@ fn render_verify(
             out,
             "\n{matching}/{} programs {}{}{discharge}",
             results.len(),
-            match flags.expect {
+            match opts.expect {
                 Expect::Verified => "verified",
                 Expect::Rejected => "rejected as required",
             },
@@ -914,21 +947,80 @@ fn render_verify(
     code
 }
 
-/// Renders [`SessionStats`] as a JSON object — the schema-v3 `session`
-/// shape shared by per-file entries and the summary's `session_totals`.
-fn session_json(s: &SessionStats) -> String {
-    format!(
-        "{{\"checks\":{},\"proved\":{},\"unknown\":{},\"asserts\":{},\"pushes\":{},\
-         \"pops\":{},\"quiescence_skips\":{},\"check_time_ms\":{:.3}}}",
-        s.checks,
-        s.proved,
-        s.unknown,
-        s.asserts,
-        s.pushes,
-        s.pops,
-        s.quiescence_skips,
-        s.check_time.as_secs_f64() * 1000.0,
+/// A count as a JSON number.
+fn count(n: usize) -> Json {
+    Json::Num(n as f64)
+}
+
+/// `value` rounded to `places` decimals the way `{:.places$}` rounds it,
+/// as a JSON number (so `1.500` renders as `1.5`).
+fn rounded(value: f64, places: usize) -> Json {
+    Json::Num(
+        format!("{value:.places$}")
+            .parse()
+            .expect("a formatted f64 parses back"),
     )
+}
+
+/// The `{"file":…,"error":…}` entry of a file that did not read or
+/// compile, in the `--json` documents of `verify`, `profile` and `lint`.
+fn error_entry(file: &Path, error: &str) -> Json {
+    Json::obj([
+        ("file", Json::str(file.display().to_string())),
+        ("error", Json::str(error)),
+    ])
+}
+
+/// One `verify --json` result. Discharge counters, per-obligation times
+/// (schema v2) and solver-session counters (v3) appear when the engine
+/// surfaced them (in-process, non-cached route).
+fn result_entry(r: &FileResult) -> Json {
+    let mut fields = vec![
+        ("file", Json::str(r.file.display().to_string())),
+        ("time_ms", rounded(r.time_ms, 3)),
+    ];
+    if let Some(cached) = r.cached {
+        fields.push(("cached", Json::Bool(cached)));
+    }
+    if r.skipped {
+        fields.push(("skipped", Json::Bool(true)));
+    }
+    if let Some(stats) = r.stats {
+        fields.push(("statically_proven", count(stats.statically_proven)));
+        fields.push(("solver_checked", count(stats.checked)));
+    }
+    if !r.obligation_times_ms.is_empty() {
+        let times = r
+            .obligation_times_ms
+            .iter()
+            .map(|&t| rounded(t, 3))
+            .collect();
+        fields.push(("obligation_times_ms", Json::Arr(times)));
+    }
+    if let Some(session) = &r.session {
+        fields.push(("session", session_entry(session)));
+    }
+    fields.push(("report", Json::from(&r.report)));
+    Json::obj(fields)
+}
+
+/// [`SessionStats`] as JSON — the schema-v3 `session` shape shared by
+/// per-file entries and the summary's `session_totals`.
+fn session_entry(s: &SessionStats) -> Json {
+    let n = |v: u64| Json::Num(v as f64);
+    Json::obj([
+        ("checks", n(s.checks)),
+        ("proved", n(s.proved)),
+        ("unknown", n(s.unknown)),
+        ("asserts", n(s.asserts)),
+        ("pushes", n(s.pushes)),
+        ("pops", n(s.pops)),
+        ("quiescence_skips", n(s.quiescence_skips)),
+        (
+            "check_time_ms",
+            rounded(s.check_time.as_secs_f64() * 1000.0, 3),
+        ),
+    ])
 }
 
 /// Sums the session counters over every file that carried them.
@@ -942,66 +1034,6 @@ fn session_totals(results: &[FileResult]) -> SessionStats {
 
 // ----------------------------------------------------------------- profile
 
-#[derive(Debug)]
-struct ProfileFlags {
-    threads: usize,
-    json: bool,
-    deterministic: bool,
-    backend: BackendKind,
-    trace_out: Option<PathBuf>,
-    folded_out: Option<PathBuf>,
-    paths: Vec<String>,
-}
-
-fn parse_profile_flags(args: &[String], out: &mut String) -> Result<ProfileFlags, i32> {
-    let mut flags = ProfileFlags {
-        threads: 0,
-        json: false,
-        deterministic: false,
-        backend: BackendKind::default(),
-        trace_out: None,
-        folded_out: None,
-        paths: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    let _ = writeln!(out, "commcsl: --threads needs a number");
-                    return Err(EXIT_ERROR);
-                };
-                flags.threads = n;
-            }
-            "--json" => flags.json = true,
-            "--deterministic" => flags.deterministic = true,
-            "--backend" => match it.next().and_then(|v| BackendKind::from_name(v)) {
-                Some(backend) => flags.backend = backend,
-                None => {
-                    let _ = writeln!(out, "commcsl: --backend needs `fresh` or `incremental`");
-                    return Err(EXIT_ERROR);
-                }
-            },
-            "--trace-out" => {
-                flags.trace_out = Some(take_path_value(&mut it, "--trace-out", out)?);
-            }
-            "--folded-out" => {
-                flags.folded_out = Some(take_path_value(&mut it, "--folded-out", out)?);
-            }
-            flag if flag.starts_with("--") => {
-                let _ = writeln!(out, "commcsl: unknown profile option `{flag}`\n{USAGE}");
-                return Err(EXIT_ERROR);
-            }
-            path => flags.paths.push(path.to_owned()),
-        }
-    }
-    if flags.paths.is_empty() {
-        let _ = writeln!(out, "commcsl: profile needs at least one path\n{USAGE}");
-        return Err(EXIT_ERROR);
-    }
-    Ok(flags)
-}
-
 /// The self-profiler: verifies the corpus in-process with the telemetry
 /// capture armed, then exports and summarizes what the spans recorded.
 ///
@@ -1011,48 +1043,13 @@ fn parse_profile_flags(args: &[String], out: &mut String) -> Result<ProfileFlags
 /// time attributed to some span). Exit codes: `0` when every file
 /// compiled (verification failures are reported but still profiled),
 /// `2` on read/parse/lower/IO errors.
-fn run_profile(args: &[String], out: &mut String) -> i32 {
-    let flags = match parse_profile_flags(args, out) {
-        Ok(flags) => flags,
-        Err(code) => return code,
-    };
-    let files = match collect_files(&flags.paths) {
-        Ok(files) if files.is_empty() => {
-            let _ = writeln!(out, "commcsl: no .csl files found");
-            return EXIT_ERROR;
-        }
-        Ok(files) => files,
-        Err(msg) => {
-            let _ = writeln!(out, "commcsl: {msg}");
-            return EXIT_ERROR;
-        }
-    };
-    let mut sources: Vec<(PathBuf, String)> = Vec::new();
-    let mut file_errors: FileErrors = Vec::new();
-    for file in files {
-        match fs::read_to_string(&file) {
-            Ok(src) => sources.push((file, src)),
-            Err(e) => file_errors.push((file, format!("cannot read file: {e}"))),
-        }
-    }
+fn run_profile(opts: Opts, out: &mut String) -> Run {
+    let (sources, mut file_errors) = read_sources("profile", &opts, out)?;
 
     start_capture();
     let results = {
         let _root = commcsl_telemetry::span!("profile.run", files = sources.len());
-        let verify_flags = VerifyFlags {
-            threads: flags.threads,
-            json: flags.json,
-            expect: Expect::Verified,
-            fail_fast: false,
-            backend: flags.backend,
-            daemon: false,
-            no_start: false,
-            trace_out: None,
-            explain: false,
-            locations: DaemonPaths::new(),
-            paths: Vec::new(),
-        };
-        let (results, errors) = verify_in_process(&verify_flags, &sources);
+        let (results, errors) = verify_in_process(&opts, &sources);
         file_errors.extend(errors);
         results
     };
@@ -1079,30 +1076,26 @@ fn run_profile(args: &[String], out: &mut String) -> i32 {
     counter_add("solver.quiescence_skips", totals.quiescence_skips);
     let capture = finish_capture();
 
-    if let Err(code) = write_export(flags.trace_out.as_deref(), &chrome_trace(&capture), out) {
-        return code;
-    }
-    let weight = if flags.deterministic {
+    write_export(opts.trace_out.as_deref(), &chrome_trace(&capture), out)?;
+    let weight = if opts.deterministic {
         FoldedWeight::Calls
     } else {
         FoldedWeight::SelfNanos
     };
-    if let Err(code) = write_export(
-        flags.folded_out.as_deref(),
+    write_export(
+        opts.folded_out.as_deref(),
         &folded_stacks(&capture, weight),
         out,
-    ) {
-        return code;
-    }
+    )?;
 
     let code = if file_errors.is_empty() { EXIT_OK } else { EXIT_ERROR };
     let verified = results.iter().filter(|r| r.report.verified()).count();
-    if flags.json {
-        render_profile_json(&flags, &capture, &results, &file_errors, verified, code, out);
+    if opts.json {
+        render_profile_json(&opts, &capture, &results, &file_errors, verified, code, out);
     } else {
-        render_profile_text(&flags, &capture, &results, &file_errors, verified, out);
+        render_profile_text(&opts, &capture, &results, &file_errors, verified, out);
     }
-    code
+    Ok(code)
 }
 
 /// Instrumentation coverage: the fraction of the capture's wall time
@@ -1124,7 +1117,7 @@ fn coverage(capture: &Capture) -> f64 {
 }
 
 fn render_profile_json(
-    flags: &ProfileFlags,
+    opts: &Opts,
     capture: &Capture,
     results: &[FileResult],
     file_errors: &FileErrors,
@@ -1132,57 +1125,48 @@ fn render_profile_json(
     code: i32,
     out: &mut String,
 ) {
-    let wall_ms = capture.wall_ns as f64 / 1e6;
-    let attributed_ms = attributed_ns(capture) as f64 / 1e6;
-    let labels: Vec<String> = by_label(capture)
+    let ms = |ns: u64| rounded(ns as f64 / 1e6, 3);
+    let labels = by_label(capture)
         .iter()
         .map(|l| {
-            format!(
-                "{{\"label\":{},\"count\":{},\"total_ms\":{:.3},\"self_ms\":{:.3}}}",
-                WireJson::str(l.label),
-                l.count,
-                l.total_ns as f64 / 1e6,
-                l.self_ns as f64 / 1e6,
-            )
+            Json::obj([
+                ("label", Json::str(l.label)),
+                ("count", Json::Num(l.count as f64)),
+                ("total_ms", ms(l.total_ns)),
+                ("self_ms", ms(l.self_ns)),
+            ])
         })
         .collect();
-    let errors: Vec<String> = file_errors
-        .iter()
-        .map(|(file, e)| {
-            format!(
-                "{{\"file\":{},\"error\":{}}}",
-                WireJson::str(file.display().to_string()),
-                WireJson::str(e)
-            )
-        })
-        .collect();
-    let counters =
-        commcsl_telemetry::MetricsSnapshot::from_pairs(capture.counters.clone()).to_json();
-    let _ = writeln!(
-        out,
-        "{{\"schema_version\":{},\"profile\":{{\"programs\":{},\"verified\":{},\
-         \"spans\":{},\"threads\":{},\"wall_ms\":{:.3},\"attributed_ms\":{:.3},\
-         \"coverage\":{:.4},\"deterministic\":{},\"labels\":[{}],\"counters\":{}}},\
-         \"errors\":[{}],\"ok\":{},\"exit_code\":{}}}",
-        CLI_SCHEMA_VERSION,
-        results.len(),
-        verified,
-        capture.spans.len(),
-        capture.threads(),
-        wall_ms,
-        attributed_ms,
-        coverage(capture),
-        flags.deterministic,
-        labels.join(","),
-        counters,
-        errors.join(","),
-        code == EXIT_OK,
-        code,
-    );
+    let profile = Json::obj([
+        ("programs", count(results.len())),
+        ("verified", count(verified)),
+        ("spans", count(capture.spans.len())),
+        ("threads", count(capture.threads())),
+        ("wall_ms", ms(capture.wall_ns)),
+        ("attributed_ms", ms(attributed_ns(capture))),
+        ("coverage", rounded(coverage(capture), 4)),
+        ("deterministic", Json::Bool(opts.deterministic)),
+        ("labels", Json::Arr(labels)),
+        (
+            "counters",
+            Json::from(&MetricsSnapshot::from_pairs(capture.counters.clone())),
+        ),
+    ]);
+    let doc = Json::obj([
+        ("schema_version", Json::Num(f64::from(CLI_SCHEMA_VERSION))),
+        ("profile", profile),
+        (
+            "errors",
+            Json::Arr(file_errors.iter().map(|(f, e)| error_entry(f, e)).collect()),
+        ),
+        ("ok", Json::Bool(code == EXIT_OK)),
+        ("exit_code", Json::Num(f64::from(code))),
+    ]);
+    let _ = writeln!(out, "{doc}");
 }
 
 fn render_profile_text(
-    flags: &ProfileFlags,
+    opts: &Opts,
     capture: &Capture,
     results: &[FileResult],
     file_errors: &FileErrors,
@@ -1219,70 +1203,15 @@ fn render_profile_text(
             let _ = writeln!(out, "  {name} = {value}");
         }
     }
-    if let Some(path) = &flags.trace_out {
+    if let Some(path) = &opts.trace_out {
         let _ = writeln!(out, "wrote Chrome trace to {}", path.display());
     }
-    if let Some(path) = &flags.folded_out {
+    if let Some(path) = &opts.folded_out {
         let _ = writeln!(out, "wrote folded stacks to {}", path.display());
     }
 }
 
 // ------------------------------------------------------------------- watch
-
-#[derive(Debug)]
-struct WatchFlags {
-    json: bool,
-    interval_ms: u64,
-    once: bool,
-    backend: BackendKind,
-    cache_dir: Option<PathBuf>,
-    paths: Vec<String>,
-}
-
-fn parse_watch_flags(args: &[String], out: &mut String) -> Result<WatchFlags, i32> {
-    let mut flags = WatchFlags {
-        json: false,
-        interval_ms: 200,
-        once: false,
-        backend: BackendKind::default(),
-        cache_dir: None,
-        paths: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => flags.json = true,
-            "--once" => flags.once = true,
-            "--interval" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => flags.interval_ms = ms,
-                None => {
-                    let _ = writeln!(out, "commcsl: --interval needs milliseconds");
-                    return Err(EXIT_ERROR);
-                }
-            },
-            "--backend" => match it.next().and_then(|v| BackendKind::from_name(v)) {
-                Some(backend) => flags.backend = backend,
-                None => {
-                    let _ = writeln!(out, "commcsl: --backend needs `fresh` or `incremental`");
-                    return Err(EXIT_ERROR);
-                }
-            },
-            "--cache-dir" => {
-                flags.cache_dir = Some(take_path_value(&mut it, "--cache-dir", out)?);
-            }
-            flag if flag.starts_with("--") => {
-                let _ = writeln!(out, "commcsl: unknown watch option `{flag}`\n{USAGE}");
-                return Err(EXIT_ERROR);
-            }
-            path => flags.paths.push(path.to_owned()),
-        }
-    }
-    if flags.paths.is_empty() {
-        let _ = writeln!(out, "commcsl: watch needs at least one path\n{USAGE}");
-        return Err(EXIT_ERROR);
-    }
-    Ok(flags)
-}
 
 /// Change fingerprint of one watched file (mtime + length; `None` while
 /// the file is unreadable).
@@ -1318,29 +1247,19 @@ impl WatchPass {
 /// changed. Split from the command loop so tests can drive passes (and
 /// simulate edits) without sleeping.
 struct Watcher {
-    workspace: commcsl_verifier::workspace::Workspace,
+    workspace: Workspace,
     files: Vec<PathBuf>,
-    fingerprints: std::collections::HashMap<PathBuf, Fingerprint>,
+    fingerprints: HashMap<PathBuf, Fingerprint>,
     json: bool,
 }
 
 impl Watcher {
-    fn new(flags: &WatchFlags, files: Vec<PathBuf>) -> Watcher {
-        use commcsl_verifier::workspace::{Workspace, WorkspaceConfig};
-        let mut verifier = VerifierConfig {
-            backend: flags.backend,
-            ..Default::default()
-        };
-        verifier.validity.backend = flags.backend;
-        let cache = match &flags.cache_dir {
-            Some(dir) => CacheConfig::persistent(dir),
-            None => CacheConfig::default(),
-        };
+    fn new(opts: &Opts, files: Vec<PathBuf>) -> Watcher {
         Watcher {
-            workspace: Workspace::new(WorkspaceConfig { verifier, cache }),
+            workspace: Workspace::new(workspace_config(opts)),
             files,
-            fingerprints: std::collections::HashMap::new(),
-            json: flags.json,
+            fingerprints: HashMap::new(),
+            json: opts.json,
         }
     }
 
@@ -1361,19 +1280,11 @@ impl Watcher {
             }
             self.fingerprints.insert(file.clone(), current);
             tally.changed += 1;
-            let source = match fs::read_to_string(&file) {
-                Ok(source) => source,
-                Err(e) => {
-                    tally.errors += 1;
-                    self.render_error(&file, &format!("cannot read file: {e}"), out);
-                    continue;
-                }
-            };
-            let program = match compile(&source) {
+            let program = match compile_file(&file) {
                 Ok(program) => program,
                 Err(e) => {
                     tally.errors += 1;
-                    self.render_error(&file, &e.to_string(), out);
+                    self.render_error(&file, &e, out);
                     continue;
                 }
             };
@@ -1391,51 +1302,45 @@ impl Watcher {
 
     fn render_error(&self, file: &Path, error: &str, out: &mut String) {
         if self.json {
-            let _ = writeln!(
-                out,
-                "{{\"event\":\"error\",\"file\":{},\"error\":{}}}",
-                WireJson::str(file.display().to_string()),
-                WireJson::str(error)
-            );
+            let event = Json::obj([
+                ("event", Json::str("error")),
+                ("file", Json::str(file.display().to_string())),
+                ("error", Json::str(error)),
+            ]);
+            let _ = writeln!(out, "{event}");
         } else {
             let _ = writeln!(out, "{}: {error}", file.display());
         }
     }
 
-    fn render_outcome(
-        &self,
-        file: &Path,
-        outcome: &commcsl_verifier::workspace::DocOutcome,
-        out: &mut String,
-    ) {
+    fn render_outcome(&self, file: &Path, outcome: &DocOutcome, out: &mut String) {
         let time_ms = outcome.time.as_secs_f64() * 1000.0;
+        let obligations = &outcome.obligations;
         if self.json {
-            let _ = writeln!(
-                out,
-                "{{\"event\":\"verified\",\"file\":{},\"revision\":{},\
-                 \"verified\":{},\"cached\":{},\"obligations\":{},\"reused\":{},\
-                 \"statically_proven\":{},\"checked\":{},\"time_ms\":{time_ms:.3},\
-                 \"report\":{}}}",
-                WireJson::str(file.display().to_string()),
-                outcome.revision,
-                outcome.report.verified(),
-                outcome.report_cached,
-                outcome.obligations.total,
-                outcome.obligations.reused,
-                outcome.obligations.statically_proven,
-                outcome.obligations.checked,
-                outcome.report.to_json()
-            );
+            let event = Json::obj([
+                ("event", Json::str("verified")),
+                ("file", Json::str(file.display().to_string())),
+                ("revision", Json::Num(outcome.revision as f64)),
+                ("verified", Json::Bool(outcome.report.verified())),
+                ("cached", Json::Bool(outcome.report_cached)),
+                ("obligations", count(obligations.total)),
+                ("reused", count(obligations.reused)),
+                ("statically_proven", count(obligations.statically_proven)),
+                ("checked", count(obligations.checked)),
+                ("time_ms", rounded(time_ms, 3)),
+                ("report", Json::from(&outcome.report)),
+            ]);
+            let _ = writeln!(out, "{event}");
         } else {
             let _ = writeln!(
                 out,
                 "{} [{}] {} obligations ({} reused, {} static, {} checked, {time_ms:.3} ms)",
                 file.display(),
                 if outcome.report.verified() { "OK" } else { "FAIL" },
-                outcome.obligations.total,
-                outcome.obligations.reused,
-                outcome.obligations.statically_proven,
-                outcome.obligations.checked,
+                obligations.total,
+                obligations.reused,
+                obligations.statically_proven,
+                obligations.checked,
             );
             if !outcome.report.verified() {
                 let _ = write!(out, "{}", outcome.report);
@@ -1444,46 +1349,33 @@ impl Watcher {
     }
 }
 
-fn run_watch(args: &[String], out: &mut String) -> i32 {
-    let flags = match parse_watch_flags(args, out) {
-        Ok(flags) => flags,
-        Err(code) => return code,
-    };
-    let files = match collect_files(&flags.paths) {
-        Ok(files) if files.is_empty() => {
-            let _ = writeln!(out, "commcsl: no .csl files found");
-            return EXIT_ERROR;
-        }
-        Ok(files) => files,
-        Err(msg) => {
-            let _ = writeln!(out, "commcsl: {msg}");
-            return EXIT_ERROR;
-        }
-    };
-
-    let mut watcher = Watcher::new(&flags, files);
-    if flags.json {
+fn run_watch(opts: Opts, out: &mut String) -> Run {
+    let files = find_files("watch", &opts, out)?;
+    let interval_ms = opts.interval_ms.unwrap_or(200);
+    let mut watcher = Watcher::new(&opts, files);
+    if opts.json {
+        let event = Json::obj([
+            ("event", Json::str("watching")),
+            (
+                "schema_version",
+                Json::Num(f64::from(commcsl_verifier::report::REPORT_SCHEMA_VERSION)),
+            ),
+            ("files", count(watcher.files.len())),
+            ("interval_ms", Json::Num(interval_ms as f64)),
+            ("once", Json::Bool(opts.once)),
+        ]);
+        let _ = writeln!(out, "{event}");
+    } else if !opts.once {
         let _ = writeln!(
             out,
-            "{{\"event\":\"watching\",\"schema_version\":{},\"files\":{},\
-             \"interval_ms\":{},\"once\":{}}}",
-            commcsl_verifier::report::REPORT_SCHEMA_VERSION,
+            "commcsl: watching {} file(s), every {interval_ms} ms (ctrl-c to stop)",
             watcher.files.len(),
-            flags.interval_ms,
-            flags.once
-        );
-    } else if !flags.once {
-        let _ = writeln!(
-            out,
-            "commcsl: watching {} file(s), every {} ms (ctrl-c to stop)",
-            watcher.files.len(),
-            flags.interval_ms
         );
     }
 
     let first = watcher.pass(true, out);
-    if flags.once {
-        return first.exit_code();
+    if opts.once {
+        return Ok(first.exit_code());
     }
 
     // The long-running loop streams directly (the `out` sink is only
@@ -1493,7 +1385,7 @@ fn run_watch(args: &[String], out: &mut String) -> i32 {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     loop {
-        std::thread::sleep(Duration::from_millis(flags.interval_ms.max(10)));
+        std::thread::sleep(Duration::from_millis(interval_ms.max(10)));
         let mut chunk = String::new();
         let _ = watcher.pass(false, &mut chunk);
         if !chunk.is_empty() {
@@ -1506,130 +1398,36 @@ fn run_watch(args: &[String], out: &mut String) -> i32 {
 // --------------------------------------------------------------------- lsp
 
 /// `commcsl lsp`: the editor language server on stdin/stdout. The
-/// protocol machine lives in `commcsl-lsp`; this entry point parses
-/// flags, injects the `.csl` compiler, and hands the process's stdio to
-/// [`commcsl_lsp::LspServer::run`]. Counterexample minimization and
-/// proof-core hints are *on* by default here — an editor session is
-/// exactly where their extra cost buys the most — and can be switched
-/// off per flag.
-fn run_lsp(args: &[String], out: &mut String) -> i32 {
-    let mut backend = BackendKind::default();
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut minimize = true;
-    let mut hints = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            // stdio is the only transport; the flag exists because most
-            // editors pass it unconditionally.
-            "--stdio" => {}
-            "--backend" => match it.next().and_then(|v| BackendKind::from_name(v)) {
-                Some(kind) => backend = kind,
-                None => {
-                    let _ = writeln!(out, "commcsl: --backend needs `fresh` or `incremental`");
-                    return EXIT_ERROR;
-                }
-            },
-            "--cache-dir" => match take_path_value(&mut it, "--cache-dir", out) {
-                Ok(dir) => cache_dir = Some(dir),
-                Err(code) => return code,
-            },
-            "--no-minimize" => minimize = false,
-            "--no-hints" => hints = false,
-            other => {
-                let _ = writeln!(out, "commcsl: unknown lsp option `{other}`\n{USAGE}");
-                return EXIT_ERROR;
-            }
-        }
-    }
-    let config = commcsl_verifier::workspace::WorkspaceConfig {
-        verifier: VerifierConfig {
-            backend,
-            minimize_counterexamples: minimize,
-            proof_cores: hints,
-            ..VerifierConfig::default()
-        },
-        cache: match cache_dir {
-            Some(dir) => CacheConfig::persistent(&dir),
-            None => CacheConfig::default(),
-        },
-    };
+/// protocol machine lives in `commcsl-lsp`; this entry point injects the
+/// `.csl` compiler and hands the process's stdio to
+/// [`commcsl_lsp::LspServer::run`].
+fn run_lsp(opts: Opts, out: &mut String) -> Run {
     let mut server = commcsl_lsp::LspServer::new(
-        config,
+        lsp_config(&opts),
         Box::new(|source| compile(source).map_err(|e| e.to_string())),
     );
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    match server.run(&mut stdin.lock(), &mut stdout.lock()) {
-        Ok(code) => code,
-        Err(e) => {
-            let _ = writeln!(out, "commcsl: lsp transport error: {e}");
-            EXIT_ERROR
-        }
-    }
+    server
+        .run(&mut stdin.lock(), &mut stdout.lock())
+        .map_err(|e| fail(out, format_args!("lsp transport error: {e}")))
 }
 
 // ------------------------------------------------------------------- serve
 
-fn run_serve(args: &[String], out: &mut String) -> i32 {
-    let mut locations = DaemonPaths::new();
-    let mut threads = 0usize;
-    let mut memory = 4096usize;
-    let mut stdio = false;
-    let mut shards = 1usize;
-    let mut remote_cache: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match locations.take_flag(arg, &mut it, out) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(code) => return code,
-        }
-        match arg.as_str() {
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => {
-                    let _ = writeln!(out, "commcsl: --threads needs a number");
-                    return EXIT_ERROR;
-                }
-            },
-            "--memory" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => memory = n,
-                None => {
-                    let _ = writeln!(out, "commcsl: --memory needs a number");
-                    return EXIT_ERROR;
-                }
-            },
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => {
-                    let _ = writeln!(out, "commcsl: --shards needs a number >= 1");
-                    return EXIT_ERROR;
-                }
-            },
-            "--remote-cache" => match it.next() {
-                Some(addr) => remote_cache = Some(addr.clone()),
-                None => {
-                    let _ = writeln!(out, "commcsl: --remote-cache needs host:port");
-                    return EXIT_ERROR;
-                }
-            },
-            "--stdio" => stdio = true,
-            other => {
-                let _ = writeln!(out, "commcsl: unknown serve option `{other}`\n{USAGE}");
-                return EXIT_ERROR;
-            }
-        }
+fn run_serve(opts: Opts, out: &mut String) -> Run {
+    let shards = opts.shards.unwrap_or(1);
+    if shards > 1 && opts.tcp.is_none() {
+        return Err(fail(
+            out,
+            "--shards needs --tcp (shard pools listen on TCP)",
+        ));
     }
-    if shards > 1 && locations.tcp.is_none() {
-        let _ = writeln!(out, "commcsl: --shards needs --tcp (shard pools listen on TCP)");
-        return EXIT_ERROR;
+    if opts.stdio && (opts.tcp.is_some() || shards > 1) {
+        return Err(fail(out, "--stdio cannot be combined with --tcp/--shards"));
     }
-    if stdio && (locations.tcp.is_some() || shards > 1) {
-        let _ = writeln!(out, "commcsl: --stdio cannot be combined with --tcp/--shards");
-        return EXIT_ERROR;
-    }
-    let cache_dir = locations.cache_dir.clone();
+    let cache_dir = opts.daemon_cache_dir();
+    let memory = opts.memory.unwrap_or(4096);
 
     // One shared-nothing server per shard, each with its own disk cache
     // directory (`<cache-dir>/shard{i}` when sharded, `<cache-dir>`
@@ -1638,7 +1436,7 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
     let make_server = |disk_dir: PathBuf| {
         let server = Server::new(
             ServerConfig {
-                threads,
+                threads: opts.threads,
                 cache: CacheConfig {
                     memory_capacity: memory.max(1),
                     disk_dir: Some(disk_dir),
@@ -1649,30 +1447,21 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
             },
             Box::new(|src| compile(src).map_err(|e| e.to_string())),
         );
-        if let Some(addr) = &remote_cache {
+        if let Some(addr) = &opts.remote_cache {
             server.set_remote_cache(Box::new(RemoteCacheClient::new(addr.clone())));
         }
         server
     };
 
-    if let Some(addr) = &locations.tcp {
+    if let Some(addr) = &opts.tcp {
         // Bind first, announce after: the "listening" line is the
         // readiness signal, and with port 0 it is also how wrappers
         // learn the actual port.
-        let listener = match Server::bind_tcp(addr) {
-            Ok(listener) => listener,
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: cannot bind {addr}: {e}");
-                return EXIT_ERROR;
-            }
-        };
-        let actual = match listener.local_addr() {
-            Ok(actual) => actual.to_string(),
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: cannot resolve bound address: {e}");
-                return EXIT_ERROR;
-            }
-        };
+        let listener = Server::bind_tcp(addr)
+            .map_err(|e| fail(out, format_args!("cannot bind {addr}: {e}")))?;
+        let actual = listener
+            .local_addr()
+            .map_err(|e| fail(out, format_args!("cannot resolve bound address: {e}")))?;
         println!(
             "commcsl: daemon listening on tcp://{actual} (cache {}, {shards} shard{})",
             cache_dir.display(),
@@ -1690,46 +1479,29 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
         } else {
             make_server(cache_dir).serve_tcp(&listener)
         };
-        return match served {
-            Ok(()) => {
-                let _ = writeln!(out, "commcsl: daemon shut down cleanly");
-                EXIT_OK
-            }
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: daemon failed: {e}");
-                EXIT_ERROR
-            }
-        };
+        return served_until_shutdown(served, out);
     }
 
-    let socket = locations.socket_path();
+    let socket = opts.socket_path();
     let server = make_server(cache_dir.clone());
 
-    if stdio {
+    if opts.stdio {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
         return match server.serve_stream(stdin.lock(), stdout.lock()) {
             Ok(()) => {
                 let _ = writeln!(out, "commcsl: stdio session ended");
-                EXIT_OK
+                Ok(EXIT_OK)
             }
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: stdio session failed: {e}");
-                EXIT_ERROR
-            }
+            Err(e) => Err(fail(out, format_args!("stdio session failed: {e}"))),
         };
     }
 
     // Bind first, announce after: the "listening" line is a readiness
     // signal for wrappers (CI smoke test, `--daemon` auto-start), so it
     // must only appear once the socket actually accepts connections.
-    let listener = match Server::bind_unix(&socket) {
-        Ok(listener) => listener,
-        Err(e) => {
-            let _ = writeln!(out, "commcsl: cannot bind {}: {e}", socket.display());
-            return EXIT_ERROR;
-        }
-    };
+    let listener = Server::bind_unix(&socket)
+        .map_err(|e| fail(out, format_args!("cannot bind {}: {e}", socket.display())))?;
     println!(
         "commcsl: daemon listening on {} (cache {})",
         socket.display(),
@@ -1737,168 +1509,74 @@ fn run_serve(args: &[String], out: &mut String) -> i32 {
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    match server.serve_bound(listener, &socket) {
+    served_until_shutdown(server.serve_bound(listener, &socket), out)
+}
+
+/// Reports how a listening daemon ended.
+fn served_until_shutdown(served: std::io::Result<()>, out: &mut String) -> Run {
+    match served {
         Ok(()) => {
             let _ = writeln!(out, "commcsl: daemon shut down cleanly");
-            EXIT_OK
+            Ok(EXIT_OK)
         }
-        Err(e) => {
-            let _ = writeln!(out, "commcsl: daemon failed: {e}");
-            EXIT_ERROR
-        }
+        Err(e) => Err(fail(out, format_args!("daemon failed: {e}"))),
     }
 }
 
 // ------------------------------------------------------------------ daemon
 
-fn run_daemon(args: &[String], out: &mut String) -> i32 {
-    let mut action: Option<&str> = None;
-    let mut locations = DaemonPaths::new();
-    let mut json = false;
-    let mut once = false;
-    let mut follow = false;
-    let mut since: Option<u64> = None;
-    let mut interval_ms: u64 = 1000;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match locations.take_flag(arg, &mut it, out) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(code) => return code,
-        }
-        match arg.as_str() {
-            "status" | "stop" | "metrics" | "top" | "logs" if action.is_none() => {
-                action = Some(arg.as_str())
-            }
-            "--json" => json = true,
-            "--once" => once = true,
-            "--follow" => follow = true,
-            "--since" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => since = Some(n),
-                None => {
-                    let _ = writeln!(out, "commcsl: --since needs a sequence number");
-                    return EXIT_ERROR;
-                }
-            },
-            "--interval" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => interval_ms = n,
-                None => {
-                    let _ = writeln!(out, "commcsl: --interval needs a number");
-                    return EXIT_ERROR;
-                }
-            },
-            other => {
-                let _ = writeln!(out, "commcsl: unknown daemon action `{other}`\n{USAGE}");
-                return EXIT_ERROR;
-            }
-        }
-    }
-    let endpoint = locations.endpoint();
-    let Some(action) = action else {
-        let _ = writeln!(
+fn run_daemon(opts: Opts, out: &mut String) -> Run {
+    const ACTIONS: [&str; 5] = ["status", "stop", "metrics", "top", "logs"];
+    let mut operands = opts.operands.iter();
+    let action = operands.next();
+    if let Some(other) = action
+        .filter(|a| !ACTIONS.contains(&a.as_str()))
+        .or(operands.next())
+    {
+        return Err(usage_error(
             out,
-            "commcsl: daemon needs `status`, `metrics`, `top`, `logs`, or `stop`\n{USAGE}"
-        );
-        return EXIT_ERROR;
+            format_args!("unknown daemon action `{other}`"),
+        ));
+    }
+    let Some(action) = action else {
+        return Err(usage_error(
+            out,
+            "daemon needs `status`, `metrics`, `top`, `logs`, or `stop`",
+        ));
     };
+    let endpoint = opts.endpoint();
+    let interval_ms = opts.interval_ms.unwrap_or(1000);
 
-    let mut client = match locations.connect() {
+    let mut client = match opts.connect() {
         Ok(client) => client,
+        // Idempotent: stopping a daemon that is not there is fine.
+        Err(_) if action == "stop" => {
+            let _ = writeln!(out, "commcsl: no daemon on {endpoint}");
+            return Ok(EXIT_OK);
+        }
         Err(e) => {
-            if action == "stop" {
-                // Idempotent: stopping a daemon that is not there is fine.
-                let _ = writeln!(out, "commcsl: no daemon on {endpoint}");
-                return EXIT_OK;
-            }
-            let _ = writeln!(out, "commcsl: cannot reach a daemon on {endpoint}: {e}");
-            return EXIT_ERROR;
+            return Err(fail(
+                out,
+                format_args!("cannot reach a daemon on {endpoint}: {e}"),
+            ))
         }
     };
 
-    match action {
+    match action.as_str() {
         "status" => match client.status() {
             Ok(status) => {
-                if json {
+                if opts.json {
                     let _ = writeln!(out, "{}", status.to_json());
                 } else {
-                    let _ = writeln!(
-                        out,
-                        "daemon v{} (format v{}, protocol v{}, backend {}) \
-                         up {:.1}s on {}\n\
-                         requests: {}  programs: {}  open documents: {}\n\
-                         cache: {} memory + {} disk hits, {} misses \
-                         ({:.1}% hit rate), {} entries in memory, {} evictions\n\
-                         obligations: {} reused, {} checked, \
-                         {} statically proven + {} solver-checked (workspace)\n\
-                         telemetry: {} bytes streamed",
-                        status.version,
-                        status.format_version,
-                        status.protocol_version,
-                        status.backend,
-                        status.uptime_ms / 1000.0,
-                        endpoint,
-                        status.requests,
-                        status.programs,
-                        status.documents,
-                        status.memory_hits,
-                        status.disk_hits,
-                        status.misses,
-                        status.hit_rate() * 100.0,
-                        status.memory_entries,
-                        status.evictions,
-                        status.obligation_hits,
-                        status.obligation_misses,
-                        status.statically_proven,
-                        status.solver_checked,
-                        status.bytes_streamed,
-                    );
-                    // Cluster lines: only daemons that report an
-                    // endpoint / remote tier / shard table get them, so
-                    // pre-cluster daemons render exactly as before.
-                    if !status.transport.is_empty() {
-                        let _ = writeln!(
-                            out,
-                            "listen: {}://{} ({} shard{})",
-                            status.transport,
-                            status.addr,
-                            status.shards,
-                            if status.shards == 1 { "" } else { "s" },
-                        );
-                    }
-                    if !status.remote.is_empty() {
-                        let _ = writeln!(
-                            out,
-                            "remote cache: {} ({} hits, {} misses, {} stores)",
-                            status.remote,
-                            status.remote_hits,
-                            status.remote_misses,
-                            status.remote_stores,
-                        );
-                    }
-                    for shard in &status.per_shard {
-                        let _ = writeln!(
-                            out,
-                            "shard {}: {}, {} documents, {} programs, \
-                             {} obligation hits, {} misses",
-                            shard.shard,
-                            if shard.alive { "alive" } else { "dead" },
-                            shard.documents,
-                            shard.programs,
-                            shard.obligation_hits,
-                            shard.obligation_misses,
-                        );
-                    }
+                    render_status(&status, &endpoint, out);
                 }
-                EXIT_OK
+                Ok(EXIT_OK)
             }
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: status failed: {e}");
-                EXIT_ERROR
-            }
+            Err(e) => Err(fail(out, format_args!("status failed: {e}"))),
         },
         "metrics" => match client.metrics() {
             Ok(snapshot) => {
-                if json {
+                if opts.json {
                     let _ = writeln!(out, "{}", snapshot.to_json());
                 } else if snapshot.counters.is_empty() {
                     let _ = writeln!(out, "no counters recorded");
@@ -1912,26 +1590,101 @@ fn run_daemon(args: &[String], out: &mut String) -> i32 {
                          the `histograms` protocol op)"
                     );
                 }
-                EXIT_OK
+                Ok(EXIT_OK)
             }
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: metrics failed: {e}");
-                EXIT_ERROR
-            }
+            Err(e) => Err(fail(out, format_args!("metrics failed: {e}"))),
         },
-        "top" => run_daemon_top(&mut client, &endpoint, json, once, interval_ms, out),
-        "logs" => run_daemon_logs(&mut client, json, follow, since, interval_ms, out),
-        "stop" => match client.shutdown() {
+        "top" => Ok(run_daemon_top(
+            &mut client,
+            &endpoint,
+            opts.json,
+            opts.once,
+            interval_ms,
+            out,
+        )),
+        "logs" => Ok(run_daemon_logs(
+            &mut client,
+            opts.json,
+            opts.follow,
+            opts.since,
+            interval_ms,
+            out,
+        )),
+        _ => match client.shutdown() {
             Ok(()) => {
                 let _ = writeln!(out, "commcsl: daemon on {endpoint} stopped");
-                EXIT_OK
+                Ok(EXIT_OK)
             }
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: stop failed: {e}");
-                EXIT_ERROR
-            }
+            Err(e) => Err(fail(out, format_args!("stop failed: {e}"))),
         },
-        _ => unreachable!("action is validated above"),
+    }
+}
+
+/// `daemon status` as text.
+fn render_status(status: &StatusInfo, endpoint: &str, out: &mut String) {
+    let _ = writeln!(
+        out,
+        "daemon v{} (format v{}, protocol v{}, backend {}) \
+         up {:.1}s on {}\n\
+         requests: {}  programs: {}  open documents: {}\n\
+         cache: {} memory + {} disk hits, {} misses \
+         ({:.1}% hit rate), {} entries in memory, {} evictions\n\
+         obligations: {} reused, {} checked, \
+         {} statically proven + {} solver-checked (workspace)\n\
+         telemetry: {} bytes streamed",
+        status.version,
+        status.format_version,
+        status.protocol_version,
+        status.backend,
+        status.uptime_ms / 1000.0,
+        endpoint,
+        status.requests,
+        status.programs,
+        status.documents,
+        status.memory_hits,
+        status.disk_hits,
+        status.misses,
+        status.hit_rate() * 100.0,
+        status.memory_entries,
+        status.evictions,
+        status.obligation_hits,
+        status.obligation_misses,
+        status.statically_proven,
+        status.solver_checked,
+        status.bytes_streamed,
+    );
+    // Cluster lines: only daemons that report an endpoint / remote tier /
+    // shard table get them, so pre-cluster daemons render exactly as
+    // before.
+    if !status.transport.is_empty() {
+        let _ = writeln!(
+            out,
+            "listen: {}://{} ({} shard{})",
+            status.transport,
+            status.addr,
+            status.shards,
+            if status.shards == 1 { "" } else { "s" },
+        );
+    }
+    if !status.remote.is_empty() {
+        let _ = writeln!(
+            out,
+            "remote cache: {} ({} hits, {} misses, {} stores)",
+            status.remote, status.remote_hits, status.remote_misses, status.remote_stores,
+        );
+    }
+    for shard in &status.per_shard {
+        let _ = writeln!(
+            out,
+            "shard {}: {}, {} documents, {} programs, \
+             {} obligation hits, {} misses",
+            shard.shard,
+            if shard.alive { "alive" } else { "dead" },
+            shard.documents,
+            shard.programs,
+            shard.obligation_hits,
+            shard.obligation_misses,
+        );
     }
 }
 
@@ -2023,18 +1776,15 @@ fn run_daemon_top(
     if once {
         let (status, hists, metrics) = match fetch(client) {
             Ok(v) => v,
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: top failed: {e}");
-                return EXIT_ERROR;
-            }
+            Err(e) => return fail(out, format_args!("top failed: {e}")),
         };
         if json {
-            let doc = WireJson::obj([
+            let doc = Json::obj([
                 ("status", status.to_json()),
-                ("unit", WireJson::str("ns")),
+                ("unit", Json::str("ns")),
                 (
                     "histograms",
-                    WireJson::Obj(hists.iter().map(|(op, h)| (op.clone(), h.into())).collect()),
+                    Json::Obj(hists.iter().map(|(op, h)| (op.clone(), h.into())).collect()),
                 ),
                 ("counters", (&metrics).into()),
             ]);
@@ -2054,10 +1804,7 @@ fn run_daemon_top(
     loop {
         let (status, hists, metrics) = match fetch(client) {
             Ok(v) => v,
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: top failed: {e}");
-                return EXIT_ERROR;
-            }
+            Err(e) => return fail(out, format_args!("top failed: {e}")),
         };
         // Clear the screen between frames: one dashboard, not a scroll.
         print!(
@@ -2071,17 +1818,9 @@ fn run_daemon_top(
 
 /// Renders one event-log record: NDJSON with `--json`, otherwise a
 /// human-readable line.
-fn render_log_event(event: &commcsl_telemetry::EventRecord, json: bool) -> String {
-    if json {
-        let doc = WireJson::obj([
-            ("seq", WireJson::Num(event.seq as f64)),
-            ("op", WireJson::str(&event.op)),
-            ("request_id", WireJson::str(&event.request_id)),
-            ("dur_ns", WireJson::Num(event.dur_ns as f64)),
-            ("outcome", WireJson::str(&event.outcome)),
-            ("detail", WireJson::str(&event.detail)),
-        ]);
-        format!("{doc}\n")
+fn render_log_event(event: &EventRecord, json: bool) -> String {
+    let mut line = if json {
+        Json::from(event).to_string()
     } else {
         let mut line = format!(
             "#{} {:<10} [{}] {:>9.3} ms {}",
@@ -2094,9 +1833,10 @@ fn render_log_event(event: &commcsl_telemetry::EventRecord, json: bool) -> Strin
         if !event.detail.is_empty() {
             let _ = write!(line, " — {}", event.detail);
         }
-        line.push('\n');
         line
-    }
+    };
+    line.push('\n');
+    line
 }
 
 /// `daemon logs`: print the daemon's request event log, oldest first.
@@ -2112,10 +1852,7 @@ fn run_daemon_logs(
 ) -> i32 {
     let page = match client.logs(since) {
         Ok(page) => page,
-        Err(e) => {
-            let _ = writeln!(out, "commcsl: logs failed: {e}");
-            return EXIT_ERROR;
-        }
+        Err(e) => return fail(out, format_args!("logs failed: {e}")),
     };
     for event in &page.events {
         out.push_str(&render_log_event(event, json));
@@ -2143,10 +1880,7 @@ fn run_daemon_logs(
         std::thread::sleep(Duration::from_millis(interval_ms.max(10)));
         let page = match client.logs(Some(last_seq)) {
             Ok(page) => page,
-            Err(e) => {
-                let _ = writeln!(out, "commcsl: logs failed: {e}");
-                return EXIT_ERROR;
-            }
+            Err(e) => return fail(out, format_args!("logs failed: {e}")),
         };
         last_seq = last_seq.max(page.last_seq);
         let mut chunk = String::new();
@@ -2162,45 +1896,35 @@ fn run_daemon_logs(
 
 // ----------------------------------------------------------------- fixture
 
-fn run_fixture(args: &[String], out: &mut String) -> i32 {
-    let mut name: Option<&str> = None;
-    let mut json = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            flag if flag.starts_with("--") => {
-                let _ = writeln!(out, "commcsl: unknown fixture option `{flag}`\n{USAGE}");
-                return EXIT_ERROR;
-            }
-            n if name.is_none() => name = Some(n),
-            extra => {
-                let _ = writeln!(out, "commcsl: fixture takes one name, got also `{extra}`");
-                return EXIT_ERROR;
-            }
-        }
+fn run_fixture(opts: Opts, out: &mut String) -> Run {
+    if let Some(extra) = opts.operands.get(1) {
+        return Err(fail(
+            out,
+            format_args!("fixture takes one name, got also `{extra}`"),
+        ));
     }
-    let Some(name) = name else {
-        let _ = writeln!(out, "commcsl: fixture needs a Table 1 row or program name\n{USAGE}");
-        return EXIT_ERROR;
+    let Some(name) = opts.operands.first() else {
+        return Err(usage_error(
+            out,
+            "fixture needs a Table 1 row or program name",
+        ));
     };
     let Some(fixture) = crate::fixtures::find(name) else {
         let hint = crate::fixtures::suggest(name)
             .map(|s| format!("; did you mean `{s}`?"))
             .unwrap_or_default();
-        let _ = writeln!(out, "commcsl: unknown fixture `{name}`{hint}");
-        return EXIT_ERROR;
+        return Err(fail(out, format_args!("unknown fixture `{name}`{hint}")));
     };
 
     let report = commcsl_verifier::verify(&fixture.program, &VerifierConfig::default());
-    if json {
-        let _ = writeln!(
-            out,
-            "{{\"fixture\":{},\"data_structure\":{},\"abstraction\":{},\"report\":{}}}",
-            WireJson::str(fixture.name),
-            WireJson::str(fixture.data_structure),
-            WireJson::str(fixture.abstraction),
-            report.to_json()
-        );
+    if opts.json {
+        let doc = Json::obj([
+            ("fixture", Json::str(fixture.name)),
+            ("data_structure", Json::str(fixture.data_structure)),
+            ("abstraction", Json::str(fixture.abstraction)),
+            ("report", Json::from(&report)),
+        ]);
+        let _ = writeln!(out, "{doc}");
     } else {
         let _ = writeln!(
             out,
@@ -2209,65 +1933,21 @@ fn run_fixture(args: &[String], out: &mut String) -> i32 {
         );
         let _ = write!(out, "{report}");
     }
-    if report.verified() {
+    Ok(if report.verified() {
         EXIT_OK
     } else {
         EXIT_MISMATCH
-    }
+    })
 }
 
 // -------------------------------------------------------------------- lint
 
-fn run_lint(args: &[String], out: &mut String) -> i32 {
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut paths: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--deny" => match iter.next().map(String::as_str) {
-                Some("warnings") => deny_warnings = true,
-                other => {
-                    let _ = writeln!(
-                        out,
-                        "commcsl: --deny takes `warnings`, got `{}`\n{USAGE}",
-                        other.unwrap_or("nothing")
-                    );
-                    return EXIT_ERROR;
-                }
-            },
-            flag if flag.starts_with("--") => {
-                let _ = writeln!(out, "commcsl: unknown lint option `{flag}`\n{USAGE}");
-                return EXIT_ERROR;
-            }
-            path => paths.push(path.to_owned()),
-        }
-    }
-    if paths.is_empty() {
-        let _ = writeln!(out, "commcsl: lint needs at least one path\n{USAGE}");
-        return EXIT_ERROR;
-    }
-    let files = match collect_files(&paths) {
-        Ok(files) if files.is_empty() => {
-            let _ = writeln!(out, "commcsl: no .csl files found");
-            return EXIT_ERROR;
-        }
-        Ok(files) => files,
-        Err(msg) => {
-            let _ = writeln!(out, "commcsl: {msg}");
-            return EXIT_ERROR;
-        }
-    };
-
+fn run_lint(opts: Opts, out: &mut String) -> Run {
     let mut file_lints: Vec<(PathBuf, Vec<Lint>)> = Vec::new();
     let mut file_errors: FileErrors = Vec::new();
-    for file in files {
-        match fs::read_to_string(&file).map_err(|e| format!("cannot read file: {e}")) {
-            Ok(src) => match compile(&src) {
-                Ok(program) => file_lints.push((file, lint_program(&program))),
-                Err(e) => file_errors.push((file, e.to_string())),
-            },
+    for file in find_files("lint", &opts, out)? {
+        match compile_file(&file) {
+            Ok(program) => file_lints.push((file, lint_program(&program))),
             Err(e) => file_errors.push((file, e)),
         }
     }
@@ -2280,50 +1960,39 @@ fn run_lint(args: &[String], out: &mut String) -> i32 {
     let notes: usize = file_lints.iter().map(|(_, l)| l.len()).sum::<usize>() - warnings;
     let code = if !file_errors.is_empty() {
         EXIT_ERROR
-    } else if deny_warnings && warnings > 0 {
+    } else if opts.deny_warnings && warnings > 0 {
         EXIT_MISMATCH
     } else {
         EXIT_OK
     };
 
-    if json {
-        let mut entries: Vec<String> = file_errors
+    if opts.json {
+        let entries = file_errors
             .iter()
-            .map(|(file, e)| {
-                format!(
-                    "{{\"file\":{},\"error\":{}}}",
-                    WireJson::str(file.display().to_string()),
-                    WireJson::str(e)
-                )
-            })
+            .map(|(file, e)| error_entry(file, e))
+            .chain(file_lints.iter().map(|(file, lints)| {
+                Json::obj([
+                    ("file", Json::str(file.display().to_string())),
+                    ("lints", Json::Arr(lints.iter().map(Json::from).collect())),
+                ])
+            }))
             .collect();
-        entries.extend(file_lints.iter().map(|(file, lints)| {
-            let rendered: Vec<String> = lints
-                .iter()
-                .map(|l| WireJson::from(l).to_string())
-                .collect();
-            format!(
-                "{{\"file\":{},\"lints\":[{}]}}",
-                WireJson::str(file.display().to_string()),
-                rendered.join(",")
-            )
-        }));
-        let _ = writeln!(
-            out,
-            "{{\"schema_version\":{},\"results\":[{}],\"summary\":{{\"files\":{},\"lints\":{},\
-             \"warnings\":{},\"notes\":{},\"errors\":{},\"deny_warnings\":{},\"ok\":{},\
-             \"exit_code\":{}}}}}",
-            CLI_SCHEMA_VERSION,
-            entries.join(","),
-            file_lints.len() + file_errors.len(),
-            warnings + notes,
-            warnings,
-            notes,
-            file_errors.len(),
-            deny_warnings,
-            code == EXIT_OK,
-            code
-        );
+        let summary = Json::obj([
+            ("files", count(file_lints.len() + file_errors.len())),
+            ("lints", count(warnings + notes)),
+            ("warnings", count(warnings)),
+            ("notes", count(notes)),
+            ("errors", count(file_errors.len())),
+            ("deny_warnings", Json::Bool(opts.deny_warnings)),
+            ("ok", Json::Bool(code == EXIT_OK)),
+            ("exit_code", Json::Num(f64::from(code))),
+        ]);
+        let doc = Json::obj([
+            ("schema_version", Json::Num(f64::from(CLI_SCHEMA_VERSION))),
+            ("results", Json::Arr(entries)),
+            ("summary", summary),
+        ]);
+        let _ = writeln!(out, "{doc}");
     } else {
         for (file, e) in &file_errors {
             let _ = writeln!(out, "{}: {e}", file.display());
@@ -2348,47 +2017,67 @@ fn run_lint(args: &[String], out: &mut String) -> i32 {
             }
         );
     }
-    code
+    Ok(code)
 }
 
 // --------------------------------------------------------------------- fmt
 
-fn run_fmt(args: &[String], out: &mut String) -> i32 {
-    if args.is_empty() {
-        let _ = writeln!(out, "commcsl: fmt needs at least one path\n{USAGE}");
-        return EXIT_ERROR;
-    }
-    let files = match collect_files(args) {
-        Ok(files) => files,
-        Err(msg) => {
-            let _ = writeln!(out, "commcsl: {msg}");
-            return EXIT_ERROR;
-        }
-    };
-    if files.is_empty() {
-        let _ = writeln!(out, "commcsl: no .csl files found");
-        return EXIT_ERROR;
-    }
+fn run_fmt(opts: Opts, out: &mut String) -> Run {
     let mut code = EXIT_OK;
-    for file in files {
-        match fs::read_to_string(&file).map_err(|e| format!("cannot read file: {e}")) {
-            Ok(src) => match compile(&src) {
-                Ok(program) => out.push_str(&crate::pretty::pretty(&program)),
-                Err(e) => {
-                    let _ = writeln!(out, "{}: {e}", file.display());
-                    code = EXIT_ERROR;
-                }
-            },
+    for file in find_files("fmt", &opts, out)? {
+        match compile_file(&file) {
+            Ok(program) => out.push_str(&crate::pretty::pretty(&program)),
             Err(e) => {
                 let _ = writeln!(out, "{}: {e}", file.display());
                 code = EXIT_ERROR;
             }
         }
     }
-    code
+    Ok(code)
 }
 
 // ------------------------------------------------------------ file lookup
+
+/// The `.csl` files the operands of a file-taking command name. Prints
+/// the error and fails when there are no operands, an operand names
+/// nothing, or no `.csl` file is found.
+fn find_files(command: &str, opts: &Opts, out: &mut String) -> Result<Vec<PathBuf>, i32> {
+    if opts.operands.is_empty() {
+        return Err(usage_error(
+            out,
+            format_args!("{command} needs at least one path"),
+        ));
+    }
+    match collect_files(&opts.operands) {
+        Ok(files) if files.is_empty() => Err(fail(out, "no .csl files found")),
+        Ok(files) => Ok(files),
+        Err(msg) => Err(fail(out, msg)),
+    }
+}
+
+/// [`find_files`], read: the sources, and the files that did not read.
+fn read_sources(
+    command: &str,
+    opts: &Opts,
+    out: &mut String,
+) -> Result<(Vec<(PathBuf, String)>, FileErrors), i32> {
+    let mut sources = Vec::new();
+    let mut errors = Vec::new();
+    for file in find_files(command, opts, out)? {
+        match fs::read_to_string(&file) {
+            Ok(source) => sources.push((file, source)),
+            Err(e) => errors.push((file, format!("cannot read file: {e}"))),
+        }
+    }
+    Ok((sources, errors))
+}
+
+/// Reads and compiles one file; `Err` says why it did not read or
+/// compile.
+fn compile_file(file: &Path) -> Result<AnnotatedProgram, String> {
+    let source = fs::read_to_string(file).map_err(|e| format!("cannot read file: {e}"))?;
+    compile(&source).map_err(|e| e.to_string())
+}
 
 /// Expands path arguments into a sorted, de-duplicated list of `.csl`
 /// files. Directories are searched recursively; the final component of a
@@ -2503,6 +2192,108 @@ mod tests {
         assert_eq!(run(&["bogus".into()], &mut out), EXIT_ERROR);
         let mut out = String::new();
         assert_eq!(run(&[], &mut out), EXIT_ERROR);
+    }
+
+    /// Every row of the option table is accepted by the commands it
+    /// names, rejected as unknown by every command with no row for its
+    /// flag, and shown in the `help` section of each command it names.
+    #[test]
+    fn option_table_drives_the_parser_and_the_help() {
+        let help = usage();
+        for opt in OPTIONS {
+            let value = match opt.value {
+                Value::Absent(_) => None,
+                Value::Number(..) => Some("1"),
+                Value::Path(..) => Some("some/path"),
+                Value::Addr(_) => Some("127.0.0.1:0"),
+                Value::Word(words, _) => Some(words[0]),
+            };
+            let flag_and_value: Vec<String> = std::iter::once(opt.flag)
+                .chain(value)
+                .map(String::from)
+                .collect();
+            for (command, _) in COMMANDS.iter().filter(|(c, _)| *c != "help") {
+                let mut out = String::new();
+                if opt.commands.contains(command) {
+                    assert!(
+                        parse(command, &flag_and_value, &mut out).is_ok(),
+                        "{command} {flag_and_value:?}: {out}"
+                    );
+                    let section = help
+                        .split("\n\n")
+                        .find(|s| s.starts_with(&format!("options ({command}):")))
+                        .unwrap_or_else(|| panic!("no help section for {command}"));
+                    let first_line = opt.help.lines().next().unwrap();
+                    let entry = format!("  {:<29}{first_line}", opt.synopsis());
+                    assert!(
+                        section.contains(&entry),
+                        "{command}: {entry:?} in\n{section}"
+                    );
+                } else if !OPTIONS
+                    .iter()
+                    .any(|o| o.flag == opt.flag && o.commands.contains(command))
+                {
+                    let args: Vec<String> = std::iter::once(command.to_string())
+                        .chain(flag_and_value.iter().cloned())
+                        .collect();
+                    assert_eq!(run(&args, &mut out), EXIT_ERROR, "{args:?}");
+                    let unknown = format!("commcsl: unknown {command} option `{}`\n", opt.flag);
+                    assert!(out.starts_with(&unknown), "{args:?}: {out}");
+                    assert!(
+                        out.contains("\noptions (verify):\n"),
+                        "usage follows: {out}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A value outside a flag's fixed words names the words and what was
+    /// given, the same way for every flag and command.
+    #[test]
+    fn fixed_word_values_name_the_words_and_what_was_given() {
+        for (args, expected) in [
+            (
+                &["verify", "--expect", "nonsense", "x.csl"][..],
+                "commcsl: --expect needs `verified` or `rejected`, got `nonsense`\n",
+            ),
+            (
+                &["verify", "x.csl", "--expect"],
+                "commcsl: --expect needs `verified` or `rejected`\n",
+            ),
+            (
+                &["lint", "--deny", "errors", "x.csl"],
+                "commcsl: --deny needs `warnings`, got `errors`\n",
+            ),
+            (
+                &["lsp", "--backend", "z3"],
+                "commcsl: --backend needs `fresh` or `incremental`, got `z3`\n",
+            ),
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let mut out = String::new();
+            assert_eq!(run(&args, &mut out), EXIT_ERROR, "{args:?}");
+            assert_eq!(out, expected, "{args:?}");
+        }
+    }
+
+    /// `--backend` selects the backend of spec validity as well as of
+    /// program obligations, in `watch` and in `lsp`, whose explanation
+    /// knobs stay on by default.
+    #[test]
+    fn backend_reaches_spec_validity_in_watch_and_lsp() {
+        let args = ["--backend".to_owned(), "fresh".to_owned()];
+        let mut out = String::new();
+        let watcher = Watcher::new(&parse("watch", &args, &mut out).unwrap(), Vec::new());
+        let lsp = lsp_config(&parse("lsp", &args, &mut out).unwrap()).verifier;
+        for config in [watcher.workspace.config(), &lsp] {
+            assert_eq!(config.backend, BackendKind::Fresh);
+            assert_eq!(config.validity.backend, BackendKind::Fresh);
+        }
+        assert!(lsp.minimize_counterexamples && lsp.proof_cores);
+        let quiet = ["--no-minimize".to_owned(), "--no-hints".to_owned()];
+        let quiet = lsp_config(&parse("lsp", &quiet, &mut out).unwrap()).verifier;
+        assert!(!quiet.minimize_counterexamples && !quiet.proof_cores);
     }
 
     #[test]
@@ -3055,15 +2846,7 @@ mod tests {
         let dir = temp_corpus("watch-loop");
         let good = dir.join("good.csl");
         let files = vec![good.clone(), dir.join("bad.csl")];
-        let flags = WatchFlags {
-            json: false,
-            interval_ms: 0,
-            once: false,
-            backend: BackendKind::default(),
-            cache_dir: None,
-            paths: vec![],
-        };
-        let mut watcher = Watcher::new(&flags, files);
+        let mut watcher = Watcher::new(&Opts::default(), files);
 
         let mut out = String::new();
         let first = watcher.pass(true, &mut out);

@@ -527,7 +527,7 @@ impl fmt::Debug for Term {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
-                    write!(f, "{a:?}")?;
+                    fmt::Debug::fmt(a, f)?;
                 }
                 f.write_str(")")
             }
@@ -537,7 +537,7 @@ impl fmt::Debug for Term {
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
+        fmt::Debug::fmt(self, f)
     }
 }
 

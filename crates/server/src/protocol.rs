@@ -1092,30 +1092,14 @@ pub struct LogsPage {
     pub last_seq: u64,
 }
 
-/// Renders the `logs` response. `detail` is omitted when empty.
+/// Renders the `logs` response, each event in [`EventRecord`]'s own
+/// encoding.
 pub fn logs_response_json(page: &LogsPage) -> Json {
-    let events = page
-        .events
-        .iter()
-        .map(|r| {
-            let mut fields = vec![
-                ("seq".to_owned(), Json::Num(r.seq as f64)),
-                ("op".to_owned(), Json::str(&r.op)),
-                ("request_id".to_owned(), Json::str(&r.request_id)),
-                ("dur_ns".to_owned(), Json::Num(r.dur_ns as f64)),
-                ("outcome".to_owned(), Json::str(&r.outcome)),
-            ];
-            if !r.detail.is_empty() {
-                fields.push(("detail".to_owned(), Json::str(&r.detail)));
-            }
-            Json::Obj(fields)
-        })
-        .collect();
     Json::obj([
         ("ok", Json::Bool(true)),
         ("dropped", Json::Num(page.dropped as f64)),
         ("last_seq", Json::Num(page.last_seq as f64)),
-        ("events", Json::Arr(events)),
+        ("events", Json::Arr(page.events.iter().map(Json::from).collect())),
     ])
 }
 
@@ -1138,33 +1122,7 @@ pub fn logs_from_json(doc: &Json) -> Result<LogsPage, String> {
         .and_then(Json::as_arr)
         .ok_or("logs response needs an `events` array")?
         .iter()
-        .map(|event| {
-            let num = |key: &str| {
-                event
-                    .get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("log event needs numeric `{key}`"))
-            };
-            let text = |key: &str| {
-                event
-                    .get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_owned)
-                    .ok_or_else(|| format!("log event needs string `{key}`"))
-            };
-            Ok(EventRecord {
-                seq: num("seq")?,
-                op: text("op")?,
-                request_id: text("request_id")?,
-                dur_ns: num("dur_ns")?,
-                outcome: text("outcome")?,
-                detail: event
-                    .get("detail")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_owned(),
-            })
-        })
+        .map(EventRecord::from_json)
         .collect::<Result<Vec<_>, String>>()?;
     Ok(LogsPage {
         events,

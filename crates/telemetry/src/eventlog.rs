@@ -23,6 +23,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use crate::json::Json;
+
 /// One structured event, as appended by a service and read back through
 /// the `logs` protocol op.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,6 +45,54 @@ pub struct EventRecord {
     /// Free-form detail (error message, slow-request aggregates, …);
     /// empty when there is nothing to add.
     pub detail: String,
+}
+
+impl EventRecord {
+    /// Decodes what `Json::from(&record)` renders; a missing `detail` is
+    /// empty.
+    pub fn from_json(doc: &Json) -> Result<EventRecord, String> {
+        let num = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("log event needs numeric `{key}`"))
+        };
+        let text = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("log event needs string `{key}`"))
+        };
+        Ok(EventRecord {
+            seq: num("seq")?,
+            op: text("op")?,
+            request_id: text("request_id")?,
+            dur_ns: num("dur_ns")?,
+            outcome: text("outcome")?,
+            detail: doc
+                .get("detail")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_owned(),
+        })
+    }
+}
+
+impl From<&EventRecord> for Json {
+    /// One object with the record's fields in declaration order; `detail`
+    /// is left out when empty.
+    fn from(r: &EventRecord) -> Json {
+        let mut fields = vec![
+            ("seq", Json::Num(r.seq as f64)),
+            ("op", Json::str(&r.op)),
+            ("request_id", Json::str(&r.request_id)),
+            ("dur_ns", Json::Num(r.dur_ns as f64)),
+            ("outcome", Json::str(&r.outcome)),
+        ];
+        if !r.detail.is_empty() {
+            fields.push(("detail", Json::str(&r.detail)));
+        }
+        Json::obj(fields)
+    }
 }
 
 /// Number of independently locked shards. A small power of two: enough
@@ -252,5 +302,24 @@ mod tests {
             ("verify", "req-7", 1_234_567, "error")
         );
         assert_eq!(r.detail, "bad request: nope");
+    }
+
+    #[test]
+    fn records_round_trip_through_json_and_omit_an_empty_detail() {
+        let log = EventLog::default();
+        log.push("verify", "req-1", 42, "ok", "");
+        log.push("status", "req-2", 7, "error", "bad request: nope");
+        let records = log.since(0);
+        let rendered: Vec<String> = records.iter().map(|r| Json::from(r).to_string()).collect();
+        assert_eq!(
+            rendered[0],
+            r#"{"seq":1,"op":"verify","request_id":"req-1","dur_ns":42,"outcome":"ok"}"#
+        );
+        assert!(rendered[1].ends_with(r#","detail":"bad request: nope"}"#));
+        for (record, line) in records.iter().zip(&rendered) {
+            let back = EventRecord::from_json(&Json::parse(line).unwrap()).unwrap();
+            assert_eq!(&back, record);
+        }
+        assert!(EventRecord::from_json(&Json::parse(r#"{"seq":1}"#).unwrap()).is_err());
     }
 }

@@ -7,8 +7,9 @@
 //! `Workspace::update_document`: every edit misses the program-tier
 //! cache (it is a new revision) but replays all undirtied obligations
 //! from the obligation tier, so only the dirty cone touches the solver.
-//! Reported per workload: the cold-open time, the median per-edit
-//! re-verification time, the reuse split, and the cold/edit speedup.
+//! Reported per workload: the median cold-open time (each open in a
+//! fresh workspace), the median per-edit re-verification time, the reuse
+//! split, and the cold/edit speedup.
 //!
 //! Correctness is pinned before any number is printed: every report —
 //! cold and after each edit — must be byte-identical to cold

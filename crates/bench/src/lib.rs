@@ -321,73 +321,22 @@ pub fn median(samples: &mut [f64]) -> f64 {
 /// — the per-path obligation counts a production verifier sees on real
 /// method bodies, rather than the papers' minimal exhibits. Both verify.
 pub fn scale_programs() -> Vec<commcsl::verifier::AnnotatedProgram> {
-    use commcsl::prelude::{ResourceSpec, Sort, Term, VStmt};
-    use commcsl::pure::{Func, Value};
+    use commcsl::prelude::Term;
+    use commcsl::pure::Func;
 
-    let map_audit = |puts_per_iter: usize, outputs: usize| {
-        let worker = |lo: Term, hi: Term| {
-            let mut body = vec![
-                VStmt::input("adr", Sort::Int, true),
-                VStmt::input("rsn", Sort::Int, false),
-            ];
-            for j in 0..puts_per_iter {
-                // Distinct low keys, high values: every put is its own
-                // precondition obligation under the shared loop facts.
-                body.push(VStmt::atomic(
-                    0,
-                    "Put",
-                    Term::pair(
-                        Term::add(Term::var("adr"), Term::int(j as i64)),
-                        Term::var("rsn"),
-                    ),
-                ));
-            }
-            vec![VStmt::for_range("i", lo, hi, body)]
-        };
-        let mut body = vec![
-            VStmt::input("n", Sort::Int, true),
-            VStmt::Share {
-                resource: 0,
-                init: Term::Lit(Value::map_empty()),
-            },
-            VStmt::Par {
-                workers: vec![
-                    worker(
-                        Term::int(0),
-                        Term::app(Func::Div, [Term::var("n"), Term::int(2)]),
-                    ),
-                    worker(
-                        Term::app(Func::Div, [Term::var("n"), Term::int(2)]),
-                        Term::var("n"),
-                    ),
-                ],
-            },
-            VStmt::Unshare {
-                resource: 0,
-                into: "m".into(),
-            },
-        ];
-        for j in 0..outputs {
-            // Audit outputs over the key-set abstraction, all discharged
-            // against the same unshare facts.
-            body.push(VStmt::Output(Term::app(
-                Func::SetCard,
-                [Term::app(
-                    Func::SetAdd,
-                    [
-                        Term::app(Func::MapDom, [Term::var("m")]),
-                        Term::int(j as i64),
-                    ],
-                )],
-            )));
-        }
-        AnnotatedProgram::new(format!("scale-map-audit-{puts_per_iter}x{outputs}"))
-            .with_resource(ResourceSpec::keyset_map())
-            .with_body(body)
+    // Audit outputs over the key-set abstraction, all discharged against
+    // the same unshare facts.
+    let audit = |j: i64| {
+        let dom = Term::app(Func::MapDom, [Term::var("m")]);
+        Term::app(
+            Func::SetCard,
+            [Term::app(Func::SetAdd, [dom, Term::int(j)])],
+        )
     };
-
-    use commcsl::verifier::AnnotatedProgram;
-    vec![map_audit(6, 6), map_audit(12, 12)]
+    vec![
+        shared_map_program("scale-map-audit", 6, 6, audit),
+        shared_map_program("scale-map-audit", 12, 12, audit),
+    ]
 }
 
 /// The edit-loop stress programs: the same shared-map shape as
@@ -399,60 +348,66 @@ pub fn scale_programs() -> Vec<commcsl::verifier::AnnotatedProgram> {
 /// base-state reuse across *many cheap checks*, `incremental_reverify`
 /// measures skipping *expensive checks* altogether.
 pub fn reverify_programs() -> Vec<commcsl::verifier::AnnotatedProgram> {
+    vec![
+        shared_map_program("scale-map-report", 6, 24, audit_goal),
+        shared_map_program("scale-map-report", 9, 36, audit_goal),
+    ]
+}
+
+/// The shared-map stress shape behind [`scale_programs`] and
+/// [`reverify_programs`], named `{prefix}-{puts_per_iter}x{outputs}`: two
+/// workers split a loop over low `n`, and every iteration puts
+/// `puts_per_iter` distinct low keys with a high value into one
+/// `keyset_map` resource. After the unshare into `m` the program outputs
+/// `output(j)` for every `j < outputs`.
+fn shared_map_program(
+    prefix: &str,
+    puts_per_iter: usize,
+    outputs: usize,
+    output: impl Fn(i64) -> commcsl::prelude::Term,
+) -> commcsl::verifier::AnnotatedProgram {
     use commcsl::prelude::{ResourceSpec, Sort, Term, VStmt};
     use commcsl::pure::{Func, Value};
     use commcsl::verifier::AnnotatedProgram;
 
-    let map_report = |puts_per_iter: usize, outputs: usize| {
-        let worker = |lo: Term, hi: Term| {
-            let mut body = vec![
-                VStmt::input("adr", Sort::Int, true),
-                VStmt::input("rsn", Sort::Int, false),
-            ];
-            for j in 0..puts_per_iter {
-                body.push(VStmt::atomic(
-                    0,
-                    "Put",
-                    Term::pair(
-                        Term::add(Term::var("adr"), Term::int(j as i64)),
-                        Term::var("rsn"),
-                    ),
-                ));
-            }
-            vec![VStmt::for_range("i", lo, hi, body)]
-        };
+    let worker = |lo: Term, hi: Term| {
         let mut body = vec![
-            VStmt::input("n", Sort::Int, true),
-            VStmt::Share {
-                resource: 0,
-                init: Term::Lit(Value::map_empty()),
-            },
-            VStmt::Par {
-                workers: vec![
-                    worker(
-                        Term::int(0),
-                        Term::app(Func::Div, [Term::var("n"), Term::int(2)]),
-                    ),
-                    worker(
-                        Term::app(Func::Div, [Term::var("n"), Term::int(2)]),
-                        Term::var("n"),
-                    ),
-                ],
-            },
-            VStmt::Unshare {
-                resource: 0,
-                into: "m".into(),
-            },
+            VStmt::input("adr", Sort::Int, true),
+            VStmt::input("rsn", Sort::Int, false),
         ];
-        for j in 0..outputs {
-            body.push(VStmt::Output(audit_goal(j as i64)));
+        for j in 0..puts_per_iter {
+            // Distinct low keys, high values: every put is its own
+            // precondition obligation under the shared loop facts.
+            body.push(VStmt::atomic(
+                0,
+                "Put",
+                Term::pair(
+                    Term::add(Term::var("adr"), Term::int(j as i64)),
+                    Term::var("rsn"),
+                ),
+            ));
         }
-        AnnotatedProgram::new(format!("scale-map-report-{puts_per_iter}x{outputs}"))
-            .with_resource(ResourceSpec::keyset_map())
-            .with_body(body)
+        vec![VStmt::for_range("i", lo, hi, body)]
     };
-
-    vec![map_report(6, 24), map_report(9, 36)]
+    let half = || Term::app(Func::Div, [Term::var("n"), Term::int(2)]);
+    let mut body = vec![
+        VStmt::input("n", Sort::Int, true),
+        VStmt::Share {
+            resource: 0,
+            init: Term::Lit(Value::map_empty()),
+        },
+        VStmt::Par {
+            workers: vec![worker(Term::int(0), half()), worker(half(), Term::var("n"))],
+        },
+        VStmt::Unshare {
+            resource: 0,
+            into: "m".into(),
+        },
+    ];
+    body.extend((0..outputs).map(|j| VStmt::Output(output(j as i64))));
+    AnnotatedProgram::new(format!("{prefix}-{puts_per_iter}x{outputs}"))
+        .with_resource(ResourceSpec::keyset_map())
+        .with_body(body)
 }
 
 /// The `j`-th audit output of a [`reverify_programs`] workload: a
@@ -523,7 +478,7 @@ pub fn replay_trace(
 /// corpus — the 18 fixtures, the rejected variants, and the stress
 /// programs.
 pub fn incremental_bench(runs: u32, top: usize) -> IncrementalBench {
-    use commcsl::prelude::BackendKind;
+    use commcsl::prelude::{BackendKind, VerifierConfig};
     use commcsl::verifier::{solver_trace, SolverEvent};
     use std::time::Instant;
 
@@ -533,11 +488,18 @@ pub fn incremental_bench(runs: u32, top: usize) -> IncrementalBench {
     let stress = scale_programs();
 
     // Correctness first: byte-identical reports across backends and the
-    // legacy shim, over every program in the corpus.
-    let fresh = Verifier::new().with_backend(BackendKind::Fresh).with_threads(1);
-    let incremental = Verifier::new()
-        .with_backend(BackendKind::Incremental)
-        .with_threads(1);
+    // legacy shim, over every program in the corpus. Each verifier runs
+    // its backend for program obligations and spec validity alike.
+    let on_backend = |backend| {
+        let mut config = VerifierConfig {
+            backend,
+            ..VerifierConfig::default()
+        };
+        config.validity.backend = backend;
+        Verifier::new().with_config(config).with_threads(1)
+    };
+    let fresh = on_backend(BackendKind::Fresh);
+    let incremental = on_backend(BackendKind::Incremental);
     let mut identical = true;
     for program in fixtures
         .iter()
@@ -630,8 +592,8 @@ pub fn incremental_json(run: &IncrementalBench, runs: u32) -> String {
 // --------------------------------------------- incremental re-verification
 
 /// One workload of the edit-loop benchmark: a [`reverify_programs`]
-/// stress program opened cold in a
-/// [`Workspace`](commcsl::verifier::workspace::Workspace), then
+/// stress program opened cold in fresh
+/// [`Workspace`](commcsl::verifier::workspace::Workspace)s, then
 /// re-verified after a sequence of single-statement edits.
 #[derive(Debug, Clone)]
 pub struct ReverifyRow {
@@ -639,7 +601,8 @@ pub struct ReverifyRow {
     pub example: String,
     /// Proof obligations per revision.
     pub obligations: usize,
-    /// Wall-clock ms for the cold open (empty caches).
+    /// Median wall-clock ms of a cold open (a fresh workspace each, so
+    /// empty caches).
     pub cold_ms: f64,
     /// Median wall-clock ms per single-statement edit re-verification.
     pub edit_ms: f64,
@@ -687,11 +650,13 @@ fn edit_last_output(
 }
 
 /// Benchmarks the workspace edit loop on the [`reverify_programs`]
-/// (`scale-map-report-*`): one cold `open_document`, then `edits`
-/// single-statement edits pushed through
-/// `update_document`, each re-discharging only the dirty obligation cone.
-/// Byte-identity of every report against cold whole-program verification
-/// is pinned before any number is reported.
+/// (`scale-map-report-*`): `edits` single-statement edits pushed through
+/// one document's `update_document`, each re-discharging only the dirty
+/// obligation cone, against `edits` cold `open_document`s, each in a
+/// fresh workspace and interleaved with the edits. Both sides are
+/// medians, so the ratio rests on no single sample such as the first
+/// verify of the process. Byte-identity of every report against cold
+/// whole-program verification is pinned before any number is reported.
 pub fn reverify_bench(edits: u32) -> ReverifyBench {
     use commcsl::verifier::verify;
     use commcsl::verifier::workspace::{Workspace, WorkspaceConfig};
@@ -701,31 +666,39 @@ pub fn reverify_bench(edits: u32) -> ReverifyBench {
     let mut rows = Vec::new();
     let mut identical = true;
     for program in reverify_programs() {
+        // The document every edit goes to.
         let mut ws = Workspace::new(WorkspaceConfig::default());
-        let started = Instant::now();
-        let cold = ws.open_document("bench.csl", &program);
-        let cold_ms = started.elapsed().as_secs_f64() * 1000.0;
-        identical &= cold.report.to_json() == verify(&program, ws.config()).to_json();
+        let opened = ws.open_document("bench.csl", &program);
+        identical &= opened.report.to_json() == verify(&program, ws.config()).to_json();
 
+        let mut cold_samples = Vec::with_capacity(edits as usize);
         let mut edit_samples = Vec::with_capacity(edits as usize);
         let (mut reused, mut checked) = (0, 0);
         for k in 1..=edits {
+            // One cold open in a fresh workspace per edit, interleaved so
+            // that drift within the process moves both sides of the ratio.
+            let mut fresh = Workspace::new(WorkspaceConfig::default());
+            let started = Instant::now();
+            let cold = fresh.open_document("bench.csl", &program);
+            cold_samples.push(started.elapsed().as_secs_f64() * 1000.0);
+            identical &= cold.report.to_json() == opened.report.to_json();
+            drop(fresh);
+
             let edited = edit_last_output(&program, i64::from(k));
             let started = Instant::now();
             let outcome = ws
                 .update_document("bench.csl", &edited)
                 .expect("document is open");
             edit_samples.push(started.elapsed().as_secs_f64() * 1000.0);
-            identical &=
-                outcome.report.to_json() == verify(&edited, ws.config()).to_json();
+            identical &= outcome.report.to_json() == verify(&edited, ws.config()).to_json();
             identical &= !outcome.report_cached; // every edit is a new revision
             reused = outcome.obligations.reused;
             checked = outcome.obligations.checked;
         }
         rows.push(ReverifyRow {
             example: program.name.clone(),
-            obligations: cold.obligations.total,
-            cold_ms,
+            obligations: opened.obligations.total,
+            cold_ms: median(&mut cold_samples),
             edit_ms: median(&mut edit_samples),
             reused,
             checked,

@@ -223,7 +223,6 @@ impl Endpoint for ShardPool {
         let sum = |f: &dyn Fn(&StatusInfo) -> u64| -> u64 { shard_statuses.iter().map(f).sum() };
         let first = shard_statuses.first().cloned().unwrap_or_default();
         StatusInfo {
-            backend: first.backend,
             threads: first.threads,
             remote: first.remote,
             programs: sum(&|s| s.programs),

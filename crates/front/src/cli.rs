@@ -55,7 +55,7 @@ use commcsl_server::client::{connect_or_start, Client};
 use commcsl_server::daemon::{Server, ServerConfig};
 use commcsl_server::json::Json;
 use commcsl_server::protocol::{StatusInfo, VerifyItem};
-use commcsl_smt::{BackendKind, SessionStats};
+use commcsl_smt::SessionStats;
 use commcsl_telemetry::export::{
     attributed_ns, by_label, chrome_trace, folded_stacks, FoldedWeight,
 };
@@ -235,15 +235,8 @@ const OPTIONS: &[Opt] = &[
           help: "required verdict for exit code 0\n(default: verified)" },
     Opt { flag: "--fail-fast", value: Value::Absent(|o| o.fail_fast = true), commands: &["verify"],
           help: "stop dispatching programs after the first\n\
-                 failing one; the rest report as skipped" },
-    Opt { flag: "--backend", value: Value::Word(&["fresh", "incremental"], |o, w| {
-              o.backend = BackendKind::from_name(w).expect("the row lists backend names")
-          }),
-          commands: &["verify", "profile", "watch", "lsp"],
-          help: "solver backend of program obligations and\n\
-                 spec validity (default: incremental; both\n\
-                 are sound and pinned verdict-identical on\n\
-                 the corpus)" },
+                 failing one; the rest report as skipped\n\
+                 (refused with --expect rejected)" },
     Opt { flag: "--daemon", value: Value::Absent(|o| o.daemon = true), commands: &["verify"],
           help: "verify through the persistent daemon\n\
                  (starts one on demand; falls back to\n\
@@ -381,7 +374,6 @@ struct Opts {
     json: bool,
     expect: Expect,
     fail_fast: bool,
-    backend: BackendKind,
     daemon: bool,
     no_start: bool,
     /// The daemon's Unix socket; `<cache-dir>/commcsl.sock` when unset.
@@ -515,17 +507,13 @@ impl Opts {
 }
 
 /// The verifier configuration of `verify`, `profile`, `watch` and `lsp`:
-/// `--backend` selects the solver backend of program obligations and of
-/// spec validity alike, and `--explain` turns on both explanation knobs.
+/// the default, with both explanation knobs on under `--explain`.
 fn verifier_config(opts: &Opts) -> VerifierConfig {
-    let mut config = VerifierConfig {
-        backend: opts.backend,
+    VerifierConfig {
         minimize_counterexamples: opts.explain,
         proof_cores: opts.explain,
         ..VerifierConfig::default()
-    };
-    config.validity.backend = opts.backend;
-    config
+    }
 }
 
 /// The workspace session of `watch`: [`verifier_config`], cached in
@@ -610,6 +598,14 @@ fn run_verify(opts: Opts, out: &mut String) -> Run {
             "--explain toggles in-process verifier knobs (proof \
              cores, counterexample minimization) and cannot be combined \
              with --daemon: the daemon verifies under its own configuration",
+        ));
+    }
+    if opts.fail_fast && opts.expect == Expect::Rejected {
+        return Err(fail(
+            out,
+            "--fail-fast stops at the first program that fails \
+             verification, which under --expect rejected is the first \
+             expected verdict; the two cannot be combined",
         ));
     }
     // Every file is read up front; unreadable files are hard errors either way.
@@ -1624,7 +1620,7 @@ fn run_daemon(opts: Opts, out: &mut String) -> Run {
 fn render_status(status: &StatusInfo, endpoint: &str, out: &mut String) {
     let _ = writeln!(
         out,
-        "daemon v{} (format v{}, protocol v{}, backend {}) \
+        "daemon v{} (format v{}, protocol v{}) \
          up {:.1}s on {}\n\
          requests: {}  programs: {}  open documents: {}\n\
          cache: {} memory + {} disk hits, {} misses \
@@ -1635,7 +1631,6 @@ fn render_status(status: &StatusInfo, endpoint: &str, out: &mut String) {
         status.version,
         status.format_version,
         status.protocol_version,
-        status.backend,
         status.uptime_ms / 1000.0,
         endpoint,
         status.requests,
@@ -2265,10 +2260,6 @@ mod tests {
                 &["lint", "--deny", "errors", "x.csl"],
                 "commcsl: --deny needs `warnings`, got `errors`\n",
             ),
-            (
-                &["lsp", "--backend", "z3"],
-                "commcsl: --backend needs `fresh` or `incremental`, got `z3`\n",
-            ),
         ] {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
             let mut out = String::new();
@@ -2277,19 +2268,15 @@ mod tests {
         }
     }
 
-    /// `--backend` selects the backend of spec validity as well as of
-    /// program obligations, in `watch` and in `lsp`, whose explanation
-    /// knobs stay on by default.
+    /// `lsp` keeps both explanation knobs on unless they are switched
+    /// off; `watch` leaves them off.
     #[test]
-    fn backend_reaches_spec_validity_in_watch_and_lsp() {
-        let args = ["--backend".to_owned(), "fresh".to_owned()];
+    fn lsp_explanation_knobs_are_on_unless_switched_off() {
         let mut out = String::new();
-        let watcher = Watcher::new(&parse("watch", &args, &mut out).unwrap(), Vec::new());
-        let lsp = lsp_config(&parse("lsp", &args, &mut out).unwrap()).verifier;
-        for config in [watcher.workspace.config(), &lsp] {
-            assert_eq!(config.backend, BackendKind::Fresh);
-            assert_eq!(config.validity.backend, BackendKind::Fresh);
-        }
+        let watcher = Watcher::new(&parse("watch", &[], &mut out).unwrap(), Vec::new());
+        let watch = watcher.workspace.config();
+        assert!(!watch.minimize_counterexamples && !watch.proof_cores);
+        let lsp = lsp_config(&parse("lsp", &[], &mut out).unwrap()).verifier;
         assert!(lsp.minimize_counterexamples && lsp.proof_cores);
         let quiet = ["--no-minimize".to_owned(), "--no-hints".to_owned()];
         let quiet = lsp_config(&parse("lsp", &quiet, &mut out).unwrap()).verifier;
@@ -2315,6 +2302,24 @@ mod tests {
             run(&["verify".into(), "--socket".into()], &mut out),
             EXIT_ERROR
         );
+        // Under --expect rejected, --fail-fast would stop at the first
+        // *expected* verdict: the pair is refused before any file is
+        // read, in-process and through the daemon alike.
+        for daemon in [None, Some("--daemon")] {
+            let args: Vec<String> = ["verify", "--expect", "rejected", "--fail-fast"]
+                .into_iter()
+                .chain(daemon)
+                .chain(["/nonexistent/x.csl"])
+                .map(String::from)
+                .collect();
+            let mut out = String::new();
+            assert_eq!(run(&args, &mut out), EXIT_ERROR, "{args:?}");
+            assert!(
+                out.starts_with("commcsl: --fail-fast") && out.contains("--expect rejected"),
+                "{args:?}: {out}"
+            );
+            assert!(!out.contains("nonexistent"), "{args:?}: {out}");
+        }
     }
 
     fn temp_corpus(tag: &str) -> PathBuf {
@@ -2438,8 +2443,6 @@ mod tests {
         let mut out = String::new();
         assert_eq!(run(&["lsp".into(), "--bogus".into()], &mut out), EXIT_ERROR);
         assert!(out.contains("unknown lsp option"), "{out}");
-        let mut out = String::new();
-        assert_eq!(run(&["lsp".into(), "--backend".into()], &mut out), EXIT_ERROR);
         let mut out = String::new();
         assert_eq!(run(&["lsp".into(), "--cache-dir".into()], &mut out), EXIT_ERROR);
     }
@@ -2718,7 +2721,7 @@ mod tests {
     }
 
     #[test]
-    fn fail_fast_skips_and_backend_selects() {
+    fn fail_fast_skips_later_programs() {
         let dir = temp_corpus("failfast");
         // Alphabetical dispatch order: bad.csl (fails) before good.csl.
         let mut out = String::new();
@@ -2752,34 +2755,32 @@ mod tests {
         assert_eq!(code, EXIT_MISMATCH);
         assert!(out.contains("\"skipped\":true"), "{out}");
 
-        // Both backends accept and agree; unknown names are usage errors.
-        for backend in ["fresh", "incremental"] {
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The solver backend is no command-line choice: every command that
+    /// took `--backend` refuses it as unknown and prints the usage, and
+    /// `help` names no such flag.
+    #[test]
+    fn backend_is_no_option_of_any_command() {
+        assert!(!usage().contains("--backend"));
+        for args in [
+            &["verify", "--backend", "fresh", "x.csl"][..],
+            &["verify", "--daemon", "--backend", "fresh", "x.csl"],
+            &["profile", "--backend", "fresh", "x.csl"],
+            &["watch", "--backend", "fresh", "x.csl"],
+            &["lsp", "--backend", "fresh"],
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
             let mut out = String::new();
-            assert_eq!(
-                run(
-                    &[
-                        "verify".into(),
-                        "--backend".into(),
-                        backend.into(),
-                        dir.join("good.csl").display().to_string(),
-                    ],
-                    &mut out
-                ),
-                EXIT_OK,
-                "{backend}: {out}"
+            assert_eq!(run(&args, &mut out), EXIT_ERROR, "{args:?}");
+            let unknown = format!("commcsl: unknown {} option `--backend`\n", args[0]);
+            assert!(out.starts_with(&unknown), "{args:?}: {out}");
+            assert!(
+                out.contains("\noptions (verify):\n"),
+                "usage follows: {out}"
             );
         }
-        let mut out = String::new();
-        assert_eq!(
-            run(
-                &["verify".into(), "--backend".into(), "z3".into(), "x.csl".into()],
-                &mut out
-            ),
-            EXIT_ERROR
-        );
-        assert!(out.contains("--backend needs"));
-
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -489,7 +489,6 @@ impl Endpoint for Server {
             (cache.stats(), cache.memory_len(), cache.remote_endpoint())
         };
         StatusInfo {
-            backend: self.verifier.config().backend.name().to_owned(),
             programs: self.programs.load(Ordering::Relaxed),
             documents: self.documents.load(Ordering::Relaxed).max(0) as u64,
             memory_hits: cache.memory_hits,

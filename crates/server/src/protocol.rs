@@ -718,9 +718,6 @@ pub struct StatusInfo {
     pub format_version: u64,
     /// Newest protocol version the daemon speaks ([`PROTOCOL_VERSION`]).
     pub protocol_version: u64,
-    /// Solver backend discharging obligations (`"incremental"` /
-    /// `"fresh"`).
-    pub backend: String,
     /// Milliseconds since the daemon started.
     pub uptime_ms: f64,
     /// Unix epoch milliseconds at which the daemon started (0 when the
@@ -860,7 +857,6 @@ impl StatusInfo {
                 "protocol_version",
                 Json::Num(self.protocol_version as f64),
             ),
-            ("backend", Json::str(&self.backend)),
             ("uptime_ms", Json::Num(self.uptime_ms)),
             (
                 "started_at_unix_ms",
@@ -935,7 +931,7 @@ impl StatusInfo {
     }
 
     /// Parses a `status` response document. Fields added by protocol v2
-    /// (`protocol_version`, `backend`, `documents`, `obligation_*`) and
+    /// (`protocol_version`, `documents`, `obligation_*`) and
     /// by the telemetry pass (`bytes_streamed`) default when absent, so a
     /// v2 client can still read an older daemon's status (and report its
     /// version mismatch cleanly).
@@ -967,11 +963,6 @@ impl StatusInfo {
                 .to_owned(),
             format_version: num("format_version")?,
             protocol_version: opt_num("protocol_version").max(1),
-            backend: doc
-                .get("backend")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
             uptime_ms: doc
                 .get("uptime_ms")
                 .and_then(Json::as_num)
@@ -1832,7 +1823,6 @@ mod tests {
             version: "0.1.0".into(),
             format_version: 1,
             protocol_version: 2,
-            backend: "incremental".into(),
             uptime_ms: 12.5,
             started_at_unix_ms: 1_700_000_000_123,
             requests: 4,
@@ -1908,7 +1898,7 @@ mod tests {
 
     #[test]
     fn status_tolerates_v1_documents_without_v2_fields() {
-        // A v1 daemon's status lacks protocol_version/backend/documents/
+        // A v1 daemon's status lacks protocol_version/documents/
         // obligation counters: parsing must still succeed with defaults,
         // so the CLI's version handshake can report the mismatch.
         let line = "{\"ok\":true,\"version\":\"0.0.9\",\"format_version\":2,\
@@ -1918,7 +1908,6 @@ mod tests {
                     \"hit_rate\":0}";
         let back = StatusInfo::from_json(&Json::parse(line).unwrap()).unwrap();
         assert_eq!(back.protocol_version, 1);
-        assert_eq!(back.backend, "");
         assert_eq!(back.obligation_hits, 0);
         assert_eq!(back.bytes_streamed, 0);
         // Service-observability fields are newer still: absent from both

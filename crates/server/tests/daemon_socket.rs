@@ -299,7 +299,6 @@ fn concurrent_sessions_edit_different_documents_interleaved() {
 
         let status = alice.status().expect("status");
         assert_eq!(status.protocol_version, 2);
-        assert_eq!(status.backend, "incremental");
         assert_eq!(status.documents, 3);
         assert!(status.obligation_hits > 0, "{status:?}");
 

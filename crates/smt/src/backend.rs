@@ -1,4 +1,4 @@
-//! Pluggable solver backends with incremental check sessions.
+//! Solver backends with incremental check sessions.
 //!
 //! [`Solver::check_valid`](crate::Solver::check_valid) is stateless: every
 //! query rebuilds congruence and linear-arithmetic state from the full
@@ -10,14 +10,12 @@
 //! * [`SolverSession`] — the incremental interface:
 //!   `push`/`pop` scopes, `assert` facts, `check` goals, with
 //!   [`SessionStats`] telemetry (query counts, wall-clock time).
-//! * [`SolverBackend`] — a factory for sessions plus a static
-//!   [`BackendInfo`] capability record, so new engines (an external SMT
-//!   process, a portfolio, …) can be plugged in without touching callers.
-//! * [`BackendKind`] — the serializable choice between the built-in
-//!   backends; it is a *verdict-relevant configuration knob* and is folded
-//!   into the verifier's content hash.
+//! * [`BackendKind`] — the serializable choice between the two engines,
+//!   and the only way to open a session. It is a *verdict-relevant
+//!   configuration field* and is folded into the verifier's content
+//!   hash.
 //!
-//! Two built-in backends exist:
+//! Two backends exist:
 //!
 //! * [`BackendKind::Fresh`] replays the legacy behavior exactly: `check`
 //!   calls [`Solver::check_valid`](crate::Solver::check_valid) with the
@@ -77,15 +75,6 @@ use commcsl_pure::Term;
 
 use crate::congruence::Congruence;
 use crate::solver::{Saturation, Solver, SolverConfig, Verdict};
-
-/// Static description of a backend's capabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendInfo {
-    /// Stable backend name (also the config-file / CLI spelling).
-    pub name: &'static str,
-    /// Whether assert/check state is genuinely reused across checks.
-    pub incremental: bool,
-}
 
 /// Cumulative telemetry for one session.
 ///
@@ -181,23 +170,12 @@ pub trait SolverSession: fmt::Debug {
     fn stats(&self) -> SessionStats;
 }
 
-/// A factory for [`SolverSession`]s.
+/// The serializable choice between the two backends.
 ///
-/// Implement this to plug a new engine into the verifier; the built-in
-/// implementations are [`FreshBackend`] and [`IncrementalBackend`].
-pub trait SolverBackend: fmt::Debug + Send + Sync {
-    /// Capability record.
-    fn info(&self) -> BackendInfo;
-    /// Opens a fresh session with the given budgets.
-    fn open_session(&self, config: SolverConfig) -> Box<dyn SolverSession>;
-}
-
-/// The serializable choice between the built-in backends.
-///
-/// This is the knob carried by verifier configurations: it must be
-/// `Copy`, comparable, and stably hashable, because a backend change is a
-/// *cache-address* change (verdicts produced by different backends are
-/// never allowed to shadow each other).
+/// Verifier configurations carry it: it must be `Copy`, comparable, and
+/// stably hashable, because a backend change is a *cache-address* change
+/// (verdicts produced by different backends are never allowed to shadow
+/// each other).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum BackendKind {
     /// Stateless legacy engine: every check rebuilds from scratch.
@@ -208,7 +186,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// All built-in kinds.
+    /// Both kinds.
     pub const ALL: [BackendKind; 2] = [BackendKind::Fresh, BackendKind::Incremental];
 
     /// The stable name (`"fresh"` / `"incremental"`).
@@ -219,22 +197,26 @@ impl BackendKind {
         }
     }
 
-    /// Parses a stable name back into a kind.
-    pub fn from_name(name: &str) -> Option<BackendKind> {
-        BackendKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// The backend singleton for this kind.
-    pub fn backend(self) -> &'static dyn SolverBackend {
-        match self {
-            BackendKind::Fresh => &FreshBackend,
-            BackendKind::Incremental => &IncrementalBackend,
-        }
-    }
-
-    /// Opens a session on this kind's backend.
+    /// Opens a session on this kind's backend with the given budgets.
     pub fn open_session(self, config: SolverConfig) -> Box<dyn SolverSession> {
-        self.backend().open_session(config)
+        let solver = Solver::with_config(config);
+        match self {
+            BackendKind::Fresh => Box::new(FreshSession {
+                solver,
+                facts: Vec::new(),
+                marks: Vec::new(),
+                stats: SessionStats::default(),
+            }),
+            BackendKind::Incremental => Box::new(IncrementalSession {
+                solver,
+                cc: Congruence::new(),
+                base_lits: Vec::new(),
+                pending: Vec::new(),
+                frames: Vec::new(),
+                contradictory: false,
+                stats: SessionStats::default(),
+            }),
+        }
     }
 }
 
@@ -246,30 +228,9 @@ impl fmt::Display for BackendKind {
 
 // ------------------------------------------------------------------- fresh
 
-/// The stateless backend: sessions merely accumulate facts and call
-/// [`Solver::check_valid`] per goal, reproducing the legacy free-function
-/// path bit for bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FreshBackend;
-
-impl SolverBackend for FreshBackend {
-    fn info(&self) -> BackendInfo {
-        BackendInfo {
-            name: "fresh",
-            incremental: false,
-        }
-    }
-
-    fn open_session(&self, config: SolverConfig) -> Box<dyn SolverSession> {
-        Box::new(FreshSession {
-            solver: Solver::with_config(config),
-            facts: Vec::new(),
-            marks: Vec::new(),
-            stats: SessionStats::default(),
-        })
-    }
-}
-
+/// The stateless backend's session: it merely accumulates facts and
+/// calls [`Solver::check_valid`] per goal, reproducing the legacy
+/// free-function path bit for bit.
 #[derive(Debug)]
 struct FreshSession {
     solver: Solver,
@@ -341,8 +302,9 @@ impl SolverSession for FreshSession {
 
 // ------------------------------------------------------------- incremental
 
-/// The incremental backend: per-scope saturated fact state shared across
-/// checks, on a persistent *backtrackable* congruence closure.
+/// The incremental backend's session: per-scope saturated fact state
+/// shared across checks, on a persistent *backtrackable* congruence
+/// closure.
 ///
 /// The session's asset is its **saturated base**: every asserted fact is
 /// normalized, flattened, and asserted into the closure exactly once per
@@ -355,38 +317,6 @@ impl SolverSession for FreshSession {
 /// linear-arithmetic and case-split phases, and rolls the goal-local
 /// mutations back, so checks never perturb the asserted state. All
 /// fixpoint loops stop at the first provably quiescent round.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IncrementalBackend;
-
-impl SolverBackend for IncrementalBackend {
-    fn info(&self) -> BackendInfo {
-        BackendInfo {
-            name: "incremental",
-            incremental: true,
-        }
-    }
-
-    fn open_session(&self, config: SolverConfig) -> Box<dyn SolverSession> {
-        Box::new(IncrementalSession {
-            solver: Solver::with_config(config),
-            cc: Congruence::new(),
-            base_lits: Vec::new(),
-            pending: Vec::new(),
-            frames: Vec::new(),
-            contradictory: false,
-            stats: SessionStats::default(),
-        })
-    }
-}
-
-/// A scope boundary: the session state to restore at `pop`.
-#[derive(Debug)]
-struct FrameMark {
-    snapshot: crate::congruence::CongruenceSnapshot,
-    base_len: usize,
-    contradictory: bool,
-}
-
 #[derive(Debug)]
 struct IncrementalSession {
     solver: Solver,
@@ -402,6 +332,14 @@ struct IncrementalSession {
     frames: Vec<FrameMark>,
     contradictory: bool,
     stats: SessionStats,
+}
+
+/// A scope boundary: the session state to restore at `pop`.
+#[derive(Debug)]
+struct FrameMark {
+    snapshot: crate::congruence::CongruenceSnapshot,
+    base_len: usize,
+    contradictory: bool,
 }
 
 impl IncrementalSession {
@@ -526,16 +464,15 @@ mod tests {
         kind.open_session(SolverConfig::default())
     }
 
+    /// The names are hashed into every cache key, so they must not move.
     #[test]
-    fn backend_kind_names_roundtrip() {
+    fn backend_kind_names_are_stable() {
+        let names = BackendKind::ALL.map(BackendKind::name);
+        assert_eq!(names, ["fresh", "incremental"]);
         for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.backend().info().name, kind.name());
+            assert_eq!(kind.to_string(), kind.name());
         }
-        assert_eq!(BackendKind::from_name("z3"), None);
         assert_eq!(BackendKind::default(), BackendKind::Incremental);
-        assert!(IncrementalBackend.info().incremental);
-        assert!(!FreshBackend.info().incremental);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!    conditions and disjunctions with a bounded budget.
 //! 5. **Falsification** ([`falsify`]) — randomized and bounded-exhaustive
 //!    countermodel search by ground evaluation.
-//! 6. **Backends** ([`backend`]) — the pluggable incremental-session seam
-//!    ([`SolverSession`]: `push`/`pop`/`assert`/`check`), with the
-//!    stateless `fresh` engine and the default `incremental` engine that
-//!    keeps per-scope state on a backtrackable congruence closure.
+//! 6. **Backends** ([`backend`]) — the incremental-session seam
+//!    ([`SolverSession`]: `push`/`pop`/`assert`/`check`), opened by
+//!    [`BackendKind`] on the stateless `fresh` engine or the default
+//!    `incremental` engine that keeps per-scope state on a backtrackable
+//!    congruence closure.
 //! 7. **Assumption tracking** ([`assume`]) — recovers, for a proved
 //!    entailment, a sound over-approximation of the hypotheses the
 //!    refutation can have used (the verifier's proof cores).
@@ -58,8 +59,5 @@ pub mod solver;
 mod union_find;
 
 pub use assume::assumption_core;
-pub use backend::{
-    BackendInfo, BackendKind, FreshBackend, IncrementalBackend, SessionStats, SolverBackend,
-    SolverSession,
-};
+pub use backend::{BackendKind, SessionStats, SolverSession};
 pub use solver::{Solver, SolverConfig, Verdict};

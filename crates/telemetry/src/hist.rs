@@ -1,5 +1,4 @@
-//! Log-linear latency histograms and the process-global histogram
-//! registry.
+//! Log-linear latency histograms.
 //!
 //! A [`Histogram`] summarises a stream of `u64` samples (the workspace
 //! records **nanoseconds**) in log-linear buckets: values below
@@ -19,20 +18,6 @@
 //! the recorded multiset — byte-identical across runs that record the
 //! same values in any order, which is what the loadgen determinism test
 //! pins.
-//!
-//! Next to the capture-scoped counter registry in the crate root, this
-//! module keeps a **process-global histogram registry**
-//! ([`histogram_record`] / [`histogram_snapshot`] / [`histogram_reset`]).
-//! Unlike counters it is *always on*: long-lived services record
-//! latency samples unconditionally, not only while a profiling capture
-//! is armed. (The daemon additionally keeps per-server `Histogram`
-//! instances so that several servers in one process — the test suite —
-//! do not mix their samples; the global registry serves single-service
-//! processes and ad-hoc instrumentation.)
-
-use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
 
 use crate::json::Json;
 
@@ -353,46 +338,6 @@ impl From<&Histogram> for Json {
     }
 }
 
-/// The process-global histogram registry. Always on (unlike the
-/// capture-scoped counters): services record latency unconditionally.
-static HISTOGRAMS: Mutex<BTreeMap<String, Histogram>> = Mutex::new(BTreeMap::new());
-
-/// Records one sample into the process-global histogram `name`.
-pub fn histogram_record(name: &str, value: u64) {
-    let mut map = HISTOGRAMS.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(h) = map.get_mut(name) {
-        h.record(value);
-    } else {
-        let mut h = Histogram::new();
-        h.record(value);
-        map.insert(name.to_owned(), h);
-    }
-}
-
-/// Records `elapsed` (in nanoseconds) into the process-global histogram
-/// `name`.
-pub fn histogram_record_duration(name: &str, elapsed: Duration) {
-    histogram_record(
-        name,
-        u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-    );
-}
-
-/// A point-in-time copy of every process-global histogram, sorted by
-/// name.
-pub fn histogram_snapshot() -> Vec<(String, Histogram)> {
-    let map = HISTOGRAMS.lock().unwrap_or_else(PoisonError::into_inner);
-    map.iter().map(|(n, h)| (n.clone(), h.clone())).collect()
-}
-
-/// Clears the process-global histogram registry (tests, restarts).
-pub fn histogram_reset() {
-    HISTOGRAMS
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,47 +515,5 @@ mod tests {
             Histogram::from_parts(10, 5, 9, &[(5, 2)]).is_err(),
             "max outside its bucket"
         );
-    }
-
-    // The registry is process-global, so tests that touch it must not run
-    // concurrently with each other.
-    static GLOBAL: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn global_registry_records_and_resets() {
-        let _guard = GLOBAL.lock().unwrap();
-        // Use a name no other test touches; the registry is process-global.
-        histogram_reset();
-        histogram_record("test.hist.registry", 10);
-        histogram_record_duration("test.hist.registry", Duration::from_nanos(20));
-        let snap = histogram_snapshot();
-        let (name, h) = snap
-            .iter()
-            .find(|(n, _)| n == "test.hist.registry")
-            .expect("registered");
-        assert_eq!(name, "test.hist.registry");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 30);
-        histogram_reset();
-        assert!(histogram_snapshot().is_empty());
-    }
-
-    #[test]
-    fn a_poisoned_registry_still_records() {
-        let _guard = GLOBAL.lock().unwrap();
-        let _ = std::panic::catch_unwind(|| {
-            let _held = HISTOGRAMS.lock().unwrap_or_else(PoisonError::into_inner);
-            panic!("poisoning the histogram registry");
-        });
-        assert!(HISTOGRAMS.is_poisoned());
-        histogram_reset();
-        histogram_record("test.hist.poisoned", 7);
-        let snap = histogram_snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(
-            (snap[0].0.as_str(), snap[0].1.count()),
-            ("test.hist.poisoned", 1)
-        );
-        histogram_reset();
     }
 }

@@ -33,8 +33,7 @@
 //!
 //! * [`hist`] — log-linear latency [`hist::Histogram`]s (record /
 //!   merge / quantile with a ~3.1% bounded relative error and a
-//!   canonical JSON form) plus a process-global histogram registry
-//!   next to the counter registry.
+//!   canonical JSON form).
 //! * [`eventlog`] — a bounded, lock-sharded ring-buffer
 //!   [`eventlog::EventLog`] of structured per-request records
 //!   (monotonic sequence number, op, request id, duration, outcome)
@@ -89,9 +88,7 @@ pub mod hist;
 pub mod json;
 
 pub use eventlog::{EventLog, EventRecord};
-pub use hist::{
-    histogram_record, histogram_record_duration, histogram_reset, histogram_snapshot, Histogram,
-};
+pub use hist::Histogram;
 pub use json::Json;
 
 use std::cell::RefCell;

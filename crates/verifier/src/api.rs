@@ -10,10 +10,8 @@
 //! use commcsl_verifier::api::Verifier;
 //! use commcsl_verifier::program::{AnnotatedProgram, VStmt};
 //! use commcsl_pure::{Sort, Term};
-//! use commcsl_smt::BackendKind;
 //!
 //! let verifier = Verifier::new()
-//!     .with_backend(BackendKind::Incremental)
 //!     .with_threads(2)
 //!     .with_fail_fast(false);
 //! let program = AnnotatedProgram::new("ok").with_body([
@@ -39,7 +37,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use commcsl_smt::{BackendKind, SessionStats};
+use commcsl_smt::SessionStats;
 
 use crate::batch::run_pool;
 use crate::cache::{lock_cache, CacheConfig, CacheStats, SharedObligationStore, VerdictCache};
@@ -122,8 +120,9 @@ impl Outcome {
     }
 }
 
-/// A configured verification pipeline: backend choice, solver budgets,
-/// thread pool, fail-fast policy, and (optionally) a verdict cache.
+/// A configured verification pipeline: the per-program
+/// [`VerifierConfig`], thread pool, fail-fast policy, and (optionally) a
+/// verdict cache.
 ///
 /// Construction is builder-style and cheap; [`Verifier::with_cache`]
 /// creates the cache at once, and it is shared across calls (an
@@ -145,19 +144,12 @@ impl Verifier {
         Verifier::default()
     }
 
-    /// Replaces the full per-program verifier configuration.
+    /// Replaces the full per-program verifier configuration: solver
+    /// backend and budgets, spec validity, the static pre-pass and the
+    /// explanation knobs. The configuration is part of every cache key.
     #[must_use]
     pub fn with_config(mut self, config: VerifierConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Selects the solver backend for *both* program obligations and
-    /// specification-validity checking.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.config.backend = backend;
-        self.config.validity.backend = backend;
         self
     }
 
@@ -186,31 +178,6 @@ impl Verifier {
     #[must_use]
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = Some(Arc::new(Mutex::new(VerdictCache::new(cache))));
-        self
-    }
-
-    /// Enables delta-debugging minimization of counterexamples (off by
-    /// default). When on, every falsified obligation's environment is
-    /// shrunk to a minimal fact cone that still falsifies, so hovers and
-    /// reports show the two or three bindings that exhibit the leak. The
-    /// knob is part of the content hash — cached verdicts never cross the
-    /// setting — and reports with it off stay byte-identical to builds
-    /// that predate it.
-    #[must_use]
-    pub fn with_minimized_counterexamples(mut self, enabled: bool) -> Self {
-        self.config.minimize_counterexamples = enabled;
-        self
-    }
-
-    /// Enables proof-core tracking (off by default). When on, every
-    /// proved obligation records which asserted facts its proof can have
-    /// used, and the report aggregates per-program "unneeded annotation"
-    /// hints. Part of the content hash, like
-    /// [`with_minimized_counterexamples`](Self::with_minimized_counterexamples);
-    /// reports with it off are byte-identical to builds that predate it.
-    #[must_use]
-    pub fn with_proof_cores(mut self, enabled: bool) -> Self {
-        self.config.proof_cores = enabled;
         self
     }
 
@@ -474,15 +441,6 @@ mod tests {
         assert_eq!(stats.memory_hits, 2);
         assert_eq!(stats.stores, 2);
         assert_eq!(plain.cache_stats(), None);
-    }
-
-    #[test]
-    fn backend_choice_flows_into_both_configs() {
-        let v = Verifier::new().with_backend(commcsl_smt::BackendKind::Fresh);
-        assert_eq!(v.config().backend, commcsl_smt::BackendKind::Fresh);
-        assert_eq!(v.config().validity.backend, commcsl_smt::BackendKind::Fresh);
-        let report = v.verify(&ok_program("fresh-backend")).report;
-        assert!(report.verified());
     }
 
     #[test]

@@ -39,7 +39,9 @@ fn assert_equivalent(program: &AnnotatedProgram) -> String {
     assert_eq!(fresh, incremental, "backends diverge on `{}`", program.name);
 
     for backend in BackendKind::ALL {
-        let api = Verifier::new().with_backend(backend).with_threads(1);
+        let api = Verifier::new()
+            .with_config(config_for(backend))
+            .with_threads(1);
         assert_eq!(
             api.verify(program).report.to_json(),
             fresh,
@@ -259,7 +261,7 @@ proptest! {
             verify(&program, &config_for(BackendKind::Incremental)).to_json();
         prop_assert_eq!(&fresh, &incremental);
         let api = Verifier::new()
-            .with_backend(BackendKind::Incremental)
+            .with_config(config_for(BackendKind::Incremental))
             .with_threads(1);
         prop_assert_eq!(&api.verify(&program).report.to_json(), &fresh);
     }

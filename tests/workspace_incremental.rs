@@ -5,15 +5,15 @@
 //!
 //! Pinned corpora:
 //!
-//! * the 18 Table 1 fixtures and the 5 rejected variants (failing
-//!   reports with counterexamples included),
-//! * the committed `.csl` corpus read from disk (span-carrying programs
-//!   compiled by `commcsl-front`),
+//! * the 18 Table 1 fixtures (`commcsl::fixtures::all()`, compiled from
+//!   the committed `examples/programs/` texts, spans included),
+//! * the 5 rejected variants, read from `examples/rejected/` on disk
+//!   (failing reports with counterexamples included),
 //! * random proptest edit *sequences* over generated annotated programs
 //!   (every revision checked against a cold run),
 //!
 //! each under a shared workspace, so obligations cached by one program
-//! are candidates for every later one.
+//! are candidates for every later one. Each corpus program runs once.
 
 use std::path::Path;
 
@@ -82,36 +82,35 @@ fn assert_incremental(ws: &mut Workspace, doc: &str, program: &AnnotatedProgram)
     assert_eq!(outcome.obligations.reused, outcome.obligations.total - settled);
 }
 
+/// The 18 Table 1 rows; the rejected variants are the other test's, so
+/// each corpus program runs once.
 #[test]
 fn fixture_corpus_is_byte_identical_and_edit_rechecks_only_the_cone() {
     let mut ws = workspace();
     for fixture in commcsl::fixtures::all() {
         assert_incremental(&mut ws, fixture.name, &fixture.program);
     }
-    for (name, program) in commcsl::fixtures::rejected() {
-        // Failing programs too: failed statuses (counterexamples and all)
-        // must replay byte-identically.
-        assert_incremental(&mut ws, name, &program);
-    }
 }
 
+/// The 5 rejected variants, compiled from the files on disk.
 #[test]
 fn csl_corpus_is_byte_identical_through_the_workspace() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/rejected");
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .expect("examples/programs exists")
+        .expect("examples/rejected exists")
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|e| e == "csl"))
         .collect();
     entries.sort();
-    assert_eq!(entries.len(), 18, "the Table 1 corpus has 18 programs");
+    assert_eq!(entries.len(), 5, "the rejected corpus has 5 programs");
 
     let mut ws = workspace();
     for path in entries {
-        let source = std::fs::read_to_string(&path).expect("readable fixture");
+        let source = std::fs::read_to_string(&path).expect("readable variant");
         let program = compile(&source).expect("corpus compiles");
-        // Span-carrying programs: positions flow into obligation reports
-        // and must survive the incremental route byte-identically.
+        // Failing programs too: failed statuses (counterexamples and all)
+        // must replay byte-identically, and span-carrying programs'
+        // positions must survive the incremental route.
         assert_incremental(&mut ws, &path.display().to_string(), &program);
     }
 }

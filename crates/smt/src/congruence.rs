@@ -11,35 +11,127 @@
 //! rewrite rules context-sensitive (e.g. `MapPut` reordering under a learned
 //! key disequality).
 //!
+//! # Layout
+//!
+//! A node is an index into flat per-node vectors: its function symbol
+//! (none for a variable or literal), a range of its child node ids in one
+//! shared `Vec<usize>`, its use list and its class literal. Variables and
+//! literals intern through a hash map keyed on the term. An application
+//! interns bottom-up — its arguments first, left to right, then the node
+//! itself — and is looked up by function symbol and child *node* ids. The
+//! signature table that finds congruences is keyed the same way on child
+//! *class* ids: each entry stores the classes it was computed over in a
+//! second shared `Vec<usize>`. Both application tables map a 64-bit hash
+//! of the key to the newest node (or signature entry) with that hash, and
+//! every node and entry links to the next older one with the same hash.
+//! So a lookup compares symbols and id slices, never term trees, and no
+//! entry allocates a key of its own — the signature table over node ids
+//! of Nieuwenhuis and Oliveras ("Fast congruence closure and extensions",
+//! 2007).
+//!
 //! # Backtracking
 //!
 //! Incremental solver sessions interleave long-lived fact scopes with
 //! goal-local assertions, so the closure is **backtrackable**: every
-//! mutation (node creation, union, disequality, literal move) is recorded
-//! on an undo trail, [`Congruence::snapshot`] captures the current trail
-//! position, and [`Congruence::rollback_to`] restores the closure to that
-//! exact state — no cloning, no re-interning. Union-find runs union-by-
-//! rank *without* path compression precisely so unions undo in O(1) (see
+//! in-place mutation (union, use-list change, literal move) is recorded on
+//! an undo trail, while fresh nodes, signature entries and disequalities
+//! are only ever appended. [`Congruence::snapshot`] captures the trail
+//! position and the lengths, and [`Congruence::rollback_to`] undoes the
+//! trail in reverse and truncates the suffixes, unlinking each dropped
+//! node or entry from the head of its hash chain (chains grow at the
+//! head, so they shrink last-in first-out) — no cloning, no re-interning,
+//! O(work since the snapshot). Union-find runs union-by-rank *without*
+//! path compression precisely so unions undo in O(1) (see
 //! `union_find.rs`); roots, and therefore [`Congruence::class_id`]
 //! values, are unaffected.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use commcsl_pure::rewrite::{decide_eq_syntactic, EqOracle};
 use commcsl_pure::{Func, Term, Value};
 
 use crate::union_find::{UnionFind, UnionUndo};
 
-#[derive(Debug, Clone)]
-enum Node {
-    /// A variable or literal (the term itself is the intern-map key).
-    Leaf,
-    /// An application with child node ids.
-    App(Func, Vec<usize>),
+/// The end of a hash chain.
+const NIL: usize = usize::MAX;
+
+/// A word-at-a-time multiply-rotate hasher (the FxHash scheme) for the
+/// closure's tables, whose keys are short: leaf terms, and the 64-bit
+/// application hashes [`key_hash`] computes with it. The tables are only
+/// probed, never iterated, so no hash value reaches an answer.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
-/// One undoable mutation.
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; bring the well-mixed high bits down
+        // to where the table picks its bucket.
+        self.0.rotate_left(26)
+    }
+}
+
+type WordMap<K> = HashMap<K, usize, BuildHasherDefault<WordHasher>>;
+
+/// The hash of an application key: a function symbol over child node
+/// ids (the intern table) or child class ids (the signature table).
+fn key_hash(f: &Func, ids: &[usize]) -> u64 {
+    let mut hasher = WordHasher::default();
+    f.hash(&mut hasher);
+    for &id in ids {
+        hasher.add(id as u64);
+    }
+    hasher.finish()
+}
+
+/// Removes `id`, the newest entry of `hash`'s chain, from a table whose
+/// chains grow at the head; `next` is the entry it links to.
+fn unlink(table: &mut WordMap<u64>, hash: u64, id: usize, next: usize) {
+    let head = if next == NIL {
+        table.remove(&hash)
+    } else {
+        table.insert(hash, next)
+    };
+    debug_assert_eq!(head, Some(id), "hash chains shrink last-in first-out");
+}
+
+/// One undoable in-place mutation.
 #[derive(Debug, Clone)]
 enum TrailOp {
     /// A class union (undone via the union-find's own record).
@@ -57,24 +149,55 @@ enum TrailOp {
     LiteralMove { winner: usize, loser: usize },
 }
 
+/// A signature-table entry: the signature of `node` over the classes
+/// its children had when the entry was made.
+#[derive(Debug, Clone, Copy)]
+struct SigEntry {
+    node: usize,
+    hash: u64,
+    /// Where the entry's child classes start in `Inner::sig_classes`
+    /// (one per child of `node`).
+    classes: usize,
+    /// The next older entry with the same hash, or [`NIL`].
+    next: usize,
+}
+
 #[derive(Debug, Default, Clone)]
 struct Inner {
     uf: UnionFind,
-    nodes: Vec<Node>,
-    /// Interned terms. A key shares its subterms with the term it was
-    /// interned from, so interning copies no tree.
-    intern: BTreeMap<Term, usize>,
-    /// Interned terms in creation order (rollback removes a suffix).
-    intern_order: Vec<Term>,
-    /// Signature table: canonical `(f, child classes)` → node id.
-    /// Insert-only while live — stale entries are unreachable, never
-    /// overwritten — so rollback removes a suffix of `sig_order`.
-    sigs: HashMap<(Func, Vec<usize>), usize>,
-    sig_order: Vec<(Func, Vec<usize>)>,
-    /// For each node id, application nodes that have it as a child.
+    // Per node, indexed by node id.
+    /// The function symbol of an application; `None` for a variable or
+    /// literal.
+    func: Vec<Option<Func>>,
+    /// The node's children: `child_ids[args[id].0..args[id].1]`.
+    args: Vec<(usize, usize)>,
+    /// An application's key hash and the next older application with the
+    /// same hash (or [`NIL`]); unused for leaves.
+    app_link: Vec<(u64, usize)>,
+    /// Application nodes that have the node as a child.
     uses: Vec<Vec<usize>>,
     /// Literal representative per class root (moved on union).
     literal: Vec<Option<Value>>,
+    /// The child node ids of every application, in creation order.
+    child_ids: Vec<usize>,
+    /// Variables and literals, by term.
+    leaves: WordMap<Term>,
+    /// The interned leaves in creation order (rollback removes a suffix).
+    leaf_order: Vec<Term>,
+    /// Applications: key hash over child node ids → newest such node.
+    apps: WordMap<u64>,
+    /// Signature table: key hash over child class ids → newest entry.
+    /// Insert-only while live — stale entries are unreachable, never
+    /// overwritten — so rollback removes a suffix of `sig_entries`.
+    sigs: WordMap<u64>,
+    sig_entries: Vec<SigEntry>,
+    /// The child classes of every signature entry, in entry order.
+    sig_classes: Vec<usize>,
+    /// Child ids of the applications being interned: each level of the
+    /// recursion pushes its arguments' ids above its callers'.
+    arg_stack: Vec<usize>,
+    /// Class pairs the running merge still has to join.
+    merge_queue: Vec<(usize, usize)>,
     diseqs: Vec<(usize, usize)>,
     trail: Vec<TrailOp>,
     contradiction: bool,
@@ -93,7 +216,7 @@ struct Inner {
 #[derive(Debug, Clone, Copy)]
 pub struct CongruenceSnapshot {
     nodes: usize,
-    interned: usize,
+    leaves: usize,
     sigs: usize,
     diseqs: usize,
     trail: usize,
@@ -171,9 +294,9 @@ impl Congruence {
     pub fn snapshot(&self) -> CongruenceSnapshot {
         let inner = self.inner.borrow();
         CongruenceSnapshot {
-            nodes: inner.nodes.len(),
-            interned: inner.intern_order.len(),
-            sigs: inner.sig_order.len(),
+            nodes: inner.func.len(),
+            leaves: inner.leaf_order.len(),
+            sigs: inner.sig_entries.len(),
             diseqs: inner.diseqs.len(),
             trail: inner.trail.len(),
             version: inner.version,
@@ -182,49 +305,11 @@ impl Congruence {
     }
 
     /// Restores the closure to the exact state captured by `snap`:
-    /// trailing mutations are undone in reverse, fresh nodes and
-    /// disequalities are discarded. O(work since the snapshot), not
-    /// O(closure size).
+    /// trailing mutations are undone in reverse, fresh nodes, signature
+    /// entries and disequalities are discarded. O(work since the
+    /// snapshot), not O(closure size).
     pub fn rollback_to(&self, snap: &CongruenceSnapshot) {
-        let mut inner = self.inner.borrow_mut();
-        while inner.trail.len() > snap.trail {
-            let op = inner.trail.pop().expect("trail length checked");
-            match op {
-                TrailOp::Union(undo) => inner.uf.undo_union(undo),
-                TrailOp::UsesPush(node) => {
-                    inner.uses[node].pop();
-                }
-                TrailOp::UsesMove {
-                    winner,
-                    loser,
-                    count,
-                } => {
-                    let at = inner.uses[winner].len() - count;
-                    let moved: Vec<usize> = inner.uses[winner].split_off(at);
-                    debug_assert!(inner.uses[loser].is_empty());
-                    inner.uses[loser] = moved;
-                }
-                TrailOp::LiteralMove { winner, loser } => {
-                    let value = inner.literal[winner].take();
-                    inner.literal[loser] = value;
-                }
-            }
-        }
-        while inner.intern_order.len() > snap.interned {
-            let key = inner.intern_order.pop().expect("length checked");
-            inner.intern.remove(&key);
-        }
-        while inner.sig_order.len() > snap.sigs {
-            let key = inner.sig_order.pop().expect("length checked");
-            inner.sigs.remove(&key);
-        }
-        inner.diseqs.truncate(snap.diseqs);
-        inner.nodes.truncate(snap.nodes);
-        inner.uses.truncate(snap.nodes);
-        inner.literal.truncate(snap.nodes);
-        inner.uf.truncate(snap.nodes);
-        inner.version = snap.version;
-        inner.contradiction = snap.contradiction;
+        self.inner.borrow_mut().rollback_to(snap);
     }
 
     /// Decides `a = b` from the closure: `Some(true)` when congruent,
@@ -286,59 +371,179 @@ impl Inner {
         })
     }
 
+    fn rollback_to(&mut self, snap: &CongruenceSnapshot) {
+        while self.trail.len() > snap.trail {
+            match self.trail.pop().expect("trail length checked") {
+                TrailOp::Union(undo) => self.uf.undo_union(undo),
+                TrailOp::UsesPush(node) => {
+                    self.uses[node].pop();
+                }
+                TrailOp::UsesMove {
+                    winner,
+                    loser,
+                    count,
+                } => {
+                    // The loser kept its emptied list's allocation.
+                    let at = self.uses[winner].len() - count;
+                    let mut moved = std::mem::take(&mut self.uses[loser]);
+                    debug_assert!(moved.is_empty());
+                    moved.extend_from_slice(&self.uses[winner][at..]);
+                    self.uses[winner].truncate(at);
+                    self.uses[loser] = moved;
+                }
+                TrailOp::LiteralMove { winner, loser } => {
+                    let value = self.literal[winner].take();
+                    self.literal[loser] = value;
+                }
+            }
+        }
+        if let Some(first) = self.sig_entries.get(snap.sigs) {
+            self.sig_classes.truncate(first.classes);
+        }
+        while self.sig_entries.len() > snap.sigs {
+            let entry = self.sig_entries.pop().expect("length checked");
+            unlink(&mut self.sigs, entry.hash, self.sig_entries.len(), entry.next);
+        }
+        for node in (snap.nodes..self.func.len()).rev() {
+            if self.func[node].is_some() {
+                let (hash, next) = self.app_link[node];
+                unlink(&mut self.apps, hash, node, next);
+            }
+        }
+        while self.leaf_order.len() > snap.leaves {
+            let leaf = self.leaf_order.pop().expect("length checked");
+            self.leaves.remove(&leaf);
+        }
+        if let Some(&(start, _)) = self.args.get(snap.nodes) {
+            self.child_ids.truncate(start);
+        }
+        self.func.truncate(snap.nodes);
+        self.args.truncate(snap.nodes);
+        self.app_link.truncate(snap.nodes);
+        self.uses.truncate(snap.nodes);
+        self.literal.truncate(snap.nodes);
+        self.uf.truncate(snap.nodes);
+        self.diseqs.truncate(snap.diseqs);
+        self.version = snap.version;
+        self.contradiction = snap.contradiction;
+    }
+
+    /// Interns `t` bottom-up: its arguments left to right, then the node.
     fn intern_term(&mut self, t: &Term) -> usize {
-        if let Some(&id) = self.intern.get(t) {
+        let Term::App(f, args) = t else {
+            return self.intern_leaf(t);
+        };
+        let base = self.arg_stack.len();
+        for arg in args.iter() {
+            let id = self.intern_term(arg);
+            self.arg_stack.push(id);
+        }
+        let hash = key_hash(f, &self.arg_stack[base..]);
+        if let Some(id) = self.find_app(f, &self.arg_stack[base..], hash) {
+            self.arg_stack.truncate(base);
             return id;
         }
-        let node = match t {
-            Term::Var(_) | Term::Lit(_) => Node::Leaf,
-            Term::App(f, args) => {
-                let child_ids: Vec<usize> =
-                    args.iter().map(|a| self.intern_term(a)).collect();
-                Node::App(f.clone(), child_ids)
-            }
-        };
-        let id = self.push_node(node, t);
+        let start = self.child_ids.len();
+        self.child_ids.extend_from_slice(&self.arg_stack[base..]);
+        self.arg_stack.truncate(base);
+        let end = self.child_ids.len();
+        let next = self.apps.insert(hash, self.func.len()).unwrap_or(NIL);
+        let id = self.push_node(Some(f.clone()), (start, end), (hash, next), None);
         // Congruence check for fresh applications.
-        if let Node::App(f, child_ids) = self.nodes[id].clone() {
-            for &c in &child_ids {
-                let rc = self.uf.find(c);
-                self.uses[rc].push(id);
-                self.trail.push(TrailOp::UsesPush(rc));
-            }
-            let sig = self.signature(&f, &child_ids);
-            if let Some(&existing) = self.sigs.get(&sig) {
-                self.merge(existing, id);
-            } else {
-                self.sig_order.push(sig.clone());
-                self.sigs.insert(sig, id);
-            }
+        for at in start..end {
+            let rc = self.uf.find(self.child_ids[at]);
+            self.uses[rc].push(id);
+            self.trail.push(TrailOp::UsesPush(rc));
+        }
+        if let Some(existing) = self.signature(id) {
+            self.merge(existing, id);
         }
         id
     }
 
-    fn push_node(&mut self, node: Node, t: &Term) -> usize {
-        let id = self.uf.push();
-        debug_assert_eq!(id, self.nodes.len());
-        self.nodes.push(node);
-        self.uses.push(Vec::new());
-        self.literal.push(match t {
+    fn intern_leaf(&mut self, t: &Term) -> usize {
+        if let Some(&id) = self.leaves.get(t) {
+            return id;
+        }
+        let literal = match t {
             Term::Lit(v) => Some(v.clone()),
             _ => None,
-        });
-        self.intern_order.push(t.clone());
-        self.intern.insert(t.clone(), id);
+        };
+        let at = self.child_ids.len();
+        let id = self.push_node(None, (at, at), (0, NIL), literal);
+        self.leaves.insert(t.clone(), id);
+        self.leaf_order.push(t.clone());
         id
     }
 
-    fn signature(&mut self, f: &Func, child_ids: &[usize]) -> (Func, Vec<usize>) {
-        let canon: Vec<usize> = child_ids.iter().map(|&c| self.uf.find(c)).collect();
-        (f.clone(), canon)
+    /// The application of `f` to exactly the nodes `children`, if interned.
+    fn find_app(&self, f: &Func, children: &[usize], hash: u64) -> Option<usize> {
+        let mut node = *self.apps.get(&hash)?;
+        while node != NIL {
+            let (start, end) = self.args[node];
+            if self.func[node].as_ref() == Some(f) && self.child_ids[start..end] == *children {
+                return Some(node);
+            }
+            node = self.app_link[node].1;
+        }
+        None
+    }
+
+    fn push_node(
+        &mut self,
+        func: Option<Func>,
+        args: (usize, usize),
+        app_link: (u64, usize),
+        literal: Option<Value>,
+    ) -> usize {
+        let id = self.uf.push();
+        debug_assert_eq!(id, self.func.len());
+        self.func.push(func);
+        self.args.push(args);
+        self.app_link.push(app_link);
+        self.uses.push(Vec::new());
+        self.literal.push(literal);
+        id
+    }
+
+    /// Looks up the signature of application `node` — its symbol over
+    /// its children's current classes. Returns the node of the entry that
+    /// already holds it, or records an entry for `node` and returns
+    /// `None`.
+    fn signature(&mut self, node: usize) -> Option<usize> {
+        let (start, end) = self.args[node];
+        let classes = self.sig_classes.len();
+        for at in start..end {
+            let class = self.uf.find(self.child_ids[at]);
+            self.sig_classes.push(class);
+        }
+        let f = self.func[node].as_ref().expect("only applications have signatures");
+        let hash = key_hash(f, &self.sig_classes[classes..]);
+        let mut entry = self.sigs.get(&hash).copied().unwrap_or(NIL);
+        while entry != NIL {
+            let e = self.sig_entries[entry];
+            let (s, t) = self.args[e.node];
+            if self.func[e.node].as_ref() == Some(f)
+                && self.sig_classes[e.classes..e.classes + (t - s)] == self.sig_classes[classes..]
+            {
+                self.sig_classes.truncate(classes);
+                return Some(e.node);
+            }
+            entry = e.next;
+        }
+        let next = self.sigs.insert(hash, self.sig_entries.len()).unwrap_or(NIL);
+        self.sig_entries.push(SigEntry {
+            node,
+            hash,
+            classes,
+            next,
+        });
+        None
     }
 
     fn merge(&mut self, a: usize, b: usize) {
-        let mut queue = vec![(a, b)];
-        while let Some((x, y)) = queue.pop() {
+        self.merge_queue.push((a, b));
+        while let Some((x, y)) = self.merge_queue.pop() {
             let (rx, ry) = (self.uf.find(x), self.uf.find(y));
             if rx == ry {
                 continue;
@@ -348,6 +553,7 @@ impl Inner {
                 if lx != ly {
                     self.contradiction = true;
                     self.version += 1;
+                    self.merge_queue.clear();
                     return;
                 }
             }
@@ -364,29 +570,25 @@ impl Inner {
                 self.trail.push(TrailOp::LiteralMove { winner, loser });
             }
             // Re-canonicalize parents of the losing class.
-            let moved: Vec<usize> = std::mem::take(&mut self.uses[loser]);
-            let count = moved.len();
-            for parent in moved {
-                if let Node::App(f, child_ids) = self.nodes[parent].clone() {
-                    let sig = self.signature(&f, &child_ids);
-                    if let Some(&existing) = self.sigs.get(&sig) {
-                        if self.uf.find(existing) != self.uf.find(parent) {
-                            queue.push((existing, parent));
-                        }
-                    } else {
-                        self.sig_order.push(sig.clone());
-                        self.sigs.insert(sig, parent);
+            let mut moved = std::mem::take(&mut self.uses[loser]);
+            for &parent in &moved {
+                if let Some(existing) = self.signature(parent) {
+                    if self.uf.find(existing) != self.uf.find(parent) {
+                        self.merge_queue.push((existing, parent));
                     }
                 }
-                self.uses[winner].push(parent);
             }
-            if count > 0 {
+            if !moved.is_empty() {
+                self.uses[winner].extend_from_slice(&moved);
                 self.trail.push(TrailOp::UsesMove {
                     winner,
                     loser,
-                    count,
+                    count: moved.len(),
                 });
             }
+            // Keep the allocation for the list's restore on rollback.
+            moved.clear();
+            self.uses[loser] = moved;
         }
         self.check_diseqs();
     }

@@ -174,3 +174,39 @@ fn deterministic_folded_output_is_byte_identical_across_runs() {
 
     fs::remove_dir_all(&dir).ok();
 }
+
+/// The solver counters are emitted where the sessions do the work, so
+/// they reconcile with the spans: over both corpora (whose spec-validity
+/// sessions check too) `solver.checks` equals the number of
+/// `solver.check` spans, and every check is either proved or unknown.
+#[test]
+fn solver_counters_reconcile_with_check_spans() {
+    let _guard = LOCK.lock().unwrap();
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let (programs, rejected) = (format!("{examples}/programs"), format!("{examples}/rejected"));
+    let (code, out) = run_cli(&["profile", "--json", "--threads", "1", &programs, &rejected]);
+    assert_eq!(code, 0, "{out}");
+
+    let doc = Json::parse(out.trim()).expect("profile --json is valid JSON");
+    let profile = doc.get("profile").expect("profile object");
+    assert_eq!(profile.get("programs").and_then(Json::as_u64), Some(23), "{out}");
+    let spans = profile
+        .get("labels")
+        .and_then(Json::as_arr)
+        .expect("labels array")
+        .iter()
+        .find(|l| l.get("label").and_then(Json::as_str) == Some("solver.check"))
+        .and_then(|l| l.get("count"))
+        .and_then(Json::as_u64)
+        .expect("a solver.check label");
+    let counter = |name: &str| {
+        profile
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("counter {name}: {out}"))
+    };
+    let checks = counter("solver.checks");
+    assert_eq!(checks, spans, "solver.checks against solver.check spans");
+    assert_eq!(counter("solver.proved") + counter("solver.unknown"), checks);
+}

@@ -1050,8 +1050,8 @@ fn run_profile(opts: Opts, out: &mut String) -> Run {
         results
     };
     // Fold the run's ad-hoc statistics into the capture's counter
-    // registry, so one snapshot unifies spans, discharge counters, and
-    // solver session totals.
+    // registry beside the `solver.*` counters the sessions emitted, so
+    // one snapshot unifies spans, discharge counters and solver work.
     counter_add("profile.programs", results.len() as u64);
     counter_add("profile.errors", file_errors.len() as u64);
     let (static_total, solver_total) = results
@@ -1062,14 +1062,6 @@ fn run_profile(opts: Opts, out: &mut String) -> Run {
         });
     counter_add("obligations.statically_proven", static_total);
     counter_add("obligations.solver_checked", solver_total);
-    let totals = session_totals(&results);
-    counter_add("solver.checks", totals.checks);
-    counter_add("solver.proved", totals.proved);
-    counter_add("solver.unknown", totals.unknown);
-    counter_add("solver.asserts", totals.asserts);
-    counter_add("solver.pushes", totals.pushes);
-    counter_add("solver.pops", totals.pops);
-    counter_add("solver.quiescence_skips", totals.quiescence_skips);
     let capture = finish_capture();
 
     write_export(opts.trace_out.as_deref(), &chrome_trace(&capture), out)?;

@@ -82,7 +82,10 @@ use crate::solver::{Saturation, Solver, SolverConfig, Verdict};
 /// is deferred and attributed to the check that forces it). Stats are
 /// observability, not semantics: they never feed back into verdicts and
 /// are deliberately kept out of verification reports so cached and fresh
-/// verdicts stay byte-identical.
+/// verdicts stay byte-identical. Each counter also adds to the telemetry
+/// counter of its name under `solver.` (`solver.checks`, …) where it
+/// counts, so an armed capture sees every session, spec validity's
+/// included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Goals checked.
@@ -120,6 +123,24 @@ impl SessionStats {
         self.quiescence_skips += other.quiescence_skips;
         self.check_time += other.check_time;
     }
+
+    /// Counts one check answered `verdict` that began at `start`.
+    fn record_check(&mut self, verdict: Verdict, start: Instant) -> Verdict {
+        count(&mut self.checks, "solver.checks");
+        match verdict {
+            Verdict::Proved => count(&mut self.proved, "solver.proved"),
+            _ => count(&mut self.unknown, "solver.unknown"),
+        }
+        self.check_time += start.elapsed();
+        verdict
+    }
+}
+
+/// Adds one to a session counter and to the telemetry counter `name`, so
+/// a capture counts the work of every session where it happens.
+fn count(field: &mut u64, name: &'static str) {
+    *field += 1;
+    commcsl_telemetry::counter_add(name, 1);
 }
 
 /// An incremental proof session: a stack of fact scopes and a stream of
@@ -241,19 +262,19 @@ struct FreshSession {
 
 impl SolverSession for FreshSession {
     fn push(&mut self) {
-        self.stats.pushes += 1;
+        count(&mut self.stats.pushes, "solver.pushes");
         self.marks.push(self.facts.len());
     }
 
     fn pop(&mut self) {
-        self.stats.pops += 1;
+        count(&mut self.stats.pops, "solver.pops");
         if let Some(mark) = self.marks.pop() {
             self.facts.truncate(mark);
         }
     }
 
     fn assert(&mut self, fact: Term) {
-        self.stats.asserts += 1;
+        count(&mut self.stats.asserts, "solver.asserts");
         self.facts.push(fact);
     }
 
@@ -261,13 +282,7 @@ impl SolverSession for FreshSession {
         let _span = commcsl_telemetry::span!("solver.check");
         let start = Instant::now();
         let verdict = self.solver.check_valid(&self.facts, goal);
-        self.stats.checks += 1;
-        match verdict {
-            Verdict::Proved => self.stats.proved += 1,
-            _ => self.stats.unknown += 1,
-        }
-        self.stats.check_time += start.elapsed();
-        verdict
+        self.stats.record_check(verdict, start)
     }
 
     fn check_assuming(&mut self, assumptions: Vec<Term>, goal: &Term) -> Verdict {
@@ -277,13 +292,7 @@ impl SolverSession for FreshSession {
         let mut hyps = self.facts.clone();
         hyps.extend(assumptions);
         let verdict = self.solver.check_valid(&hyps, goal);
-        self.stats.checks += 1;
-        match verdict {
-            Verdict::Proved => self.stats.proved += 1,
-            _ => self.stats.unknown += 1,
-        }
-        self.stats.check_time += start.elapsed();
-        verdict
+        self.stats.record_check(verdict, start)
     }
 
     fn sync(&mut self) {
@@ -355,7 +364,7 @@ impl IncrementalSession {
     /// completeness contract.
     fn flush(&mut self) {
         if self.pending.is_empty() {
-            self.stats.quiescence_skips += 1;
+            count(&mut self.stats.quiescence_skips, "solver.quiescence_skips");
             return;
         }
         let pending = std::mem::take(&mut self.pending);
@@ -372,16 +381,6 @@ impl IncrementalSession {
         }
     }
 
-    fn record(&mut self, verdict: Verdict, start: Instant) -> Verdict {
-        self.stats.checks += 1;
-        match verdict {
-            Verdict::Proved => self.stats.proved += 1,
-            _ => self.stats.unknown += 1,
-        }
-        self.stats.check_time += start.elapsed();
-        verdict
-    }
-
     fn check_with(&mut self, assumptions: Vec<Term>, goal: &Term) -> Verdict {
         let _span = commcsl_telemetry::span!("solver.check");
         let start = Instant::now();
@@ -389,7 +388,7 @@ impl IncrementalSession {
         if self.contradictory {
             // Contradictory facts entail anything (same as the legacy
             // refutation of `hyps ∧ ¬goal` with unsatisfiable `hyps`).
-            return self.record(Verdict::Proved, start);
+            return self.stats.record_check(Verdict::Proved, start);
         }
         let snapshot = self.cc.snapshot();
         let mut extra = assumptions;
@@ -401,13 +400,13 @@ impl IncrementalSession {
         } else {
             Verdict::Unknown
         };
-        self.record(verdict, start)
+        self.stats.record_check(verdict, start)
     }
 }
 
 impl SolverSession for IncrementalSession {
     fn push(&mut self) {
-        self.stats.pushes += 1;
+        count(&mut self.stats.pushes, "solver.pushes");
         self.flush();
         self.frames.push(FrameMark {
             snapshot: self.cc.snapshot(),
@@ -417,7 +416,7 @@ impl SolverSession for IncrementalSession {
     }
 
     fn pop(&mut self) {
-        self.stats.pops += 1;
+        count(&mut self.stats.pops, "solver.pops");
         let Some(frame) = self.frames.pop() else {
             return;
         };
@@ -428,7 +427,7 @@ impl SolverSession for IncrementalSession {
     }
 
     fn assert(&mut self, fact: Term) {
-        self.stats.asserts += 1;
+        count(&mut self.stats.asserts, "solver.asserts");
         self.pending.push(fact);
     }
 

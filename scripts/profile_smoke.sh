@@ -4,7 +4,8 @@
 # JSON array of metadata + complete events naming spans from >=5 pipeline
 # layers, and the folded stacks are well-formed `frames weight` lines.
 # A second single-threaded deterministic run must reproduce the folded
-# file byte-for-byte.
+# file byte-for-byte. Over both corpora, the `solver.checks` counter must
+# equal the number of `solver.check` spans.
 #
 # Usage: scripts/profile_smoke.sh [path-to-commcsl-binary]
 set -euo pipefail
@@ -47,5 +48,19 @@ for i in 1 2; do
 done
 cmp "$WORK/run1.folded" "$WORK/run2.folded" \
     || { echo "profile smoke: deterministic folded output diverged" >&2; exit 1; }
+
+# Counters are emitted where the work happens: every solver check, spec
+# validity's included, is one `solver.check` span and one count.
+"$BIN" profile --json --threads 1 examples/programs examples/rejected \
+    > "$WORK/profile.json"
+python3 - "$WORK/profile.json" <<'EOF'
+import json, sys
+profile = json.load(open(sys.argv[1]))["profile"]
+spans = {l["label"]: l["count"] for l in profile["labels"]}
+checks = profile["counters"].get("solver.checks")
+assert checks == spans.get("solver.check"), \
+    f"solver.checks = {checks}, solver.check spans = {spans.get('solver.check')}"
+print(f"profile smoke: solver.checks = {checks} = solver.check spans")
+EOF
 
 echo "profile smoke: OK"

@@ -58,9 +58,9 @@ use crate::union_find::{UnionFind, UnionUndo};
 const NIL: usize = usize::MAX;
 
 /// A word-at-a-time multiply-rotate hasher (the FxHash scheme) for the
-/// closure's tables, whose keys are short: leaf terms, and the 64-bit
-/// application hashes [`key_hash`] computes with it. The tables are only
-/// probed, never iterated, so no hash value reaches an answer.
+/// application tables, whose keys are the 64-bit hashes [`key_hash`]
+/// computes with it from the closure's own symbols and ids. The tables
+/// are only probed, never iterated, so no hash value reaches an answer.
 #[derive(Default)]
 struct WordHasher(u64);
 
@@ -107,7 +107,7 @@ impl Hasher for WordHasher {
     }
 }
 
-type WordMap<K> = HashMap<K, usize, BuildHasherDefault<WordHasher>>;
+type WordMap = HashMap<u64, usize, BuildHasherDefault<WordHasher>>;
 
 /// The hash of an application key: a function symbol over child node
 /// ids (the intern table) or child class ids (the signature table).
@@ -122,7 +122,7 @@ fn key_hash(f: &Func, ids: &[usize]) -> u64 {
 
 /// Removes `id`, the newest entry of `hash`'s chain, from a table whose
 /// chains grow at the head; `next` is the entry it links to.
-fn unlink(table: &mut WordMap<u64>, hash: u64, id: usize, next: usize) {
+fn unlink(table: &mut WordMap, hash: u64, id: usize, next: usize) {
     let head = if next == NIL {
         table.remove(&hash)
     } else {
@@ -180,16 +180,18 @@ struct Inner {
     literal: Vec<Option<Value>>,
     /// The child node ids of every application, in creation order.
     child_ids: Vec<usize>,
-    /// Variables and literals, by term.
-    leaves: WordMap<Term>,
+    /// Variables and literals, by term. The names come from the programs
+    /// being verified, so this table keeps the default hasher, which
+    /// resists keys crafted to collide.
+    leaves: HashMap<Term, usize>,
     /// The interned leaves in creation order (rollback removes a suffix).
     leaf_order: Vec<Term>,
     /// Applications: key hash over child node ids → newest such node.
-    apps: WordMap<u64>,
+    apps: WordMap,
     /// Signature table: key hash over child class ids → newest entry.
     /// Insert-only while live — stale entries are unreachable, never
     /// overwritten — so rollback removes a suffix of `sig_entries`.
-    sigs: WordMap<u64>,
+    sigs: WordMap,
     sig_entries: Vec<SigEntry>,
     /// The child classes of every signature entry, in entry order.
     sig_classes: Vec<usize>,

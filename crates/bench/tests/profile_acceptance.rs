@@ -183,13 +183,20 @@ fn deterministic_folded_output_is_byte_identical_across_runs() {
 fn solver_counters_reconcile_with_check_spans() {
     let _guard = LOCK.lock().unwrap();
     let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
-    let (programs, rejected) = (format!("{examples}/programs"), format!("{examples}/rejected"));
+    let (programs, rejected) = (
+        format!("{examples}/programs"),
+        format!("{examples}/rejected"),
+    );
     let (code, out) = run_cli(&["profile", "--json", "--threads", "1", &programs, &rejected]);
     assert_eq!(code, 0, "{out}");
 
     let doc = Json::parse(out.trim()).expect("profile --json is valid JSON");
     let profile = doc.get("profile").expect("profile object");
-    assert_eq!(profile.get("programs").and_then(Json::as_u64), Some(23), "{out}");
+    assert_eq!(
+        profile.get("programs").and_then(Json::as_u64),
+        Some(23),
+        "{out}"
+    );
     let spans = profile
         .get("labels")
         .and_then(Json::as_arr)

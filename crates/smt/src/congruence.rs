@@ -84,14 +84,6 @@ impl Hasher for WordHasher {
         }
     }
 
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
     fn write_u64(&mut self, n: u64) {
         self.add(n);
     }
@@ -404,7 +396,12 @@ impl Inner {
         }
         while self.sig_entries.len() > snap.sigs {
             let entry = self.sig_entries.pop().expect("length checked");
-            unlink(&mut self.sigs, entry.hash, self.sig_entries.len(), entry.next);
+            unlink(
+                &mut self.sigs,
+                entry.hash,
+                self.sig_entries.len(),
+                entry.next,
+            );
         }
         for node in (snap.nodes..self.func.len()).rev() {
             if self.func[node].is_some() {
@@ -519,7 +516,9 @@ impl Inner {
             let class = self.uf.find(self.child_ids[at]);
             self.sig_classes.push(class);
         }
-        let f = self.func[node].as_ref().expect("only applications have signatures");
+        let f = self.func[node]
+            .as_ref()
+            .expect("only applications have signatures");
         let hash = key_hash(f, &self.sig_classes[classes..]);
         let mut entry = self.sigs.get(&hash).copied().unwrap_or(NIL);
         while entry != NIL {
@@ -533,7 +532,10 @@ impl Inner {
             }
             entry = e.next;
         }
-        let next = self.sigs.insert(hash, self.sig_entries.len()).unwrap_or(NIL);
+        let next = self
+            .sigs
+            .insert(hash, self.sig_entries.len())
+            .unwrap_or(NIL);
         self.sig_entries.push(SigEntry {
             node,
             hash,
@@ -699,7 +701,10 @@ mod tests {
         let cc = Congruence::new();
         // g(1) and g(2) are unknown, but 1 ≠ 2 is decided.
         assert_eq!(cc.decide(&Term::int(1), &Term::int(2)), Some(false));
-        assert_eq!(cc.decide(&f("g", [Term::int(1)]), &f("g", [Term::int(2)])), None);
+        assert_eq!(
+            cc.decide(&f("g", [Term::int(1)]), &f("g", [Term::int(2)])),
+            None
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn leaves() -> Vec<Term> {
 /// A random application of `f` or `g` whose arguments nest at most
 /// `depth - 1` further levels.
 fn app(rng: &mut Rng, depth: usize) -> Term {
-    let mut arg = |rng: &mut Rng| {
+    let arg = |rng: &mut Rng| {
         if depth == 1 || rng.below(3) == 0 {
             leaves()[rng.below(6)].clone()
         } else {
@@ -197,5 +197,8 @@ fn rollback_matches_a_replay_of_the_surviving_calls() {
             rollbacks += 1;
         }
     }
-    assert!(rollbacks >= CASES, "only {rollbacks} rollbacks over {CASES} cases");
+    assert!(
+        rollbacks >= CASES,
+        "only {rollbacks} rollbacks over {CASES} cases"
+    );
 }

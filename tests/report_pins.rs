@@ -81,7 +81,10 @@ fn pinned_programs() -> Vec<(String, String)> {
             programs.push((format!("{dir}/{name}"), source));
         }
     }
-    programs.push(("inline shared-map report program".into(), SHARED_MAP_REPORT.into()));
+    programs.push((
+        "inline shared-map report program".into(),
+        SHARED_MAP_REPORT.into(),
+    ));
     programs
 }
 
@@ -102,7 +105,9 @@ fn reports_match_the_pinned_jsonl() {
     if let Some(i) = first_difference {
         let written = Path::new(env!("CARGO_TARGET_TMPDIR")).join("expected_reports.actual.jsonl");
         fs::write(&written, actual.join("\n") + "\n").expect("actual reports write");
-        let label = programs.get(i).map_or("(no program)", |(label, _)| label.as_str());
+        let label = programs
+            .get(i)
+            .map_or("(no program)", |(label, _)| label.as_str());
         panic!(
             "report {i} ({label}) differs from examples/expected_reports.jsonl\n\
              expected: {}\n  actual: {}\nall actual reports: {}",
